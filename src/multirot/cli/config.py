@@ -148,6 +148,8 @@ class ExperimentConfig:
                     parse_ifs(spec)
                 except (UsageError, ValueError) as exc:
                     errors.append(f"bad {name}: {exc}")
+        if self.kind == "orbit" and self.bits % 8:
+            errors.append(f"orbit export needs bits to be a multiple of 8, got {self.bits}")
         if self.kind == "verify-theorem" and "theorem" not in self.params:
             errors.append("verify-theorem needs params.theorem")
         if errors:

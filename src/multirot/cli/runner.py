@@ -2,8 +2,9 @@
 
 Outputs are deterministic for a fixed config and seed: CSV files use LF
 line endings and fixed column orders, JSON summaries are key-sorted, and
-every file is written atomically (temp file + rename).  Entries run
-sequentially; nothing in the output depends on any parallelism setting.
+every file is written atomically (temp file + rename) with the mode the
+umask gives new files.  Entries run sequentially; nothing in the output
+depends on any parallelism setting.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ VERIFY_TARGETS = (
 )
 
 
+def _publish(tmp: str, path: str) -> None:
+    """Give a finished temp file the mode open() would have, then rename it."""
+    # mkstemp creates 0600; umask can only be read by setting it
+    umask = os.umask(0o022)
+    os.umask(umask)
+    os.chmod(tmp, 0o666 & ~umask)
+    os.replace(tmp, path)
+
+
 def atomic_write(path: str, data: str | bytes) -> None:
     binary = isinstance(data, bytes)
     kwargs = {} if binary else {"newline": "", "encoding": "utf-8"}
@@ -53,7 +63,7 @@ def atomic_write(path: str, data: str | bytes) -> None:
     try:
         with os.fdopen(fd, "wb" if binary else "w", **kwargs) as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        _publish(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -67,7 +77,7 @@ def atomic_via(writer, path: str) -> str:
     os.close(fd)
     try:
         writer(tmp)
-        os.replace(tmp, path)
+        _publish(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

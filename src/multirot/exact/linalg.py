@@ -9,7 +9,7 @@ finitely generated subgroup of Q^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 def clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
@@ -145,16 +145,3 @@ def integer_coordinates(basis: list[list[int]], vec: list[int]) -> list[int] | N
         return None
     return coords
 
-
-def normalize_integer_vector(vec: list[int]) -> list[int]:
-    """Divide by the gcd and make the first nonzero entry positive."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g == 0:
-        return vec[:]
-    out = [x // g for x in vec]
-    lead = next(x for x in out if x != 0)
-    if lead < 0:
-        out = [-x for x in out]
-    return out

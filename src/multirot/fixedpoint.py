@@ -16,10 +16,6 @@ def fp_from_fraction(x: Fraction, bits: int) -> int:
     return ((num << bits) // den) % (1 << bits)
 
 
-def fp_to_fraction(v: int, bits: int) -> Fraction:
-    return Fraction(v, 1 << bits)
-
-
 def fp_top64(v: int, bits: int) -> int:
     """Truncate a B-bit circle point to the 64 most significant bits."""
     if bits == 64:
@@ -27,9 +23,3 @@ def fp_top64(v: int, bits: int) -> int:
     if bits < 64:
         return v << (64 - bits)
     return v >> (bits - 64)
-
-
-def fp_hex(v: int, bits: int) -> str:
-    """Fixed-width hex rendering (bits/4 digits, no prefix)."""
-    width = (bits + 3) // 4
-    return format(v, f"0{width}x")

@@ -3,16 +3,25 @@
 ORB1 layout (little-endian): magic "ORB1", u32 ell, u32 r, u32 bits,
 u64 n, then n symbol bytes (1..ell), then n+1 points of bits/8 bytes each
 as unsigned fixed-point fractions.  bits must be a multiple of 8.
+
+Both writers work in chunks of `table.CHUNK_ROWS` rows.  The CSV is
+encoded column by column in numpy (`multirot.table`): integer columns
+through a base-10**4 digit table, x_hex through a byte-to-hex table, one
+compress and one write per chunk.  ORB1 points go out as one joined bytes
+object per chunk.  The bytes of both files are the same as those of the
+row-by-row formatting they replace (`str(int(v))` per integer cell,
+`format(x, "0{(bits+3)//4}x")` per point); the tests compare against it.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 
 import numpy as np
 
+from .. import table
 from ..errors import UsageError
-from ..fixedpoint import fp_hex
 from .generate import Orbit
 
 MAGIC = b"ORB1"
@@ -26,8 +35,9 @@ def write_orb1(orbit: Orbit, path) -> None:
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, orbit.ell, orbit.steps.r, orbit.bits, orbit.n))
         fh.write(orbit.omega.tobytes())
-        for x in orbit.points:
-            fh.write(x.to_bytes(width, "little"))
+        for s, e in table.chunk_bounds(orbit.n + 1):
+            points = orbit.points[s:e]
+            fh.write(b"".join(map(int.to_bytes, points, repeat(width), repeat("little"))))
 
 
 def read_orb1(path) -> dict:
@@ -52,14 +62,22 @@ def write_orbit_csv(orbit: Orbit, path) -> None:
         + [f"N_{i+1}" for i in range(orbit.ell)]
         + [f"b_{j+1}" for j in range(orbit.steps.r)]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(orbit.n + 1):
-            row = [
-                str(k),
-                str(int(orbit.omega[k - 1])) if k else "",
-                fp_hex(orbit.points[k], orbit.bits),
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for s, e in table.chunk_bounds(orbit.n + 1):
+            # row k carries omega_k = orbit.omega[k - 1]; row 0 has none.  Built
+            # per chunk: a full-length shifted copy raised peak RSS by 0.8 MB.
+            omega = np.zeros(e - s, dtype=np.uint8)
+            first = max(s, 1)
+            omega[first - s:] = orbit.omega[first - 1:e - 1]
+            omega_cells = table.int_cells(omega)
+            if s == 0:
+                omega_cells[1][0] = False
+            cells = [
+                table.int_cells(np.arange(s, e)),
+                omega_cells,
+                table.hex_cells(orbit.points[s:e], orbit.bits),
             ]
-            row += [str(int(v)) for v in counts[k]]
-            row += [str(int(v)) for v in bvec[k]]
-            fh.write(",".join(row) + "\n")
+            cells += [table.int_cells(counts[s:e, i]) for i in range(orbit.ell)]
+            cells += [table.int_cells(bvec[s:e, j]) for j in range(orbit.steps.r)]
+            fh.write(table.join_cells(cells))

@@ -182,3 +182,32 @@ def brute_force_min_k(betas: list[Fraction], bound: Fraction, k_max: int) -> int
 def _norm_exact(x: Fraction) -> Fraction:
     frac = x - (x.numerator // x.denominator)
     return min(frac, 1 - frac)
+
+
+# -- row-by-row orbit CSV ------------------------------------------------------------
+
+def reference_orbit_csv(orbit) -> bytes:
+    """results.csv of an orbit formatted one row at a time with str() and format().
+
+    This is the writer the chunked column encoder replaced; the encoder
+    must reproduce its bytes exactly.
+    """
+    counts = orbit.counts()
+    bvec = orbit.bvec()
+    width = (orbit.bits + 3) // 4
+    header = (
+        ["n", "omega", "x_hex"]
+        + [f"N_{i+1}" for i in range(orbit.ell)]
+        + [f"b_{j+1}" for j in range(orbit.steps.r)]
+    )
+    lines = [",".join(header) + "\n"]
+    for k in range(orbit.n + 1):
+        row = [
+            str(k),
+            str(int(orbit.omega[k - 1])) if k else "",
+            format(orbit.points[k], f"0{width}x"),
+        ]
+        row += [str(int(v)) for v in counts[k]]
+        row += [str(int(v)) for v in bvec[k]]
+        lines.append(",".join(row) + "\n")
+    return "".join(lines).encode("utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -255,6 +256,40 @@ def test_main_orbit_subcommand(tmp_path, capsys):
     ])
     assert code == 0
     assert (tmp_path / "o" / "results.csv").exists()
+
+
+ORBIT_CONFIG = {
+    "kind": "orbit", "seed": 1, "steps": ["sqrt2", "sqrt3"],
+    "strategy": {"type": "random"}, "n": 20,
+}
+
+
+@pytest.mark.parametrize("route", ["config", "override", "subcommand"])
+def test_main_orbit_misaligned_bits_writes_nothing(tmp_path, capsys, route):
+    out = tmp_path / "o"
+    if route == "subcommand":
+        argv = ["orbit", "--steps", "sqrt2,sqrt3", "--seed", "1", "--n", "20",
+                "--bits", "100", "--out", str(out)]
+    else:
+        bits = 100 if route == "config" else 128
+        path = write_config(tmp_path, {**ORBIT_CONFIG, "bits": bits, "out_dir": str(out)})
+        argv = ["run", path] + (["--bits", "100"] if route == "override" else [])
+    assert main(argv) == 2
+    assert "multiple of 8" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert not (out.exists() and os.listdir(out))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_umask_modes(tmp_path, capsys, umask, mode):
+    path = write_config(tmp_path, {**ORBIT_CONFIG, "out_dir": str(tmp_path / "o")})
+    old = os.umask(umask)
+    try:
+        assert main(["run", path]) == 0
+    finally:
+        os.umask(old)
+    for name in ("results.csv", "orbit.orb1", "summary.json"):
+        assert os.stat(tmp_path / "o" / name).st_mode & 0o777 == mode, name
 
 
 def test_main_rank_subcommand(tmp_path, capsys):

@@ -8,8 +8,11 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_basis
+from helpers import random_basis, reference_orbit_csv
+from multirot import table
 from multirot.errors import UsageError
 from multirot.exact.symbolic import SymbolicReal, builtin_table
 from multirot.orbit import (
@@ -352,6 +355,101 @@ def test_orbit_csv_columns(tmp_path):
     assert lines[1].startswith("0,,000000")
     assert len(lines) == 5
     assert lines[2].split(",")[1] == "1"
+
+
+def steps_with_negative_b(bits=128):
+    """p = ((1, -1), (-1, 0), (0, 0)): b_1 changes sign, b_2 only falls."""
+    steps = steps_from_values(
+        TABLE,
+        [TABLE.symbol("sqrt2") + TABLE.symbol("sqrt3", -1), TABLE.symbol("sqrt2", -1), F(1, 3)],
+        bits,
+    )
+    assert steps.p == ((1, -1), (-1, 0), (0, 0))
+    return steps
+
+
+CHUNK = 7  # rows per chunk in the tests below, so that small orbits span several
+
+
+@pytest.mark.parametrize("bits", [64, 65, 72, 128, 256])
+@pytest.mark.parametrize("n", [1, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 50])
+def test_orbit_csv_matches_row_writer(tmp_path, monkeypatch, bits, n):
+    """Rows n + 1 = CHUNK - 1, CHUNK, CHUNK + 1, ... straddle chunk boundaries."""
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    orbit = generate_orbit(steps_sqrt23(bits), RandomSymbols(), n, bits, seed=n)
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(orbit, path)
+    assert path.read_bytes() == reference_orbit_csv(orbit)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 1 << 16])
+def test_orbit_csv_negative_b_and_three_symbols(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(table, "CHUNK_ROWS", chunk)
+    orbit = generate_orbit(steps_with_negative_b(), RandomSymbols(), 300, 128, seed=5)
+    b = orbit.bvec()
+    assert b.min() < 0 < b[:, 0].max()
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(orbit, path)
+    assert path.read_bytes() == reference_orbit_csv(orbit)
+    assert any(cell.startswith("-") for line in path.read_text().splitlines()[1:]
+               for cell in line.split(",")[-2:])
+
+
+def test_orbit_csv_rational_steps_have_no_b_columns(tmp_path, monkeypatch):
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    steps = steps_from_values(TABLE, [F(1, 4), F(1, 3)])
+    orbit = generate_orbit(steps, RandomSymbols(), 20, 128, seed=2)
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(orbit, path)
+    assert path.read_bytes() == reference_orbit_csv(orbit)
+    assert path.read_text().splitlines()[0] == "n,omega,x_hex,N_1,N_2"
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 2])
+def test_orb1_chunked_points_match_one_by_one(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    orbit = generate_orbit(steps_with_negative_b(72), RandomSymbols(), n, 72, seed=n)
+    path = tmp_path / "orbit.orb1"
+    write_orb1(orbit, path)
+    raw = path.read_bytes()
+    points = b"".join(x.to_bytes(9, "little") for x in orbit.points)
+    assert raw.endswith(orbit.omega.tobytes() + points)
+    assert len(raw) == 24 + n + len(points)
+
+
+INT64_EDGES = sorted(
+    {0, -(2**63), 2**63 - 1, -(2**63) + 1}
+    | {s * (10**k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)}
+)
+
+
+def encode_ints(values, dtype=np.int64) -> str:
+    cells = table.int_cells(np.array(values, dtype=dtype))
+    return table.join_cells([cells]).tobytes().decode("ascii")
+
+
+def test_int_cells_edge_values():
+    assert encode_ints(INT64_EDGES) == "".join(f"{v}\n" for v in INT64_EDGES)
+    assert encode_ints([-(2**63)]) == "-9223372036854775808\n"
+    top = [0, 9, 10, 2**63, 2**64 - 1]
+    assert encode_ints(top, np.uint64) == "".join(f"{v}\n" for v in top)
+    assert encode_ints([3, 200], np.uint8) == "3\n200\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES)),
+                min_size=1, max_size=40))
+def test_int_cells_match_str(values):
+    got = table.join_cells([table.int_cells(np.array(values, dtype=np.int64)),
+                            table.int_cells(np.array(values[::-1], dtype=np.int64))])
+    want = "".join(f"{a},{b}\n" for a, b in zip(values, values[::-1]))
+    assert got.tobytes().decode("ascii") == want
+
+
+@pytest.mark.parametrize("bad", [np.array([1.5]), np.array([[1, 2]]), np.array(["7"])])
+def test_int_cells_reject_non_integer_input(bad):
+    with pytest.raises(UsageError):
+        table.int_cells(bad)
 
 
 def test_minimum_bits_orbit_and_roundtrip(tmp_path):
