@@ -1,7 +1,11 @@
 """Dyadic covering counts, box-dimension estimates, and exact interval covers.
 
-Point sets on the circle are held as 64-bit fixed-point values; dyadic
-grid counts at scale 2**-k are then exact integer statistics.  Grid counts
+Point sets on the circle are held as 64-bit fixed-point values, sorted
+once and deduplicated by neighbour comparison; the dyadic cells at scale
+2**-k are then a shift of the sorted values, and grid counts are exact
+integer statistics.  Cell-level difference sets are read off the cyclic
+autocorrelation of the 2**k-cell occupancy bitmap, computed by FFT with
+its rounding error checked on every call.  Grid counts
 are the primary estimator (they differ from minimal interval covers by at
 most a factor of 2, which does not move dimension estimates); minimal
 covers are computed exactly, only where the scaled-covering inequality
@@ -17,12 +21,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import GuardError, UsageError
 from .fixedpoint import fp_from_fraction
 
 BITS = 64
 COVER_BITS = 60  # working precision of exact interval covers (int64-safe)
 EXACT_DIFF_LIMIT = 4096  # beyond this the cell-level difference path is used
+DIFF_CELL_K_MAX = 22  # the bitmap path peaks at about 32 * 2**k bytes (128 MB at k = 22)
 
 
 class CirclePoints:
@@ -31,10 +36,10 @@ class CirclePoints:
     __slots__ = ("values",)
 
     def __init__(self, values: np.ndarray):
-        v = np.asarray(values, dtype=np.uint64)
-        self.values = np.unique(v)
-        if self.values.size == 0:
+        v = np.sort(np.asarray(values, dtype=np.uint64), axis=None)
+        if v.size == 0:
             raise UsageError("empty point set")
+        self.values = _distinct(v)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -74,7 +79,8 @@ class CirclePoints:
         """Sorted distinct dyadic cell indices floor(x * 2**k)."""
         if not (0 <= k <= BITS - 2):
             raise UsageError(f"scale exponent k={k} outside [0, {BITS - 2}]")
-        return np.unique(self.values >> np.uint64(BITS - k)).astype(np.int64)
+        # values are sorted, so their shifts are too
+        return _distinct(self.values >> np.uint64(BITS - k)).view(np.int64)
 
 
 def covering_count(points: CirclePoints, k: int) -> int:
@@ -163,7 +169,12 @@ def difference_set(
 
     The cell-level result is {(a - b) mod 2**k : a, b occupied cells}; each
     such cell is within one cell of a true difference, and the result is
-    flagged so callers can state that slack.
+    flagged so callers can state that slack.  It is the support of the
+    cyclic autocorrelation of the occupancy bitmap b, irfft(|rfft(b)|**2),
+    whose entries are pair counts, integers in [0, N_k].  The float error
+    is about 2**-53 * k * N_k, so rounding is exact for k <= DIFF_CELL_K_MAX;
+    every call checks that each entry is within 1/4 of an integer, and a
+    finer k raises GuardError, since the bitmap takes O(2**k) memory.
     """
     n = len(points)
     if cell_k is None and n <= exact_limit:
@@ -173,14 +184,36 @@ def difference_set(
         for start in range(0, n, block):
             chunk = vals[start:start + block]
             diffs = (vals[None, :] - chunk[:, None]).ravel()  # uint64 wrap = mod 1
-            acc = np.unique(np.concatenate([acc, diffs]))
+            acc = np.concatenate([acc, diffs])
+            acc.sort()
+            acc = _distinct(acc)
         return DifferenceSet(CirclePoints(acc), False, None)
     k = cell_k if cell_k is not None else 12
-    cells = points.cells(k)
+    if k < 0:
+        raise UsageError(f"scale exponent k={k} is negative")
+    if k > DIFF_CELL_K_MAX:
+        raise GuardError(
+            f"difference-set scale k={k} exceeds {DIFF_CELL_K_MAX} (a 2**k-cell bitmap)"
+        )
     mod = 1 << k
-    diff_cells = np.unique((cells[None, :] - cells[:, None]) % mod)
-    vals = diff_cells.astype(np.uint64) << np.uint64(BITS - k)
-    return DifferenceSet(CirclePoints(vals), True, k, cell_count=int(diff_cells.size))
+    # points below each inner cell edge; a cell is occupied where the count rises
+    edges = np.arange(1, mod, dtype=np.uint64)
+    edges <<= np.uint64(BITS - k)
+    occupied = np.diff(points.values.searchsorted(edges), prepend=0, append=n) > 0
+    del edges
+    power = np.abs(np.fft.rfft(occupied))
+    power *= power
+    pairs = np.fft.irfft(power, n=mod)
+    del power
+    counts = np.rint(pairs)
+    pairs -= counts
+    if not np.abs(pairs, out=pairs).max() < 0.25:
+        raise RuntimeError(f"FFT pair counts at k={k} are not within 1/4 of integers")
+    del pairs
+    vals = np.flatnonzero(counts > 0).view(np.uint64)
+    del counts
+    vals <<= np.uint64(BITS - k)
+    return DifferenceSet(CirclePoints(vals), True, k, cell_count=int(vals.size))
 
 
 # -- exact minimal interval covers ---------------------------------------------

@@ -13,9 +13,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..errors import ConfigError, UsageError
+from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..ifs import SimilarIFS, Similitude
+from ..orbit.generate import MAX_ORBIT_N
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
 
@@ -154,6 +155,10 @@ class ExperimentConfig:
             errors.append("verify-theorem needs params.theorem")
         if errors:
             raise ConfigError("; ".join(errors))
+        # n is an orbit length everywhere but in the pigeonhole op
+        pigeonhole = self.kind == "diophantine" and self.params.get("op", "pigeonhole") == "pigeonhole"
+        if self.n is not None and self.n > MAX_ORBIT_N and not pigeonhole:
+            raise GuardError(f"orbit length n={self.n} exceeds the guard of {MAX_ORBIT_N}")
 
     # -- materialization ----------------------------------------------------
 

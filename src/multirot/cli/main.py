@@ -212,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     for key in sorted(result.summary):
         print(f"{key} = {result.summary[key]}")
     if result.exit_code != EXIT_OK and "error" in result.summary:
-        print(f"error: {result.summary['error']}", file=sys.stderr)
+        label = "guard" if result.exit_code == EXIT_GUARD else "error"
+        print(f"{label}: {result.summary['error']}", file=sys.stderr)
     return result.exit_code
 
 

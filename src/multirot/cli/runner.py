@@ -133,9 +133,9 @@ class RunResult:
 
 def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     try:
         cfg.validate()
+        os.makedirs(out, exist_ok=True)
         handler = _HANDLERS[cfg.kind]
         summary, artifacts = handler(cfg, out)
     except (ConfigError, UsageError) as exc:

@@ -14,10 +14,13 @@ from math import floor, lcm
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import GuardError, UsageError
 from ..fixedpoint import fp_from_fraction, fp_top64
+from ..table import chunk_bounds
 from .steps import StepSystem
 from .strategies import GreedyAvoid, Strategy
+
+MAX_ORBIT_N = 10**7  # points are Python ints, ~50 bytes each at 128 bits: 0.5 GB at the guard
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +97,8 @@ def generate_orbit(
         raise UsageError("bits must be >= 64")
     if n < 1:
         raise UsageError("n must be >= 1")
+    if n > MAX_ORBIT_N:
+        raise GuardError(f"orbit length n={n} exceeds the guard of {MAX_ORBIT_N}")
     if steps.ell < 2:
         raise UsageError("orbit generation needs at least two steps")
     mask = (1 << bits) - 1
@@ -198,21 +203,22 @@ def tau_discrepancy(
     tau = orbit.tau()
     n = orbit.n
     rng = np.random.default_rng(seed)
-    ns = rng.integers(1, n, size=samples, dtype=np.int64)
-    ms = rng.integers(1, n, size=samples, dtype=np.int64)
+    high = max(n, 2)  # n = 1 has no pairs: every draw is (1, 1), dropped below
+    ns = rng.integers(1, high, size=samples, dtype=np.int64)
+    ms = rng.integers(1, high, size=samples, dtype=np.int64)
     keep = ns + ms <= n
     ns, ms = ns[keep], ms[keep]
     defects = np.abs(tau[ns + ms] - tau[ns] - tau[ms])
     max_defect = int(defects.max()) if defects.size else 0
 
     p, q = int(tau[n]), n
-    ks = np.arange(n + 1, dtype=np.int64)
-    prod = ks * p
-    base = prod // q
-    rem = prod - base * q
-    nearest = base + (2 * rem > q)
-    dev_half = int(np.abs(tau - nearest).max())
-    dev_int = int(np.abs(tau - base).max())
+    dev_half = dev_int = 0
+    for start, stop in chunk_bounds(n + 1):
+        base, rem = np.divmod(np.arange(start, stop, dtype=np.int64) * p, q)
+        dev = tau[start:stop] - base
+        dev_int = max(dev_int, int(np.abs(dev).max()))
+        dev -= 2 * rem > q  # tau minus the nearest integer, halves toward zero
+        dev_half = max(dev_half, int(np.abs(dev).max()))
 
     return TauDiscrepancyReport(
         n=n,

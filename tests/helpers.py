@@ -211,3 +211,34 @@ def reference_orbit_csv(orbit) -> bytes:
         row += [str(int(v)) for v in bvec[k]]
         lines.append(",".join(row) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+# -- full-array tau deviations ---------------------------------------------------------
+
+def reference_tau_deviations(orbit) -> tuple[int, int]:
+    """(max |tau(k) - nearest|, max |tau(k) - floor|) over k = 0..n with whole arrays.
+
+    The nearest integer to k * tau(n) / n rounds halves toward zero.  This is
+    the one-pass computation the chunked fold in `tau_discrepancy` replaced.
+    """
+    tau = orbit.tau()
+    p, q = int(tau[-1]), orbit.n
+    prod = np.arange(q + 1, dtype=np.int64) * p
+    base = prod // q
+    nearest = base + (2 * (prod - base * q) > q)
+    return int(np.abs(tau - nearest).max()), int(np.abs(tau - base).max())
+
+
+# -- pairwise cell differences -----------------------------------------------------------
+
+def pairwise_cell_differences(cells, k: int, block: int = 1024) -> np.ndarray:
+    """Sorted {(a - b) mod 2**k : a, b in cells} by the pairwise formula.
+
+    This is the O(N_k**2) computation the occupancy-bitmap autocorrelation
+    replaced, taken a block of rows at a time so that large cell sets fit.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    seen = np.zeros(1 << k, dtype=bool)
+    for start in range(0, cells.size, block):
+        seen[(cells[None, :] - cells[start:start + block, None]) % (1 << k)] = True
+    return np.flatnonzero(seen)

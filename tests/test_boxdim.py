@@ -7,10 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_cover
+from helpers import brute_force_cover, pairwise_cell_differences
 from multirot import boxdim as bx
-from multirot.errors import UsageError
+from multirot.errors import GuardError, UsageError
+from multirot.exact.symbolic import builtin_table
+from multirot.orbit import RandomSymbols, generate_orbit, steps_from_values
 
 F = Fraction
 
@@ -33,6 +37,41 @@ def test_covering_count_one_point_per_cell():
 
 def test_covering_count_three_points_two_cells():
     assert bx.covering_count(pts_of(0, F(3, 10), F(6, 10)), 1) == 2
+
+
+U64_EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(U64_EDGES)),
+             min_size=1, max_size=60),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_circle_points_match_np_unique(values, repeats, two_d):
+    """Sort-and-compare dedupe against np.unique, on unsorted input with repeats."""
+    values = values + values[:repeats]
+    arr = np.array(values, dtype=np.uint64)
+    if two_d and arr.size % 2 == 0:
+        arr = arr.reshape(2, -1)
+    got = bx.CirclePoints(arr).values
+    want = np.unique(arr)
+    assert got.dtype == np.uint64 and got.ndim == 1
+    assert np.array_equal(got, want)
+
+
+def test_cells_match_np_unique_at_every_scale():
+    rng = np.random.default_rng(40)
+    raw = rng.integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False)
+    values = np.concatenate([raw, raw[:500], np.array(U64_EDGES, dtype=np.uint64)])
+    points = bx.CirclePoints(values)
+    for k in range(0, bx.BITS - 1):
+        want = np.unique([int(v) >> (bx.BITS - k) for v in values])
+        got = points.cells(k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), k
+        assert bx.covering_count(points, k) == want.size
 
 
 def test_covering_count_empty_set_errors():
@@ -111,6 +150,102 @@ def test_difference_set_cell_level_flagged():
     diff = bx.difference_set(points, exact_limit=4096)
     assert diff.cell_level and diff.k == 12
     assert diff.cell_count <= 1 << 12
+
+
+def test_difference_set_exact_path_matches_np_unique():
+    rng = np.random.default_rng(12)
+    values = rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
+    values[:20] = values[20:40]  # repeats
+    points = bx.CirclePoints(values)
+    diff = bx.difference_set(points)
+    v = points.values
+    assert not diff.cell_level
+    assert np.array_equal(diff.points.values, np.unique(v[None, :] - v[:, None]))
+
+
+def test_difference_set_exact_path_blocks_match_pairwise():
+    """Above 2**11 points the exact path takes several blocks of rows; on a
+    2**-14 grid the differences are grid points, marked pair by pair."""
+    rng = np.random.default_rng(13)
+    grid = rng.choice(1 << 14, 2100, replace=False)
+    points = bx.CirclePoints(grid.astype(np.uint64) << np.uint64(50))
+    diff = bx.difference_set(points)
+    want = pairwise_cell_differences(grid, 14).astype(np.uint64) << np.uint64(50)
+    assert not diff.cell_level
+    assert np.array_equal(diff.points.values, want)
+
+
+def points_in_cells(cells, k, rng):
+    """One point with random low bits in each given cell at scale 2**-k."""
+    cells = np.asarray(cells, dtype=np.uint64)
+    low = rng.integers(0, 2**64, cells.size, dtype=np.uint64, endpoint=False)
+    return bx.CirclePoints((cells << np.uint64(64 - k)) | (low >> np.uint64(k)))
+
+
+def assert_cell_level_matches_pairwise(points, k, want=None):
+    diff = bx.difference_set(points, cell_k=k)
+    if want is None:
+        want = pairwise_cell_differences(points.cells(k), k)
+    assert diff.cell_level and diff.k == k
+    assert diff.cell_count == want.size
+    # the points are the left endpoints of the difference cells
+    assert np.array_equal(diff.points.values, want.astype(np.uint64) << np.uint64(64 - k)), k
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_cell_difference_set_matches_pairwise_on_random_sets(k):
+    rng = np.random.default_rng(100 + k)
+    for trial in range(6):
+        n = int(rng.integers(1, 400))
+        values = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+        if trial % 2:  # every point on the left edge of its cell
+            values &= ~np.uint64((1 << (64 - k)) - 1)
+        assert_cell_level_matches_pairwise(bx.CirclePoints(values), k)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_cell_difference_set_special_sets(k):
+    rng = np.random.default_rng(200 + k)
+    mod = 1 << k
+    # a single cell, anywhere
+    for cell in {0, mod // 3, mod - 1}:
+        assert_cell_level_matches_pairwise(points_in_cells([cell], k, rng), k)
+    # the two extreme cells: differences 0, 1 and -1
+    assert_cell_level_matches_pairwise(points_in_cells([0, mod - 1], k, rng), k)
+    # the full circle: cell 0 is occupied, so the differences c - 0 are every cell
+    full = points_in_cells(np.arange(mod), k, rng)
+    assert_cell_level_matches_pairwise(full, k, np.arange(mod) if k > 10 else None)
+
+
+def test_cell_difference_set_matches_pairwise_on_orbit():
+    steps = steps_from_values(builtin_table(), ["sqrt2", "sqrt3"], 128)
+    orbit = generate_orbit(steps, RandomSymbols(), 10**4, 128, seed=3)
+    points = bx.CirclePoints.from_orbit(orbit)
+    for k in range(1, 17):
+        assert_cell_level_matches_pairwise(points, k)
+
+
+def test_cell_difference_set_scale_zero():
+    diff = bx.difference_set(pts_of(F(1, 3), F(2, 3)), cell_k=0)
+    assert diff.cell_level and diff.cell_count == 1
+    assert list(diff.points.values) == [0]
+
+
+def test_cell_difference_set_scale_guard():
+    points = pts_of(0, F(1, 3))
+    assert bx.difference_set(points, cell_k=bx.DIFF_CELL_K_MAX).cell_level
+    with pytest.raises(GuardError):
+        bx.difference_set(points, cell_k=23)
+    with pytest.raises(UsageError):
+        bx.difference_set(points, cell_k=-1)
+
+
+def test_cell_difference_set_rejects_inexact_fft(monkeypatch):
+    """Pair counts off an integer by 1/4 or more raise instead of returning cells."""
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    with pytest.raises(RuntimeError):
+        bx.difference_set(pts_of(0, F(1, 3)), cell_k=8)
 
 
 def test_difference_covering_bound():

@@ -10,8 +10,9 @@ import pytest
 from multirot.cli.config import ExperimentConfig, parse_step_expression
 from multirot.cli.main import main
 from multirot.cli.runner import run_config
-from multirot.errors import ConfigError, UsageError
+from multirot.errors import ConfigError, GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
+from multirot.orbit.generate import MAX_ORBIT_N
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -276,8 +277,44 @@ def test_main_orbit_misaligned_bits_writes_nothing(tmp_path, capsys, route):
         argv = ["run", path] + (["--bits", "100"] if route == "override" else [])
     assert main(argv) == 2
     assert "multiple of 8" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
-    assert not (out.exists() and os.listdir(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["run", "subcommand", "config"])
+def test_orbit_length_guard_exit_3_writes_nothing(tmp_path, capsys, route):
+    out = tmp_path / "o"
+    n = MAX_ORBIT_N + 1
+    if route == "config":
+        cfg = ExperimentConfig(kind="orbit", out_dir=str(out), seed=1, steps=("sqrt2", "sqrt3"),
+                               strategy={"type": "random"}, n=n)
+        result = run_config(cfg)
+        assert result.exit_code == 3 and "guard" in result.summary["error"]
+    else:
+        if route == "run":
+            argv = ["run", write_config(tmp_path, {**ORBIT_CONFIG, "n": n, "out_dir": str(out)})]
+        else:
+            argv = ["orbit", "--steps", "sqrt2,sqrt3", "--seed", "1", "--n", str(n),
+                    "--out", str(out)]
+        assert main(argv) == 3
+        assert "guard:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_orbit_length_guard_spares_pigeonhole_n():
+    """The pigeonhole op's n is the approximation target, not an orbit length."""
+    cfg = ExperimentConfig(kind="diophantine", n=10 * MAX_ORBIT_N, params={"betas": ["sqrt2"]})
+    cfg.validate()
+    with pytest.raises(GuardError):
+        ExperimentConfig(kind="boxdim", n=MAX_ORBIT_N + 1, scales=(2, 6)).validate()
+
+
+def test_main_orbit_single_step(tmp_path, capsys):
+    """n = 1 leaves no pair for the tau statistics; the run still completes."""
+    out = tmp_path / "o"
+    assert main(["orbit", "--steps", "sqrt2,sqrt3", "--word", "2", "--n", "1",
+                 "--out", str(out)]) == 0
+    assert "tau_max_pair_defect = 0" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["orbit.orb1", "results.csv", "summary.json"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -339,6 +376,14 @@ def test_run_diophantine_separation_op(tmp_path):
 def test_run_diophantine_missing_betas_is_validation_error(tmp_path):
     cfg = ExperimentConfig(kind="diophantine", out_dir=str(tmp_path / "o"), n=3)
     assert run_config(cfg).exit_code == 2
+
+
+def test_verify_difference_dense_scale_guard_exit_3(tmp_path, capsys):
+    code = main(["verify", "difference-dense", "--steps", "sqrt2,sqrt3", "--seed", "1",
+                 "--n", "100", "--params", '{"k": 23}', "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "guard:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_verify_difference_dense_honest_failure(tmp_path):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_basis, reference_orbit_csv
+from helpers import random_basis, reference_orbit_csv, reference_tau_deviations
 from multirot import table
-from multirot.errors import UsageError
+from multirot.errors import GuardError, UsageError
 from multirot.exact.symbolic import SymbolicReal, builtin_table
 from multirot.orbit import (
     ExplicitWord,
@@ -29,6 +29,7 @@ from multirot.orbit import (
     write_orb1,
     write_orbit_csv,
 )
+from multirot.orbit.generate import MAX_ORBIT_N
 
 F = Fraction
 TABLE = builtin_table()
@@ -228,6 +229,33 @@ def test_tau_requires_two_steps():
     orbit = generate_orbit(steps, RandomSymbols(), 100, 128, seed=4)
     with pytest.raises(UsageError):
         tau_discrepancy(orbit)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 12])
+@pytest.mark.parametrize(
+    "strategy, n, seed",
+    [
+        (RandomSymbols(), 1, 3),
+        (RandomSymbols(), 2, 3),
+        (RandomSymbols(), 20, 3),
+        (RandomSymbols(), 5000, 5),
+        (PeriodicWord((1, 2, 2)), 301, None),
+        (PeriodicWord((2,)), 30, None),
+    ],
+)
+def test_tau_chunked_deviations_match_whole_arrays(monkeypatch, chunk, strategy, n, seed):
+    """The chunked fold reports the whole-array maxima, for chunks that do and
+    do not divide n + 1."""
+    monkeypatch.setattr(table, "CHUNK_ROWS", chunk)
+    orbit = generate_orbit(steps_sqrt23(), strategy, n, 128, seed=seed)
+    rep = tau_discrepancy(orbit, samples=min(64, n))
+    assert (rep.max_dev_half_toward_zero, rep.max_dev_integer_part) == reference_tau_deviations(orbit)
+
+
+def test_orbit_length_guard():
+    steps = steps_sqrt23()
+    with pytest.raises(GuardError):
+        generate_orbit(steps, PeriodicWord((1, 2)), MAX_ORBIT_N + 1, 128)
 
 
 # -- reduced orbit ----------------------------------------------------------------
