@@ -30,7 +30,7 @@ print("== sup_n ||k x~_n|| for a reduced (sqrt2, sqrt3) orbit ==")
 steps = steps_from_values(table, ["sqrt2", "sqrt3"])
 orbit = generate_orbit(steps, RandomSymbols(), 100_000, 128, seed=11)
 red = reduced_orbit(orbit)
-report = kxn_separation(red, 1, 40)
+report = kxn_separation(red.top64(), 1, 40)
 worst = min(report.rows, key=lambda row: row.sup_norm)
 print(f"k in [1, 40]: smallest observed max is {worst.sup_norm:.4f} at k={worst.k} "
       f"(n_argmax={worst.n_argmax})")

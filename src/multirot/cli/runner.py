@@ -124,6 +124,15 @@ def _csv_cell(c) -> str:
     return str(c)
 
 
+def _param(cfg: ExperimentConfig, name: str, default, kind=int):
+    """params[name], or default, converted by kind; a value it rejects is a config error."""
+    value = cfg.params.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"params.{name} = {value!r} is not a valid {kind.__name__}") from None
+
+
 @dataclass
 class RunResult:
     exit_code: int
@@ -131,16 +140,41 @@ class RunResult:
     artifacts: list[str]
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories os.makedirs(path) would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _remove_if_empty(dirs: list[str]) -> None:
+    for d in dirs:
+        try:
+            os.rmdir(d)
+        except OSError:  # not empty (an artifact was written) or already gone
+            return
+
+
 def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
+    """Validate and run a config.  A failed run removes the output directories
+    it created while they are still empty; a directory that existed before
+    the run is never touched."""
     out = out_dir or cfg.out_dir
+    created: list[str] = []
     try:
         cfg.validate()
+        created = _missing_dirs(out)
         os.makedirs(out, exist_ok=True)
         handler = _HANDLERS[cfg.kind]
         summary, artifacts = handler(cfg, out)
     except (ConfigError, UsageError) as exc:
+        _remove_if_empty(created)
         return RunResult(EXIT_VALIDATION, {"error": str(exc)}, [])
     except GuardError as exc:
+        _remove_if_empty(created)
         return RunResult(EXIT_GUARD, {"error": str(exc)}, [])
     summary = _jsonable(summary)
     summary_path = write_summary(out, summary)
@@ -204,7 +238,7 @@ def _run_orbit(cfg, out):
         "lambda": steps.lam,
         "strategy": orbit.strategy_descriptor,
         "error_bound": orbit.error_bound,
-        "final_point_hex": format(orbit.points[-1], "x"),
+        "final_point_hex": format(orbit.point(orbit.n), "x"),
     }
     if orbit.ell == 2:
         rep = tau_discrepancy(orbit, samples=min(4096, orbit.n))
@@ -215,7 +249,7 @@ def _run_orbit(cfg, out):
 
 def _points_for_boxdim(cfg):
     if cfg.ifs is not None:
-        depth = int(cfg.params.get("depth", 10))
+        depth = _param(cfg, "depth", 10)
         ifs = parse_ifs(cfg.ifs)
         sample = attractor_sample(ifs, depth)
         return bx.CirclePoints.from_unit_reals([p[0] for p in sample]), {
@@ -262,7 +296,7 @@ def _run_diophantine(cfg, out):
         if not exprs:
             raise ConfigError("pigeonhole needs params.betas")
         betas = [parse_step_expression(e, table).value() for e in exprs]
-        m = int(cfg.params.get("m", 1))
+        m = _param(cfg, "m", 1)
         if cfg.n is None:
             raise ConfigError("pigeonhole needs n")
         res = pigeonhole_approx(betas, m, cfg.n, cfg.bits)
@@ -278,8 +312,8 @@ def _run_diophantine(cfg, out):
         steps = cfg.step_system()
         orbit = generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
         red = reduced_orbit(orbit)
-        report = kxn_separation(red, int(cfg.params.get("k_min", 1)),
-                                int(cfg.params.get("k_max", 100)))
+        report = kxn_separation(red.top64(), _param(cfg, "k_min", 1),
+                                _param(cfg, "k_max", 100))
         csv_path = atomic_via(lambda p: write_separation_csv(report, p),
                               os.path.join(out, "results.csv"))
         summary = {
@@ -295,10 +329,10 @@ def _run_ifs(cfg, out):
     if cfg.ifs is None:
         raise ConfigError("ifs kind needs an ifs definition")
     ifs = parse_ifs(cfg.ifs)
-    depth = int(cfg.params.get("depth", 6))
+    depth = _param(cfg, "depth", 6)
     cert = ssc_check(ifs, depth)
     dim = similarity_dimension(ifs.ratios())
-    sample_depth = int(cfg.params.get("sample_depth", min(depth + 4, 12)))
+    sample_depth = _param(cfg, "sample_depth", min(depth + 4, 12))
     sample = attractor_sample(ifs, sample_depth)
     rows = [[i, p[0]] for i, p in enumerate(sample)]
     csv = write_csv(out, "results.csv", ["index", "x"], rows)
@@ -330,8 +364,8 @@ def _run_embed(cfg, out):
     e_ifs, f_ifs = parse_ifs(e_spec), parse_ifs(f_spec)
     affine = cfg.affine or {"m": "1", "b": "0"}
     m, b = Fraction(affine["m"]), Fraction(affine["b"])
-    n_max = int(cfg.params.get("n_max", 24))
-    depth = int(cfg.params.get("depth", 8))
+    n_max = _param(cfg, "n_max", 24)
+    depth = _param(cfg, "depth", 8)
     inst = build_instance(e_ifs, f_ifs, m, b, coding_len=max(n_max, 8))
     trace = sn_sequence(inst, n_max, depth)
     csv_path = atomic_via(lambda p: write_trace_csv(trace, p),
@@ -367,10 +401,10 @@ def verify_theorem(name: str, cfg: ExperimentConfig, out: str):
 
 
 def _verify_scaled_covering(cfg, out):
-    trials = int(cfg.params.get("trials", 1000))
-    max_points = int(cfg.params.get("max_points", 256))
-    p_max = int(cfg.params.get("p_max", 16))
-    k_max = int(cfg.params.get("k_max", 12))
+    trials = _param(cfg, "trials", 1000)
+    max_points = _param(cfg, "max_points", 256)
+    p_max = _param(cfg, "p_max", 16)
+    k_max = _param(cfg, "k_max", 12)
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     violations = 0
     checked = 0
@@ -414,7 +448,7 @@ def _orbit_from_cfg(cfg, default_steps=("sqrt2", "sqrt3"), default_n=10**6):
 
 
 def _verify_difference_dense(cfg, out):
-    k = int(cfg.params.get("k", 12))
+    k = _param(cfg, "k", 12)
     steps, orbit = _orbit_from_cfg(cfg)
     pts = bx.CirclePoints.from_orbit(orbit)
     diff = bx.difference_set(pts, cell_k=k)
@@ -441,7 +475,7 @@ def _verify_difference_dense(cfg, out):
 
 def _verify_orbit_box_lower(cfg, out):
     scales = cfg.scales or (6, 14)
-    tolerance = float(cfg.params.get("tolerance", 0.1))
+    tolerance = _param(cfg, "tolerance", 0.1, float)
     steps, orbit = _orbit_from_cfg(cfg)
     pts = bx.CirclePoints.from_orbit(orbit)
     profile = bx.covering_profile(pts, scales[0], scales[1])
@@ -478,8 +512,8 @@ def _verify_trace_ratio_bounds(cfg, out):
 
 
 def _verify_dimension_threshold(cfg, out):
-    ell_max = int(cfg.params.get("ell_max", 6))
-    lam_max = int(cfg.params.get("lam_max", 5))
+    ell_max = _param(cfg, "ell_max", 6)
+    lam_max = _param(cfg, "lam_max", 5)
     rows = []
     ok = True
     for ell in range(2, ell_max + 1):

@@ -164,19 +164,17 @@ class SeparationReport:
         return [row.k for row in self.rows if row.below_one_fifth]
 
 
-def kxn_separation(xtilde, k_min: int, k_max: int, bits: int | None = None) -> SeparationReport:
+def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
     """For each k, max_n ||k x~_n|| over the available sequence.
 
-    A finite-n maximum can only understate the true supremum, so entries
-    below 1/5 are flagged as diagnostics, never as refutations.
+    top is the sequence at 64-bit resolution, a uint64 array such as
+    `ReducedOrbit.top64()`.  A finite-n maximum can only understate the
+    true supremum, so entries below 1/5 are flagged as diagnostics, never
+    as refutations.
     """
-    if hasattr(xtilde, "top64"):
-        top = xtilde.top64()
-    else:
-        if bits is None:
-            raise UsageError("bits required for raw fixed-point input")
-        shift = bits - 64
-        top = np.fromiter(((x >> shift) for x in xtilde), dtype=np.uint64, count=len(xtilde))
+    top = np.asarray(top)
+    if top.dtype != np.uint64 or top.ndim != 1:
+        raise UsageError("separation needs a 1-d uint64 array of 64-bit points")
     if top.size == 0:
         raise UsageError("empty sequence")
     if k_min < 1 or k_min > k_max:

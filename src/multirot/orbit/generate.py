@@ -2,8 +2,12 @@
 
 Points are B-bit fixed-point fractions: each step adds a pre-rounded step
 image exactly mod 2**B, so the accumulated error after n steps is at most
-n * 2**(-B+2) (stored on the orbit).  Generation is sequential; completed
-orbits are immutable and safe to share.
+n * 2**(-B+2) (stored on the orbit).  Orbits and reduced orbits store their
+points as (n+1, ceil(B/64)) uint64 limb arrays (`multirot.fixedpoint`).
+Word strategies and reduced orbits are summed in numpy by
+`fixedpoint.accumulate`; only the greedy strategy, whose every step depends
+on the last point, runs a per-point loop.  Completed orbits are immutable
+and safe to share.
 """
 
 from __future__ import annotations
@@ -15,12 +19,15 @@ from math import floor, lcm
 import numpy as np
 
 from ..errors import GuardError, UsageError
-from ..fixedpoint import fp_from_fraction, fp_top64
+from .. import fixedpoint
+from ..fixedpoint import fp_from_fraction
 from ..table import chunk_bounds
 from .steps import StepSystem
 from .strategies import GreedyAvoid, Strategy
 
-MAX_ORBIT_N = 10**7  # points are Python ints, ~50 bytes each at 128 bits: 0.5 GB at the guard
+# Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits (the
+# greedy strategy also holds a Python int per point, ~50 bytes, until it packs).
+MAX_ORBIT_N = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +35,7 @@ class Orbit:
     steps: StepSystem
     bits: int
     omega: np.ndarray            # shape (n,), uint8 symbols 1..ell
-    points: list[int]            # length n+1 fixed-point values, x_0 = 0
+    points: np.ndarray           # (n+1, ceil(bits/64)) uint64 limbs, x_0 = 0
     strategy_descriptor: str
     seed: int | None
     error_bound: Fraction        # n * 2**(-bits+2)
@@ -65,16 +72,15 @@ class Orbit:
         return self._cache["bvec"]
 
     def top64(self) -> np.ndarray:
-        """Points truncated to 64-bit fixed point (uint64)."""
-        if "top64" not in self._cache:
-            shift = self.bits - 64
-            self._cache["top64"] = np.fromiter(
-                ((x >> shift) for x in self.points), dtype=np.uint64, count=len(self.points)
-            )
-        return self._cache["top64"]
+        """Points truncated to 64-bit fixed point (uint64): a view of the first limb."""
+        return self.points[:, 0]
+
+    def point(self, k: int) -> int:
+        """x_k as a B-bit integer."""
+        return fixedpoint.to_int(self.points[k], self.bits)
 
     def point_fraction(self, k: int) -> Fraction:
-        return Fraction(self.points[k], 1 << self.bits)
+        return Fraction(self.point(k), 1 << self.bits)
 
 
 def _forbidden_bounds(strategy: GreedyAvoid, bits: int) -> tuple[int, int] | None:
@@ -101,22 +107,17 @@ def generate_orbit(
         raise GuardError(f"orbit length n={n} exceeds the guard of {MAX_ORBIT_N}")
     if steps.ell < 2:
         raise UsageError("orbit generation needs at least two steps")
-    mask = (1 << bits) - 1
     fp_steps = steps.fixed_point_steps(bits)
     rng = np.random.default_rng(seed) if seed is not None else None
 
     if not strategy.adaptive:
         omega = strategy.materialize(n, steps.ell, rng)
-        points = [0] * (n + 1)
-        x = 0
-        word = omega.tobytes()
-        for k in range(n):
-            x = (x + fp_steps[word[k] - 1]) & mask
-            points[k + 1] = x
+        points = fixedpoint.accumulate(omega, fp_steps, bits)
     else:
         assert isinstance(strategy, GreedyAvoid)
+        mask = (1 << bits) - 1
         omega_arr = np.empty(n, dtype=np.uint8)
-        points = [0] * (n + 1)
+        values = [0] * (n + 1)
         forb = _forbidden_bounds(strategy, bits)
         cell_shift = bits - strategy.cell_bits
         occupied = bytearray(1 << strategy.cell_bits)
@@ -144,8 +145,9 @@ def generate_orbit(
             x = best
             omega_arr[k] = best_key[2] + 1
             occupied[x >> cell_shift] = 1
-            points[k + 1] = x
+            values[k + 1] = x
         omega = omega_arr
+        points = fixedpoint.pack(values, bits)
 
     return Orbit(
         steps=steps,
@@ -166,8 +168,8 @@ def first_forbidden_violation(orbit: Orbit, lo: Fraction, hi: Fraction) -> int |
     away.  Points are compared at 64-bit resolution.
     """
     top = orbit.top64()
-    lo64 = np.uint64(fp_top64(fp_from_fraction(lo, orbit.bits), orbit.bits))
-    hi64 = np.uint64(fp_top64(fp_from_fraction(hi, orbit.bits), orbit.bits))
+    lo64 = np.uint64(fp_from_fraction(lo, 64))
+    hi64 = np.uint64(fp_from_fraction(hi, 64))
     if lo64 <= hi64:
         mask = (top > lo64) & (top < hi64)
     else:
@@ -234,9 +236,9 @@ def tau_discrepancy(
 
 # -- reduced orbit -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedOrbit:
-    xtilde: list[int]                    # fixed-point, same bits as the source orbit
+    xtilde: np.ndarray                   # limb array, same bits and shape as the source orbit
     bits: int
     shift_index: int                     # r0 (0-based)
     shift_amount: int                    # M
@@ -245,9 +247,8 @@ class ReducedOrbit:
     observed_diffs: tuple[Fraction, ...]  # distinct values of x_n - x~_n (exact)
 
     def top64(self) -> np.ndarray:
-        shift = self.bits - 64
-        return np.fromiter(((x >> shift) for x in self.xtilde), dtype=np.uint64,
-                           count=len(self.xtilde))
+        """x~ truncated to 64-bit fixed point (uint64): a view of the first limb."""
+        return self.xtilde[:, 0]
 
 
 def reduced_orbit(
@@ -280,18 +281,12 @@ def reduced_orbit(
     )
 
     bits = orbit.bits
-    mask = (1 << bits) - 1
     # per-symbol exact increment sum_j p_ij beta*_j, rounded once
     deltas = []
     for i in range(steps.ell):
         d = sum((Fraction(steps.p[i][j]) * betas_star[j] for j in range(steps.r)), Fraction(0))
         deltas.append(fp_from_fraction(d, bits))
-    xtilde = [0] * (orbit.n + 1)
-    x = 0
-    word = orbit.omega.tobytes()
-    for k in range(orbit.n):
-        x = (x + deltas[word[k] - 1]) & mask
-        xtilde[k + 1] = x
+    xtilde = fixedpoint.accumulate(orbit.omega, deltas, bits)
 
     # exact difference values sum_i q*_i N_i(n) mod 1
     denom = lcm(*(qi.denominator for qi in qstar))

@@ -2,25 +2,26 @@
 
 ORB1 layout (little-endian): magic "ORB1", u32 ell, u32 r, u32 bits,
 u64 n, then n symbol bytes (1..ell), then n+1 points of bits/8 bytes each
-as unsigned fixed-point fractions.  bits must be a multiple of 8.
+as unsigned fixed-point fractions.  bits must be a multiple of 8 and at
+least 64; `read_orb1` rejects a file whose body is not exactly that long.
 
-Both writers work in chunks of `table.CHUNK_ROWS` rows.  The CSV is
+Both writers work in chunks of `table.CHUNK_ROWS` rows, and both take the
+points' bytes from the limb array (`fixedpoint.point_bytes`).  The CSV is
 encoded column by column in numpy (`multirot.table`): integer columns
 through a base-10**4 digit table, x_hex through a byte-to-hex table, one
-compress and one write per chunk.  ORB1 points go out as one joined bytes
-object per chunk.  The bytes of both files are the same as those of the
-row-by-row formatting they replace (`str(int(v))` per integer cell,
-`format(x, "0{(bits+3)//4}x")` per point); the tests compare against it.
+compress and one write per chunk.  The bytes of both files are the same
+as those of the row-by-row formatting they replace (`str(int(v))` per
+integer cell, `format(x, "0{(bits+3)//4}x")` per point); the tests
+compare against it.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import repeat
 
 import numpy as np
 
-from .. import table
+from .. import fixedpoint, table
 from ..errors import UsageError
 from .generate import Orbit
 
@@ -31,25 +32,31 @@ HEADER = struct.Struct("<4sIIIQ")
 def write_orb1(orbit: Orbit, path) -> None:
     if orbit.bits % 8:
         raise UsageError("ORB1 export requires bits to be a multiple of 8")
-    width = orbit.bits // 8
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, orbit.ell, orbit.steps.r, orbit.bits, orbit.n))
         fh.write(orbit.omega.tobytes())
         for s, e in table.chunk_bounds(orbit.n + 1):
-            points = orbit.points[s:e]
-            fh.write(b"".join(map(int.to_bytes, points, repeat(width), repeat("little"))))
+            fh.write(fixedpoint.point_bytes(orbit.points[s:e], orbit.bits)[:, ::-1].tobytes())
 
 
 def read_orb1(path) -> dict:
-    """Raw contents of an ORB1 file (header fields, symbols, points)."""
+    """Contents of an ORB1 file: header fields, symbols and the (n+1, L) limb array."""
     with open(path, "rb") as fh:
-        magic, ell, r, bits, n = HEADER.unpack(fh.read(HEADER.size))
-        if magic != MAGIC:
-            raise UsageError("not an ORB1 file")
-        omega = np.frombuffer(fh.read(n), dtype=np.uint8)
-        width = bits // 8
-        raw = fh.read(width * (n + 1))
-    points = [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(n + 1)]
+        head = fh.read(HEADER.size)
+        body = fh.read()
+    if len(head) < HEADER.size or head[:4] != MAGIC:
+        raise UsageError("not an ORB1 file")
+    _, ell, r, bits, n = HEADER.unpack(head)
+    if bits % 8 or bits < 64:
+        raise UsageError(f"ORB1 bits must be a multiple of 8 and at least 64, not {bits}")
+    width = bits // 8
+    if len(body) != n + (n + 1) * width:
+        raise UsageError(
+            f"ORB1 body has {len(body)} bytes; n={n} at {bits} bits needs {n + (n + 1) * width}"
+        )
+    omega = np.frombuffer(body, dtype=np.uint8, count=n)
+    raw = np.frombuffer(body, dtype=np.uint8, offset=n).reshape(n + 1, width)
+    points = fixedpoint.points_from_bytes(raw[:, ::-1], bits)
     return {"ell": ell, "r": r, "bits": bits, "n": n, "omega": omega, "points": points}
 
 
@@ -76,7 +83,7 @@ def write_orbit_csv(orbit: Orbit, path) -> None:
             cells = [
                 table.int_cells(np.arange(s, e)),
                 omega_cells,
-                table.hex_cells(orbit.points[s:e], orbit.bits),
+                table.hex_cells(fixedpoint.point_bytes(orbit.points[s:e], orbit.bits), orbit.bits),
             ]
             cells += [table.int_cells(counts[s:e, i]) for i in range(orbit.ell)]
             cells += [table.int_cells(bvec[s:e, j]) for j in range(orbit.steps.r)]

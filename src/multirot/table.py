@@ -16,7 +16,6 @@ megabyte per chunk whatever the table length.
 from __future__ import annotations
 
 import functools
-from itertools import repeat
 
 import numpy as np
 
@@ -89,14 +88,15 @@ def int_cells(values) -> tuple[np.ndarray, np.ndarray]:
     return chars[:, first:], keep[:, first:]
 
 
-def hex_cells(points, bits: int) -> tuple[np.ndarray, None]:
-    """Fixed-width lower-case hex cells, (bits + 3) // 4 digits, of B-bit ints."""
-    nbytes = -(-bits // 8)
-    raw = b"".join(map(int.to_bytes, points, repeat(nbytes), repeat("big")))
-    digits = np.take(HEX2, np.frombuffer(raw, dtype=np.uint8), axis=0)
-    digits = digits.reshape(len(points), 2 * nbytes)
+def hex_cells(raw: np.ndarray, bits: int) -> tuple[np.ndarray, None]:
+    """Fixed-width lower-case hex cells, (bits + 3) // 4 digits, of B-bit ints.
+
+    raw is (rows, ceil(bits / 8)) uint8, each row an integer's big-endian
+    bytes, as `fixedpoint.point_bytes` gives them.
+    """
+    digits = np.take(HEX2, raw, axis=0).reshape(raw.shape[0], 2 * raw.shape[1])
     # for bits not a multiple of 8 the surplus leading digit is always 0
-    return digits[:, 2 * nbytes - (bits + 3) // 4:], None
+    return digits[:, 2 * raw.shape[1] - (bits + 3) // 4:], None
 
 
 def join_cells(cells: list[tuple[np.ndarray, np.ndarray | None]]) -> np.ndarray:

@@ -13,7 +13,8 @@ from math import ceil, log
 
 import numpy as np
 
-from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal
+from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
+from multirot.orbit import steps_from_values
 
 # -- random declared-irrational bases -----------------------------------------
 
@@ -184,6 +185,37 @@ def _norm_exact(x: Fraction) -> Fraction:
     return min(frac, 1 - frac)
 
 
+# -- orbits ---------------------------------------------------------------------------
+
+def steps_with_negative_b(bits: int = 128):
+    """Three steps with p = ((1, -1), (-1, 0), (0, 0)): b_1 changes sign, b_2 only falls."""
+    table = builtin_table()
+    steps = steps_from_values(
+        table,
+        [table.symbol("sqrt2") + table.symbol("sqrt3", -1), table.symbol("sqrt2", -1),
+         Fraction(1, 3)],
+        bits,
+    )
+    assert steps.p == ((1, -1), (-1, 0), (0, 0))
+    return steps
+
+
+
+def reference_word_orbit(omega, step_values, bits: int) -> list[int]:
+    """x_0 = 0, x_{k+1} = x_k + step_values[omega[k] - 1] mod 2**bits, one Python int a step.
+
+    This is the loop `fixedpoint.accumulate` replaced in `generate_orbit`
+    and `reduced_orbit`; the limb arrays must hold exactly these integers.
+    """
+    mask = (1 << bits) - 1
+    points = [0] * (len(omega) + 1)
+    x = 0
+    for k, sym in enumerate(bytes(np.asarray(omega, dtype=np.uint8))):
+        x = (x + step_values[sym - 1]) & mask
+        points[k + 1] = x
+    return points
+
+
 # -- row-by-row orbit CSV ------------------------------------------------------------
 
 def reference_orbit_csv(orbit) -> bytes:
@@ -205,7 +237,7 @@ def reference_orbit_csv(orbit) -> bytes:
         row = [
             str(k),
             str(int(orbit.omega[k - 1])) if k else "",
-            format(orbit.points[k], f"0{width}x"),
+            format(orbit.point(k), f"0{width}x"),
         ]
         row += [str(int(v)) for v in counts[k]]
         row += [str(int(v)) for v in bvec[k]]

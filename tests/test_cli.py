@@ -9,7 +9,8 @@ import pytest
 
 from multirot.cli.config import ExperimentConfig, parse_step_expression
 from multirot.cli.main import main
-from multirot.cli.runner import run_config
+from multirot.cli import runner
+from multirot.cli.runner import run_config, write_csv
 from multirot.errors import ConfigError, GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
 from multirot.orbit.generate import MAX_ORBIT_N
@@ -447,3 +448,73 @@ def test_main_verify_params_json(tmp_path, capsys):
 def test_main_verify_bad_params_json(tmp_path, capsys):
     assert main(["verify", "scaled-covering", "--params", "[1,2]",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+IFS_CANTOR = [{"ratio": "1/3", "shift": "0"}, {"ratio": "1/3", "shift": "2/3"}]
+ORBIT_PART = {"seed": 1, "steps": ["sqrt2", "sqrt3"], "strategy": {"type": "random"}, "n": 100}
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "verify-theorem", **ORBIT_PART, "params": {"theorem": "difference-dense", "k": "x"}},
+    {"kind": "verify-theorem", **ORBIT_PART, "scales": [2, 6],
+     "params": {"theorem": "orbit-box-lower", "tolerance": "x"}},
+    {"kind": "verify-theorem", "params": {"theorem": "scaled-covering", "trials": "x"}},
+    {"kind": "verify-theorem", "params": {"theorem": "scaled-covering", "k_max": [3]}},
+    {"kind": "verify-theorem", "params": {"theorem": "dimension-threshold", "lam_max": "2.5"}},
+    {"kind": "verify-theorem", "params": {"theorem": "trace-ratio-bounds", "n_max": None}},
+    {"kind": "embed", "params": {"depth": "deep"}},
+    {"kind": "ifs", "ifs": IFS_CANTOR, "params": {"sample_depth": "x"}},
+    {"kind": "boxdim", "ifs": IFS_CANTOR, "scales": [2, 6], "params": {"depth": {}}},
+    {"kind": "diophantine", **ORBIT_PART, "params": {"op": "separation", "k_max": "x"}},
+    {"kind": "diophantine", "n": 10, "params": {"betas": ["sqrt2"], "m": "x"}},
+])
+def test_non_integer_recipe_params_exit_2(tmp_path, capsys, config):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, {**config, "out_dir": str(out)})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "params." in err
+    assert not out.exists()
+
+
+def test_verify_non_integer_param_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["verify", "difference-dense", "--steps", "sqrt2,sqrt3", "--seed", "1",
+                 "--n", "100", "--params", '{"k": "x"}', "--out", str(out)]) == 2
+    assert "error: params.k" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, code", [('{"k": 23}', 3), ('{"k": "x"}', 2), ('{"k": -1}', 2)])
+def test_failed_verify_removes_the_directories_it_made(tmp_path, capsys, params, code):
+    out = tmp_path / "new" / "deeper" / "o"
+    assert main(["verify", "difference-dense", "--steps", "sqrt2,sqrt3", "--seed", "1",
+                 "--n", "100", "--params", params, "--out", str(out)]) == code
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_run_keeps_a_directory_that_existed(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    path = write_config(tmp_path, {"kind": "verify-theorem", **ORBIT_PART, "out_dir": str(out),
+                                   "params": {"theorem": "difference-dense", "k": 23}})
+    assert main(["run", path]) == 3
+    assert out.is_dir() and os.listdir(out) == []
+    (out / "keep.txt").write_text("x")
+    cfg = ExperimentConfig(kind="verify-theorem", out_dir=str(out / "sub"), seed=1,
+                           steps=("sqrt2", "sqrt3"), strategy={"type": "random"}, n=100,
+                           params={"theorem": "difference-dense", "k": "x"})
+    assert run_config(cfg).exit_code == 2
+    assert os.listdir(out) == ["keep.txt"]
+
+
+def test_failed_run_keeps_a_directory_with_artifacts(tmp_path, monkeypatch):
+    """Only empty directories go; a partial artifact stays until runs are staged."""
+    def write_then_fail(cfg, out):
+        write_csv(out, "results.csv", ["x"], [[1]])
+        raise UsageError("failed after writing")
+
+    monkeypatch.setitem(runner._HANDLERS, "rank", write_then_fail)
+    out = tmp_path / "new" / "o"
+    assert run_config(ExperimentConfig(kind="rank", out_dir=str(out))).exit_code == 2
+    assert os.listdir(out) == ["results.csv"]

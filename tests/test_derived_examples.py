@@ -57,7 +57,7 @@ def test_separation_at_hundred_thousand_points():
     steps = steps_from_values(TABLE, ["sqrt2", "sqrt3"])
     orbit = generate_orbit(steps, RandomSymbols(), 100_000, 128, seed=31)
     red = reduced_orbit(orbit)
-    report = kxn_separation(red, 1, 101)
+    report = kxn_separation(red.top64(), 1, 101)
     assert report.flagged() == []
 
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import brute_force_min_k, random_basis
 from multirot.diophantine import kxn_separation, norm_dist, pigeonhole_approx
 from multirot.errors import UsageError
 from multirot.exact.symbolic import builtin_table
-from multirot.fixedpoint import fp_from_fraction
+from multirot.fixedpoint import fp_from_fraction, pack
 from multirot.orbit import RandomSymbols, generate_orbit, reduced_orbit, steps_from_values
 
 F = Fraction
@@ -86,7 +87,7 @@ def test_pigeonhole_bucket_path():
 
 
 def test_separation_zero_sequence():
-    report = kxn_separation([0] * 50, 1, 10, bits=128)
+    report = kxn_separation(pack([0] * 50, 128)[:, 0], 1, 10)
     assert all(row.sup_norm == 0 for row in report.rows)
     assert report.flagged() == list(range(1, 11))
 
@@ -94,8 +95,8 @@ def test_separation_zero_sequence():
 def test_separation_rational_orbit():
     """x~_n = n/7: k = 7 kills it, k = 1 reaches 3/7."""
     bits = 128
-    seq = [fp_from_fraction(F(n, 7), bits) for n in range(70)]
-    report = kxn_separation(seq, 1, 7, bits=bits)
+    seq = pack([fp_from_fraction(F(n, 7), bits) for n in range(70)], bits)
+    report = kxn_separation(seq[:, 0], 1, 7)
     by_k = {row.k: row for row in report.rows}
     assert by_k[7].sup_norm < 1e-12
     assert abs(by_k[1].sup_norm - 3 / 7) < 1e-9
@@ -105,10 +106,17 @@ def test_separation_on_reduced_orbit():
     steps = steps_from_values(TABLE, ["sqrt2", "sqrt3"])
     orbit = generate_orbit(steps, RandomSymbols(), 20_000, 128, seed=9)
     red = reduced_orbit(orbit)
-    report = kxn_separation(red, 1, 100)
+    report = kxn_separation(red.top64(), 1, 100)
     assert report.flagged() == []  # all maxima clear 1/5 comfortably
 
 
 def test_separation_empty_errors():
     with pytest.raises(UsageError):
-        kxn_separation([], 1, 5, bits=128)
+        kxn_separation(np.zeros(0, dtype=np.uint64), 1, 5)
+
+
+@pytest.mark.parametrize("seq", [[0] * 5, np.zeros(5, dtype=np.int64), np.zeros((5, 2), dtype=np.uint64)])
+def test_separation_rejects_anything_but_64_bit_points(seq):
+    """Big-int lists, signed arrays and whole limb arrays are not 64-bit points."""
+    with pytest.raises(UsageError):
+        kxn_separation(seq, 1, 5)

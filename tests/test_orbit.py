@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -11,9 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_basis, reference_orbit_csv, reference_tau_deviations
+from helpers import (
+    random_basis,
+    reference_orbit_csv,
+    reference_tau_deviations,
+    steps_with_negative_b,
+)
 from multirot import table
+from multirot.cli.config import ExperimentConfig
+from multirot.cli.runner import run_config
 from multirot.errors import GuardError, UsageError
+from multirot.fixedpoint import to_int
 from multirot.exact.symbolic import SymbolicReal, builtin_table
 from multirot.orbit import (
     ExplicitWord,
@@ -30,6 +40,7 @@ from multirot.orbit import (
     write_orbit_csv,
 )
 from multirot.orbit.generate import MAX_ORBIT_N
+from multirot.orbit.io import HEADER
 
 F = Fraction
 TABLE = builtin_table()
@@ -87,7 +98,7 @@ def test_quarter_steps_cycle():
 def test_word_orbit_hits_sqrt2_plus_sqrt3():
     steps = steps_sqrt23()
     orbit = generate_orbit(steps, ExplicitWord((1, 2)), 2, 128)
-    x2 = orbit.points[2] / 2**128
+    x2 = orbit.point(2) / 2**128
     assert abs(x2 - 0.14626436994197234233) < 1e-12
 
 
@@ -96,7 +107,7 @@ def test_random_orbit_deterministic_given_seed():
     a = generate_orbit(steps, RandomSymbols(), 500, 128, seed=99)
     b = generate_orbit(steps, RandomSymbols(), 500, 128, seed=99)
     assert np.array_equal(a.omega, b.omega)
-    assert a.points == b.points
+    assert np.array_equal(a.points, b.points)
     c = generate_orbit(steps, RandomSymbols(), 500, 128, seed=100)
     assert not np.array_equal(a.omega, c.omega)
 
@@ -265,7 +276,7 @@ def test_reduced_orbit_identity_when_q_zero():
     steps = steps_sqrt23()
     orbit = generate_orbit(steps, RandomSymbols(), 300, 128, seed=2)
     red = reduced_orbit(orbit)
-    assert red.xtilde == orbit.points
+    assert np.array_equal(red.xtilde, orbit.points)
     assert red.observed_diffs == (F(0),)
 
 
@@ -276,8 +287,8 @@ def test_reduced_orbit_half_shift_case():
     orbit = generate_orbit(steps, ExplicitWord((2, 1)), 2, 128)
     red = reduced_orbit(orbit, shift_index=0)
     sqrt2_frac = TABLE.symbol("sqrt2").frac()
-    assert abs(F(red.xtilde[2], 1 << 128) - sqrt2_frac) < F(1, 1 << 120)
-    diff = (orbit.point_fraction(2) - F(red.xtilde[2], 1 << 128)) % 1
+    assert abs(F(to_int(red.xtilde[2], 128), 1 << 128) - sqrt2_frac) < F(1, 1 << 120)
+    diff = (orbit.point_fraction(2) - F(to_int(red.xtilde[2], 128), 1 << 128)) % 1
     assert min(abs(diff - F(1, 2)), abs(1 - diff - F(1, 2))) < F(1, 1 << 120)
     assert F(1, 2) in red.observed_diffs
 
@@ -302,7 +313,7 @@ def test_reduced_orbit_difference_set_size_bound():
         # the observed set matches the fixed-point differences within tolerance
         tol = F(orbit.n + 4, 1 << 120)
         for k in range(0, orbit.n + 1, 37):
-            diff = (orbit.point_fraction(k) - F(red.xtilde[k], 1 << 128)) % 1
+            diff = (orbit.point_fraction(k) - F(to_int(red.xtilde[k], 128), 1 << 128)) % 1
             best = min(min(abs(diff - d), abs(1 - abs(diff - d))) for d in red.observed_diffs)
             assert best <= tol
 
@@ -347,7 +358,7 @@ def test_greedy_deterministic():
     steps = steps_sqrt23()
     a = generate_orbit(steps, GreedyAvoid(F(1, 3), F(1, 2)), 500, 128)
     b = generate_orbit(steps, GreedyAvoid(F(1, 3), F(1, 2)), 500, 128)
-    assert a.points == b.points
+    assert np.array_equal(a.points, b.points)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -361,9 +372,55 @@ def test_orb1_roundtrip(tmp_path):
     raw = read_orb1(path)
     assert raw["ell"] == 2 and raw["r"] == 2 and raw["bits"] == 128 and raw["n"] == 64
     assert np.array_equal(raw["omega"], orbit.omega)
-    assert raw["points"] == orbit.points
+    assert np.array_equal(raw["points"], orbit.points)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"ORB1"
+
+
+def orb1_with(tmp_path, *, cut=0, extra=b"", bits=None):
+    """A 10-point ORB1 file, cut short, extended or with its bits field rewritten."""
+    orbit = generate_orbit(steps_sqrt23(), RandomSymbols(), 10, 128, seed=21)
+    path = tmp_path / "orbit.orb1"
+    write_orb1(orbit, path)
+    data = bytearray(path.read_bytes())
+    if bits is not None:
+        data[12:16] = bits.to_bytes(4, "little")
+    path.write_bytes(bytes(data[:len(data) - cut]) + extra)
+    return path
+
+
+@pytest.mark.parametrize("change", [
+    {"cut": 40}, {"cut": 1}, {"cut": 16 * 11}, {"cut": 16 * 11 + 10}, {"extra": b"\0"},
+    {"bits": 100}, {"bits": 56}, {"bits": 0}, {"bits": 136},
+])
+def test_read_orb1_rejects_malformed_files(tmp_path, change):
+    """A truncated file used to read as zero points: 11 points ending [..., 0, 0]."""
+    path = orb1_with(tmp_path, **change)
+    with pytest.raises(UsageError):
+        read_orb1(path)
+
+
+@pytest.mark.parametrize("bits", [0, 8, 56])
+def test_read_orb1_rejects_consistent_files_below_64_bits(tmp_path, bits):
+    """The body has the right length for its header; the bits are still too few."""
+    n = 3
+    path = tmp_path / "x.orb1"
+    path.write_bytes(HEADER.pack(b"ORB1", 2, 2, bits, n) + bytes(n + (n + 1) * (bits // 8)))
+    with pytest.raises(UsageError):
+        read_orb1(path)
+
+
+@pytest.mark.parametrize("head", [b"", b"ORB1", b"ORB2" + bytes(20)])
+def test_read_orb1_rejects_short_or_foreign_headers(tmp_path, head):
+    path = tmp_path / "x.orb1"
+    path.write_bytes(head)
+    with pytest.raises(UsageError):
+        read_orb1(path)
+
+
+def test_read_orb1_accepts_the_untouched_file(tmp_path):
+    raw = read_orb1(orb1_with(tmp_path))
+    assert raw["n"] == 10 and raw["points"].shape == (11, 2)
 
 
 def test_orb1_requires_byte_aligned_bits(tmp_path):
@@ -383,17 +440,6 @@ def test_orbit_csv_columns(tmp_path):
     assert lines[1].startswith("0,,000000")
     assert len(lines) == 5
     assert lines[2].split(",")[1] == "1"
-
-
-def steps_with_negative_b(bits=128):
-    """p = ((1, -1), (-1, 0), (0, 0)): b_1 changes sign, b_2 only falls."""
-    steps = steps_from_values(
-        TABLE,
-        [TABLE.symbol("sqrt2") + TABLE.symbol("sqrt3", -1), TABLE.symbol("sqrt2", -1), F(1, 3)],
-        bits,
-    )
-    assert steps.p == ((1, -1), (-1, 0), (0, 0))
-    return steps
 
 
 CHUNK = 7  # rows per chunk in the tests below, so that small orbits span several
@@ -440,7 +486,7 @@ def test_orb1_chunked_points_match_one_by_one(tmp_path, monkeypatch, n):
     path = tmp_path / "orbit.orb1"
     write_orb1(orbit, path)
     raw = path.read_bytes()
-    points = b"".join(x.to_bytes(9, "little") for x in orbit.points)
+    points = b"".join(orbit.point(k).to_bytes(9, "little") for k in range(n + 1))
     assert raw.endswith(orbit.omega.tobytes() + points)
     assert len(raw) == 24 + n + len(points)
 
@@ -484,10 +530,10 @@ def test_minimum_bits_orbit_and_roundtrip(tmp_path):
     steps = steps_sqrt23()
     orbit = generate_orbit(steps, ExplicitWord((1, 2, 2, 1)), 4, 64)
     assert orbit.bits == 64
-    assert np.array_equal(orbit.top64(), np.array(orbit.points, dtype=np.uint64))
+    assert np.array_equal(orbit.top64(), np.array([orbit.point(k) for k in range(5)], dtype=np.uint64))
     path = tmp_path / "o64.orb1"
     write_orb1(orbit, path)
-    assert read_orb1(path)["points"] == orbit.points
+    assert np.array_equal(read_orb1(path)["points"], orbit.points)
 
 
 def test_greedy_wraparound_forbidden_interval():
@@ -498,3 +544,69 @@ def test_greedy_wraparound_forbidden_interval():
     for k in range(1, orbit.n + 1):
         x = orbit.point_fraction(k)
         assert not (x > lo or x < hi), (k, x)
+
+
+# sha256 of the artifacts of small orbit runs, recorded with the big-int orbit
+# loops that `fixedpoint.accumulate` replaced; they must not change.
+PINNED_RUNS = {
+    "random128": (
+        dict(kind="orbit", seed=7, bits=128, steps=("sqrt2", "sqrt3"),
+             strategy={"type": "random"}, n=3000),
+        {"results.csv": "50ff561e7a7fe6b9b632d1cf789e3a9beb736f7cd37e920f95c0fdf7eb77481e",
+         "orbit.orb1": "0127689a6d5a48c32ee66085bcbc45a0c01993064adcc67742d94f94025dc3ea",
+         "summary.json": "46c81e76f933f5602269a69bff334401e246b67de43ebdaa33e25f4a52acc86e"},
+    ),
+    "periodic128": (
+        dict(kind="orbit", bits=128, steps=("sqrt2", "sqrt3"),
+             strategy={"type": "periodic", "word": "1121"}, n=2500),
+        {"results.csv": "2bc2f5321e015904a649eed36a4351d43e3ce4369b6dbd887f7d377d159e8152",
+         "orbit.orb1": "41fd3ba4502ee796efc2e8c684b17a1d09a63571069c5c554904acf4b0fbcc09",
+         "summary.json": "5b5e1cc3890eec774f07023afc9471aeb2431a773c9b2fbd8102962c23c91671"},
+    ),
+    "greedy128": (
+        dict(kind="orbit", bits=128, steps=("sqrt2", "sqrt3"),
+             strategy={"type": "greedy_avoid", "lo": "0.4", "hi": "0.6", "cell_bits": 12}, n=3000),
+        {"results.csv": "fd6bd184199072efcd680b780cf6428b82e8392931987517e3d151cd2ad110e1",
+         "orbit.orb1": "64bf9265eebbaa674a45a70767ea95948ccc10c5867f0f3e2f291802e9162cb5",
+         "summary.json": "88c6efa48229d6ecd63f347d71f9cec5ef4acc1216da017e267759a8719898f1"},
+    ),
+    "random72": (
+        dict(kind="orbit", seed=3, bits=72, steps=("sqrt2", "sqrt3"),
+             strategy={"type": "random"}, n=3000),
+        {"results.csv": "c2ef0c11aee8271216bf5f6a1b27211a65475b40cbec289d0800c988de2fdf44",
+         "orbit.orb1": "d0d7a74138b4b524bf35c29942f7d505323c4884f45c9a740d0cbcda0756de57",
+         "summary.json": "09f6a054740e4047e20de3c2bed92d9128e38930725e3928217e6f00231b77ff"},
+    ),
+    "ell3_256": (
+        dict(kind="orbit", seed=5, bits=256, steps=("sqrt2-sqrt3", "-sqrt2", "1/3"),
+             strategy={"type": "random"}, n=2000),
+        {"results.csv": "e800e46eacd505d1c86b15abfc58d585bc05dd66275fc81e4ef0d7c0291cdf5f",
+         "orbit.orb1": "43f594b95efafdb639ac48f22a0690f479db9c00a477eae62c51f84231114a00",
+         "summary.json": "cf3e22a912e9a411817aff1a8209eb33b00a8cfcd99f6baf1d2fa384bce71f21"},
+    ),
+    "separation128": (
+        dict(kind="diophantine", seed=9, bits=128, steps=("sqrt2", "sqrt3"),
+             strategy={"type": "random"}, n=3000, params={"op": "separation", "k_max": 50}),
+        {"results.csv": "77da909ff6c05952659f76e90eea3a862dd1a89c54ea8e0f3af15a6b45005ebc",
+         "summary.json": "a45c1b0d9dbbc095759e9e877982c16705fd8330b14d7cad3cb52b39eb1952a7"},
+    ),
+    "separation72_ell3": (
+        dict(kind="diophantine", seed=4, bits=72, steps=("sqrt2-sqrt3", "-sqrt2", "1/3"),
+             strategy={"type": "random"}, n=3000, params={"op": "separation", "k_max": 50}),
+        {"results.csv": "591473a82805c044a42dd459d9e2b10dfe7f65207bb5f8c6ab5e13b11865a824",
+         "summary.json": "a45c1b0d9dbbc095759e9e877982c16705fd8330b14d7cad3cb52b39eb1952a7"},
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, table.CHUNK_ROWS])
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_small_orbit_artifacts_match_pinned_hashes(tmp_path, monkeypatch, name, chunk):
+    monkeypatch.setattr(table, "CHUNK_ROWS", chunk)
+    config, hashes = PINNED_RUNS[name]
+    out = tmp_path / name
+    result = run_config(ExperimentConfig(out_dir=str(out), **config))
+    assert result.exit_code == 0, result.summary
+    assert sorted(os.listdir(out)) == sorted(hashes)
+    for artifact, digest in hashes.items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
