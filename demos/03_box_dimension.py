@@ -12,6 +12,8 @@ from math import log
 from pathlib import Path
 
 from multirot import boxdim as bx
+from multirot.cli.config import ExperimentConfig
+from multirot.cli.runner import run_config
 from multirot.exact import builtin_table
 from multirot.ifs import SimilarIFS, attractor_sample
 from multirot.orbit import RandomSymbols, generate_orbit, steps_from_values
@@ -26,10 +28,12 @@ print(f"points={len(points)}  global slope={est.slope_global:.4f}  "
       f"(log 2 / log 3 = {log(2) / log(3):.4f})")
 print(f"local slopes: {['%.3f' % s for s in est.slopes_local]}")
 
+# the boxdim recipe writes the same profile as results.csv and plot.svg
 out = Path(tempfile.mkdtemp(prefix="multirot-demo-"))
-bx.write_profile_csv(profile, out / "cantor_profile.csv")
-bx.write_profile_svg(profile, out / "cantor_profile.svg")
-print(f"profile artifacts under {out}")
+cantor_spec = ({"ratio": "1/3", "shift": "0"}, {"ratio": "1/3", "shift": "2/3"})
+run_config(ExperimentConfig(kind="boxdim", out_dir=str(out), ifs=cantor_spec,
+                            scales=(4, 12), params={"depth": 12}))
+print(f"profile artifacts under {out}: {sorted(p.name for p in out.iterdir())}")
 
 print()
 print("== (sqrt2, sqrt3) random orbit, one million points ==")

@@ -373,24 +373,3 @@ def gap_profile(points: CirclePoints, k: int = 12) -> GapProfile:
         if cells[0] == 0 and cells[-1] == mod - 1 and occupied < mod and runs.size >= 2:
             longest = max(longest, int(runs[0] + runs[-1]))
     return GapProfile(max_gap, k, Fraction(occupied, mod), longest)
-
-
-# -- exports -------------------------------------------------------------------
-
-def write_profile_csv(profile: CoveringProfile, path) -> None:
-    """Columns: k, N, log2N, local_slope (slope from k to k+1; blank on the last row)."""
-    ks = profile.ks()
-    logs = profile.log2_counts()
-    slopes = profile.slopes_local()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,N,log2N,local_slope\n")
-        for i, k in enumerate(ks):
-            slope = repr(slopes[i]) if i < len(slopes) else ""
-            fh.write(f"{k},{profile.counts[k]},{repr(float(logs[i]))},{slope}\n")
-
-
-def write_profile_svg(profile: CoveringProfile, path) -> None:
-    from .svgplot import loglog_svg
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(loglog_svg(profile))

@@ -13,9 +13,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..boxdim import DIFF_CELL_K_MAX
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
-from ..ifs import SimilarIFS, Similitude
+from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude
 from ..orbit.generate import MAX_ORBIT_N
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
@@ -159,6 +160,41 @@ class ExperimentConfig:
         pigeonhole = self.kind == "diophantine" and self.params.get("op", "pigeonhole") == "pigeonhole"
         if self.n is not None and self.n > MAX_ORBIT_N and not pigeonhole:
             raise GuardError(f"orbit length n={self.n} exceeds the guard of {MAX_ORBIT_N}")
+        self._check_scales()
+
+    def _check_scales(self) -> None:
+        """Refuse recipe scales past the library's guards before any work runs."""
+        if self.kind == "verify-theorem" and self.params["theorem"] == "difference-dense":
+            k = self.param("k", 12)
+            if k < 0:
+                raise ConfigError(f"params.k = {k} is negative")
+            if k > DIFF_CELL_K_MAX:
+                raise GuardError(
+                    f"difference-set scale k={k} exceeds {DIFF_CELL_K_MAX} (a 2**k-cell bitmap)"
+                )
+        if self.kind == "ifs" and self.ifs is not None:
+            ell = len(self.ifs)
+            depth, sample_depth = self.ifs_depths()
+            # past 64 levels any ell >= 2 exceeds both guards; capping keeps the power small
+            if ell ** min(depth, 64) > MAX_CYLINDERS:
+                raise GuardError(f"ssc depth {depth}: {ell}**{depth} cylinders exceed 2**16")
+            if ell ** min(sample_depth, 64) > MAX_SAMPLE_POINTS:
+                raise GuardError(
+                    f"sample depth {sample_depth}: {ell}**{sample_depth} points exceed 2**24"
+                )
+
+    def param(self, name: str, default, kind=int):
+        """params[name], or default, converted by kind; a value it rejects is a config error."""
+        value = self.params.get(name, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"params.{name} = {value!r} is not a valid {kind.__name__}") from None
+
+    def ifs_depths(self) -> tuple[int, int]:
+        """(depth, sample_depth) of the ifs kind: the SSC certificate's and the sample's."""
+        depth = self.param("depth", 6)
+        return depth, self.param("sample_depth", min(depth + 4, 12))
 
     # -- materialization ----------------------------------------------------
 

@@ -2,15 +2,19 @@
 
 Outputs are deterministic for a fixed config and seed: CSV files use LF
 line endings and fixed column orders, JSON summaries are key-sorted, and
-every file is written atomically (temp file + rename) with the mode the
-umask gives new files.  Entries run sequentially; nothing in the output
-depends on any parallelism setting.
+every file gets the mode the umask gives new files.  A run writes its
+artifacts into a fresh staging directory in the nearest existing
+directory on the output path and moves them into place only when the
+handler and the summary have both succeeded; a failed or interrupted run
+leaves the output location as it was.  Entries run sequentially; nothing
+in the output depends on any parallelism setting.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,19 +22,14 @@ from fractions import Fraction
 import numpy as np
 
 from .. import boxdim as bx
-from ..diophantine import kxn_separation, pigeonhole_approx, write_separation_csv
-from ..embedtrace import (
-    build_instance,
-    induced_step_system,
-    sn_sequence,
-    threshold_c,
-    write_trace_csv,
-)
+from ..diophantine import kxn_separation, pigeonhole_approx
+from ..embedtrace import build_instance, induced_step_system, sn_sequence, threshold_c
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.independence import q_independent_mod1, qplus_independent_mod1, rank_span
 from ..ifs import attractor_sample, similarity_dimension, ssc_check
 from ..orbit.generate import generate_orbit, reduced_orbit, tau_discrepancy
 from ..orbit.io import write_orb1, write_orbit_csv
+from ..svgplot import loglog_svg
 from .config import ExperimentConfig, parse_ifs, parse_step_expression
 
 EXIT_OK = 0
@@ -46,42 +45,21 @@ VERIFY_TARGETS = (
 )
 
 
-def _publish(tmp: str, path: str) -> None:
-    """Give a finished temp file the mode open() would have, then rename it."""
-    # mkstemp creates 0600; umask can only be read by setting it
-    umask = os.umask(0o022)
-    os.umask(umask)
-    os.chmod(tmp, 0o666 & ~umask)
-    os.replace(tmp, path)
-
-
 def atomic_write(path: str, data: str | bytes) -> None:
+    """Write data to path inside the run's stage; text is UTF-8 with LF kept as is.
+
+    The run publishes the stage only on success, which is what makes the
+    write atomic.
+    """
     binary = isinstance(data, bytes)
     kwargs = {} if binary else {"newline": "", "encoding": "utf-8"}
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb" if binary else "w", **kwargs) as fh:
-            fh.write(data)
-        _publish(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open(path, "wb" if binary else "w", **kwargs) as fh:
+        fh.write(data)
 
 
 def atomic_via(writer, path: str) -> str:
-    """Run a path-taking writer against a temp file, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        writer(tmp)
-        _publish(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Run a path-taking writer against path inside the run's stage; return path."""
+    writer(path)
     return path
 
 
@@ -100,12 +78,14 @@ def _jsonable(value):
 
 
 def write_summary(out_dir: str, summary: dict) -> str:
+    """Write summary.json, key-sorted, into out_dir, the run's stage."""
     path = os.path.join(out_dir, "summary.json")
     atomic_write(path, json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n")
     return path
 
 
 def write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> str:
+    """Write a small table as out_dir/name, inside the run's stage, one `_csv_cell` per cell."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(c) for c in row))
@@ -115,6 +95,7 @@ def write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> s
 
 
 def _csv_cell(c) -> str:
+    """The one CSV cell format: Fraction as n/d, float repr, lower-case bools."""
     if isinstance(c, Fraction):
         return f"{c.numerator}/{c.denominator}"
     if isinstance(c, float):
@@ -124,15 +105,6 @@ def _csv_cell(c) -> str:
     return str(c)
 
 
-def _param(cfg: ExperimentConfig, name: str, default, kind=int):
-    """params[name], or default, converted by kind; a value it rejects is a config error."""
-    value = cfg.params.get(name, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"params.{name} = {value!r} is not a valid {kind.__name__}") from None
-
-
 @dataclass
 class RunResult:
     exit_code: int
@@ -140,45 +112,47 @@ class RunResult:
     artifacts: list[str]
 
 
-def _missing_dirs(path: str) -> list[str]:
-    """The directories os.makedirs(path) would create, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.exists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
-def _remove_if_empty(dirs: list[str]) -> None:
-    for d in dirs:
-        try:
-            os.rmdir(d)
-        except OSError:  # not empty (an artifact was written) or already gone
-            return
+def _make_stage(out: str) -> str:
+    """A fresh staging directory in the nearest existing ancestor of out."""
+    parent = os.path.abspath(out)
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output path {parent} is not a directory")
+    try:
+        return tempfile.mkdtemp(prefix=".stage-", dir=parent)
+    except OSError as exc:
+        raise ConfigError(f"cannot write under {parent}: {exc.strerror}") from None
 
 
 def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
-    """Validate and run a config.  A failed run removes the output directories
-    it created while they are still empty; a directory that existed before
-    the run is never touched."""
+    """Validate a config, run it in a staging directory, then publish it.
+
+    The artifacts move into the output directory, made if missing, only
+    after the handler and the summary have both succeeded.  A failed or
+    interrupted run leaves no new directory and no artifact behind, and a
+    directory that existed before the run keeps its contents.
+    """
     out = out_dir or cfg.out_dir
-    created: list[str] = []
+    stage = None
     try:
         cfg.validate()
-        created = _missing_dirs(out)
+        stage = _make_stage(out)
+        summary, staged = _HANDLERS[cfg.kind](cfg, stage)
+        summary = _jsonable(summary)
+        staged.append(write_summary(stage, summary))
         os.makedirs(out, exist_ok=True)
-        handler = _HANDLERS[cfg.kind]
-        summary, artifacts = handler(cfg, out)
+        artifacts = [os.path.join(out, os.path.basename(path)) for path in staged]
+        for src, dst in zip(staged, artifacts):
+            os.replace(src, dst)
     except (ConfigError, UsageError) as exc:
-        _remove_if_empty(created)
         return RunResult(EXIT_VALIDATION, {"error": str(exc)}, [])
     except GuardError as exc:
-        _remove_if_empty(created)
         return RunResult(EXIT_GUARD, {"error": str(exc)}, [])
-    summary = _jsonable(summary)
-    summary_path = write_summary(out, summary)
-    return RunResult(EXIT_OK, summary, artifacts + [summary_path])
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+    return RunResult(EXIT_OK, summary, artifacts)
 
 
 # -- kind handlers ---------------------------------------------------------------
@@ -249,7 +223,7 @@ def _run_orbit(cfg, out):
 
 def _points_for_boxdim(cfg):
     if cfg.ifs is not None:
-        depth = _param(cfg, "depth", 10)
+        depth = cfg.param("depth", 10)
         ifs = parse_ifs(cfg.ifs)
         sample = attractor_sample(ifs, depth)
         return bx.CirclePoints.from_unit_reals([p[0] for p in sample]), {
@@ -271,10 +245,6 @@ def _run_boxdim(cfg, out):
     k_min, k_max = cfg.scales
     profile = bx.covering_profile(points, k_min, k_max)
     est = bx.box_dim_estimate(profile)
-    csv_path = atomic_via(lambda p: bx.write_profile_csv(profile, p),
-                          os.path.join(out, "results.csv"))
-    svg_path = atomic_via(lambda p: bx.write_profile_svg(profile, p),
-                          os.path.join(out, "plot.svg"))
     summary = {
         "kind": "boxdim",
         **meta,
@@ -285,7 +255,18 @@ def _run_boxdim(cfg, out):
         "slope_global": est.slope_global,
         "resolution_limited": est.resolution_limited,
     }
-    return summary, [csv_path, svg_path]
+    return summary, _write_profile(out, profile)
+
+
+def _write_profile(out, profile):
+    """results.csv (k, N, log2N and the slope to k+1, blank on the last row) and plot.svg."""
+    slopes = profile.slopes_local() + [""]
+    rows = [[k, profile.counts[k], float(log2n), slope]
+            for k, log2n, slope in zip(profile.ks(), profile.log2_counts(), slopes)]
+    csv = write_csv(out, "results.csv", ["k", "N", "log2N", "local_slope"], rows)
+    svg = os.path.join(out, "plot.svg")
+    atomic_write(svg, loglog_svg(profile))
+    return [csv, svg]
 
 
 def _run_diophantine(cfg, out):
@@ -296,7 +277,7 @@ def _run_diophantine(cfg, out):
         if not exprs:
             raise ConfigError("pigeonhole needs params.betas")
         betas = [parse_step_expression(e, table).value() for e in exprs]
-        m = _param(cfg, "m", 1)
+        m = cfg.param("m", 1)
         if cfg.n is None:
             raise ConfigError("pigeonhole needs n")
         res = pigeonhole_approx(betas, m, cfg.n, cfg.bits)
@@ -312,16 +293,16 @@ def _run_diophantine(cfg, out):
         steps = cfg.step_system()
         orbit = generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
         red = reduced_orbit(orbit)
-        report = kxn_separation(red.top64(), _param(cfg, "k_min", 1),
-                                _param(cfg, "k_max", 100))
-        csv_path = atomic_via(lambda p: write_separation_csv(report, p),
-                              os.path.join(out, "results.csv"))
+        report = kxn_separation(red.top64(), cfg.param("k_min", 1),
+                                cfg.param("k_max", 100))
+        rows = [[row.k, row.sup_norm, row.n_argmax] for row in report.rows]
+        csv = write_csv(out, "results.csv", ["k", "sup_norm", "n_argmax"], rows)
         summary = {
             "kind": "diophantine", "op": op, "n": orbit.n,
             "flagged_below_one_fifth": report.flagged(),
             "shift_index": red.shift_index, "shift_amount": red.shift_amount,
         }
-        return summary, [csv_path]
+        return summary, [csv]
     raise ConfigError(f"unknown diophantine op {op!r}")
 
 
@@ -329,10 +310,9 @@ def _run_ifs(cfg, out):
     if cfg.ifs is None:
         raise ConfigError("ifs kind needs an ifs definition")
     ifs = parse_ifs(cfg.ifs)
-    depth = _param(cfg, "depth", 6)
+    depth, sample_depth = cfg.ifs_depths()
     cert = ssc_check(ifs, depth)
     dim = similarity_dimension(ifs.ratios())
-    sample_depth = _param(cfg, "sample_depth", min(depth + 4, 12))
     sample = attractor_sample(ifs, sample_depth)
     rows = [[i, p[0]] for i, p in enumerate(sample)]
     csv = write_csv(out, "results.csv", ["index", "x"], rows)
@@ -364,12 +344,13 @@ def _run_embed(cfg, out):
     e_ifs, f_ifs = parse_ifs(e_spec), parse_ifs(f_spec)
     affine = cfg.affine or {"m": "1", "b": "0"}
     m, b = Fraction(affine["m"]), Fraction(affine["b"])
-    n_max = _param(cfg, "n_max", 24)
-    depth = _param(cfg, "depth", 8)
+    n_max = cfg.param("n_max", 24)
+    depth = cfg.param("depth", 8)
     inst = build_instance(e_ifs, f_ifs, m, b, coding_len=max(n_max, 8))
     trace = sn_sequence(inst, n_max, depth)
-    csv_path = atomic_via(lambda p: write_trace_csv(trace, p),
-                          os.path.join(out, "results.csv"))
+    rows = [[e.n, e.i_n, e.s_n, e.ratio, e.lower_ok, e.upper_ok] for e in trace.entries]
+    csv = write_csv(out, "results.csv",
+                    ["n", "i_n", "s_n", "ratio", "lower_bound_ok", "upper_bound_ok"], rows)
     steps = induced_step_system([mp.ratio for mp in e_ifs.maps], inst.gamma1, cfg.bits)
     verdict = qplus_independent_mod1(steps)
     summary = {
@@ -387,7 +368,7 @@ def _run_embed(cfg, out):
         "induced_qplus_independent": verdict.independent,
         "threshold_c": threshold_c(max(e_ifs.ell, 2), max(steps.lam, 1)),
     }
-    return summary, [csv_path]
+    return summary, [csv]
 
 
 # -- verify recipes ----------------------------------------------------------------
@@ -401,10 +382,10 @@ def verify_theorem(name: str, cfg: ExperimentConfig, out: str):
 
 
 def _verify_scaled_covering(cfg, out):
-    trials = _param(cfg, "trials", 1000)
-    max_points = _param(cfg, "max_points", 256)
-    p_max = _param(cfg, "p_max", 16)
-    k_max = _param(cfg, "k_max", 12)
+    trials = cfg.param("trials", 1000)
+    max_points = cfg.param("max_points", 256)
+    p_max = cfg.param("p_max", 16)
+    k_max = cfg.param("k_max", 12)
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     violations = 0
     checked = 0
@@ -448,7 +429,7 @@ def _orbit_from_cfg(cfg, default_steps=("sqrt2", "sqrt3"), default_n=10**6):
 
 
 def _verify_difference_dense(cfg, out):
-    k = _param(cfg, "k", 12)
+    k = cfg.param("k", 12)
     steps, orbit = _orbit_from_cfg(cfg)
     pts = bx.CirclePoints.from_orbit(orbit)
     diff = bx.difference_set(pts, cell_k=k)
@@ -475,17 +456,13 @@ def _verify_difference_dense(cfg, out):
 
 def _verify_orbit_box_lower(cfg, out):
     scales = cfg.scales or (6, 14)
-    tolerance = _param(cfg, "tolerance", 0.1, float)
+    tolerance = cfg.param("tolerance", 0.1, float)
     steps, orbit = _orbit_from_cfg(cfg)
     pts = bx.CirclePoints.from_orbit(orbit)
     profile = bx.covering_profile(pts, scales[0], scales[1])
     est = bx.box_dim_estimate(profile)
     bound = Fraction(1) if steps.r == 1 else Fraction(1, steps.r + 1)
     ok = est.lower_est >= float(bound) - tolerance
-    csv_path = atomic_via(lambda p: bx.write_profile_csv(profile, p),
-                          os.path.join(out, "results.csv"))
-    svg_path = atomic_via(lambda p: bx.write_profile_svg(profile, p),
-                          os.path.join(out, "plot.svg"))
     summary = {
         "kind": "verify-theorem", "theorem": "orbit-box-lower",
         "n": orbit.n, "r": steps.r, "lambda": steps.lam,
@@ -496,7 +473,7 @@ def _verify_orbit_box_lower(cfg, out):
         "slope_global": est.slope_global,
         "pass": ok,
     }
-    return summary, [csv_path, svg_path]
+    return summary, _write_profile(out, profile)
 
 
 def _verify_trace_ratio_bounds(cfg, out):
@@ -512,8 +489,8 @@ def _verify_trace_ratio_bounds(cfg, out):
 
 
 def _verify_dimension_threshold(cfg, out):
-    ell_max = _param(cfg, "ell_max", 6)
-    lam_max = _param(cfg, "lam_max", 5)
+    ell_max = cfg.param("ell_max", 6)
+    lam_max = cfg.param("lam_max", 5)
     rows = []
     ok = True
     for ell in range(2, ell_max + 1):

@@ -188,10 +188,3 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
         sup = float(norms[arg]) / scale
         rows.append(SeparationRow(k, sup, arg, sup < 0.2))
     return SeparationReport(tuple(rows), int(top.size))
-
-
-def write_separation_csv(report: SeparationReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,sup_norm,n_argmax\n")
-        for row in report.rows:
-            fh.write(f"{row.k},{repr(row.sup_norm)},{row.n_argmax}\n")

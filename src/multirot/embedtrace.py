@@ -274,16 +274,6 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
     return SnTrace(tuple(entries), lower, upper)
 
 
-def write_trace_csv(trace: SnTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,i_n,s_n,ratio,lower_bound_ok,upper_bound_ok\n")
-        for e in trace.entries:
-            fh.write(
-                f"{e.n},{e.i_n},{e.s_n},{e.ratio.numerator}/{e.ratio.denominator},"
-                f"{str(e.lower_ok).lower()},{str(e.upper_ok).lower()}\n"
-            )
-
-
 # -- induced orbit -----------------------------------------------------------------
 
 def log_real_value(key: tuple, tables: dict) -> mpmath.mpf:

@@ -20,6 +20,8 @@ import mpmath
 from .errors import DomainError, GuardError, UsageError
 
 SQRT_PREC_BITS = 96
+MAX_CYLINDERS = 1 << 16       # ell**depth guard of cylinder enumeration
+MAX_SAMPLE_POINTS = 1 << 24   # ell**depth guard of attractor samples
 
 
 def sqrt_up(q: Fraction) -> Fraction:
@@ -298,7 +300,7 @@ class SimilarIFS:
 
     def cylinders(self, depth: int) -> list[tuple[tuple[int, ...], Similitude]]:
         """All (word, composed map) pairs at the given depth, words 1-based."""
-        if self.ell**depth > 1 << 16:
+        if self.ell**depth > MAX_CYLINDERS:
             raise GuardError("cylinder enumeration guard exceeded")
         out: list[tuple[tuple[int, ...], Similitude]] = [((), None)]
         for _ in range(depth):
@@ -402,7 +404,7 @@ def attractor_sample(ifs: SimilarIFS, depth: int, x0=None) -> list[tuple[Fractio
     The default x0 lies in the attractor, so every sample is a genuine
     attractor point; coordinates are exact when inputs are rational.
     """
-    if ifs.ell**depth > 1 << 24:
+    if ifs.ell**depth > MAX_SAMPLE_POINTS:
         raise GuardError("attractor sample guard exceeded (ell**depth > 2**24)")
     if x0 is None:
         pts = [ifs.maps[0].fixed_point()]

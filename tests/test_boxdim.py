@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_cover, pairwise_cell_differences
 from multirot import boxdim as bx
+from multirot.cli.config import ExperimentConfig
+from multirot.cli.runner import run_config
 from multirot.errors import GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
 from multirot.orbit import RandomSymbols, generate_orbit, steps_from_values
@@ -503,14 +505,14 @@ def test_gap_profile_wraparound_run():
 
 
 def test_profile_csv_and_svg(tmp_path):
-    points = pts_of(*[F(i, 64) for i in range(64)])
-    profile = bx.covering_profile(points, 2, 6)
-    csv = tmp_path / "profile.csv"
-    bx.write_profile_csv(profile, csv)
-    lines = csv.read_text().splitlines()
+    # the depth-6 sample of x/2, x/2 + 1/2 from 0 is the 64 points i/64
+    halves = ({"ratio": "1/2", "shift": "0"}, {"ratio": "1/2", "shift": "1/2"})
+    cfg = ExperimentConfig(kind="boxdim", out_dir=str(tmp_path), ifs=halves, scales=(2, 6),
+                           params={"depth": 6})
+    assert run_config(cfg).exit_code == 0
+    lines = (tmp_path / "results.csv").read_text().splitlines()
     assert lines[0] == "k,N,log2N,local_slope"
     assert len(lines) == 6
-    svg = tmp_path / "plot.svg"
-    bx.write_profile_svg(profile, svg)
-    text = svg.read_text()
+    assert lines[1] == "2,4,2.0,1.0" and lines[-1] == "6,64,6.0,"
+    text = (tmp_path / "plot.svg").read_text()
     assert text.startswith("<svg") and "slope" in text

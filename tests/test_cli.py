@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -328,6 +329,7 @@ def test_artifacts_get_umask_modes(tmp_path, capsys, umask, mode):
         os.umask(old)
     for name in ("results.csv", "orbit.orb1", "summary.json"):
         assert os.stat(tmp_path / "o" / name).st_mode & 0o777 == mode, name
+    assert os.stat(tmp_path / "o").st_mode & 0o777 == 0o777 & ~umask
 
 
 def test_main_rank_subcommand(tmp_path, capsys):
@@ -508,8 +510,8 @@ def test_failed_run_keeps_a_directory_that_existed(tmp_path, capsys):
     assert os.listdir(out) == ["keep.txt"]
 
 
-def test_failed_run_keeps_a_directory_with_artifacts(tmp_path, monkeypatch):
-    """Only empty directories go; a partial artifact stays until runs are staged."""
+def test_failed_run_leaves_no_partial_artifact(tmp_path, monkeypatch):
+    """An artifact written before the failure stays in the stage, which goes."""
     def write_then_fail(cfg, out):
         write_csv(out, "results.csv", ["x"], [[1]])
         raise UsageError("failed after writing")
@@ -517,4 +519,97 @@ def test_failed_run_keeps_a_directory_with_artifacts(tmp_path, monkeypatch):
     monkeypatch.setitem(runner._HANDLERS, "rank", write_then_fail)
     out = tmp_path / "new" / "o"
     assert run_config(ExperimentConfig(kind="rank", out_dir=str(out))).exit_code == 2
-    assert os.listdir(out) == ["results.csv"]
+    assert os.listdir(tmp_path) == []
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the config should have been refused before this call")
+
+
+SMALL_ORBIT = dict(kind="orbit", seed=1, steps=("sqrt2", "sqrt3"), strategy={"type": "random"},
+                   n=200)
+
+
+def test_failed_rerun_keeps_the_earlier_run(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(out_dir=str(out), **SMALL_ORBIT)
+    assert run_config(cfg).exit_code == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert sorted(before) == ["orbit.orb1", "results.csv", "summary.json"]
+
+    def fail(orbit, path):
+        raise UsageError("export failed")
+
+    # the rerun's results.csv (another seed) is written before its export fails
+    monkeypatch.setattr(runner, "write_orb1", fail)
+    assert run_config(dataclasses.replace(cfg, seed=2)).exit_code == 2
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch, existing):
+    out = tmp_path / "new" / "o"
+    if existing:
+        out.mkdir(parents=True)
+
+    def interrupt(orbit, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "write_orb1", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_config(ExperimentConfig(out_dir=str(out), **SMALL_ORBIT))
+    if existing:
+        assert os.listdir(out) == []
+    else:
+        assert os.listdir(tmp_path) == []
+
+
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runner, "rank_span", _unreachable)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    for out in (afile, afile / "sub"):
+        assert main(["rank", "--values", "sqrt2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: output path")
+    assert afile.read_text() == "keep" and os.listdir(tmp_path) == ["afile"]
+
+
+def test_unwritable_output_location_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(**kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(runner.tempfile, "mkdtemp", refuse)
+    assert main(["rank", "--values", "sqrt2", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write under")
+    assert os.listdir(tmp_path) == []
+
+
+# -- scale guards at validation ------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, code", [(23, 3), (-1, 2)])
+def test_difference_dense_scale_refused_before_the_orbit(tmp_path, monkeypatch, k, code):
+    """Without steps or n the recipe would first generate a 10**6-point orbit."""
+    monkeypatch.setattr(runner, "generate_orbit", _unreachable)
+    cfg = ExperimentConfig(kind="verify-theorem", out_dir=str(tmp_path / "o"),
+                           params={"theorem": "difference-dense", "k": k})
+    result = run_config(cfg)
+    assert result.exit_code == code, result.summary
+    assert os.listdir(tmp_path) == []
+
+
+SIX_MAPS = tuple({"ratio": "1/7", "shift": f"{i}/7"} for i in range(6))
+
+
+@pytest.mark.parametrize("ifs, params, message", [
+    (IFS_CANTOR, {"depth": 17, "sample_depth": 4}, "2**17 cylinders"),
+    (IFS_CANTOR, {"depth": 16, "sample_depth": 30}, "2**30 points"),
+    (SIX_MAPS, {"depth": 6}, "6**10 points"),  # the default sample depth, min(depth + 4, 12)
+])
+def test_ifs_depths_refused_before_the_ssc_check(tmp_path, monkeypatch, ifs, params, message):
+    monkeypatch.setattr(runner, "ssc_check", _unreachable)
+    monkeypatch.setattr(runner, "attractor_sample", _unreachable)
+    cfg = ExperimentConfig(kind="ifs", out_dir=str(tmp_path / "o"), ifs=tuple(ifs), params=params)
+    result = run_config(cfg)
+    assert result.exit_code == 3 and message in result.summary["error"]
+    assert os.listdir(tmp_path) == []

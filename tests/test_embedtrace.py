@@ -7,6 +7,8 @@ from math import ceil, log
 
 import pytest
 
+from multirot.cli.config import ExperimentConfig
+from multirot.cli.runner import run_config
 from multirot.embedtrace import (
     build_instance,
     coding_of_point,
@@ -17,7 +19,6 @@ from multirot.embedtrace import (
     matrix_norms,
     sn_sequence,
     threshold_c,
-    write_trace_csv,
 )
 from multirot.errors import DomainError, NotInAttractorError, UsageError
 from multirot.exact.independence import qplus_independent_mod1
@@ -126,11 +127,11 @@ def test_sn_coding_too_short():
 
 
 def test_trace_csv(tmp_path):
-    inst = cantor_pair_instance(n_max=8)
-    trace = sn_sequence(inst, 8, depth=5)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
+    """The embed handler's default pair is cantor_pair_instance's."""
+    cfg = ExperimentConfig(kind="embed", out_dir=str(tmp_path), params={"n_max": 8, "depth": 5})
+    assert run_config(cfg).exit_code == 0
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert len(lines) == 9
     assert lines[0] == "n,i_n,s_n,ratio,lower_bound_ok,upper_bound_ok"
     assert lines[1] == "1,1,1,1/3,true,true"
     assert lines[2] == "2,1,1,1/1,true,true"

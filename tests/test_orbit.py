@@ -599,6 +599,81 @@ PINNED_RUNS = {
 }
 
 
+CANTOR_MAPS = ({"ratio": "1/3", "shift": "0"}, {"ratio": "1/3", "shift": "2/3"})
+
+# sha256 of the artifacts of small runs of the other kinds and recipes,
+# recorded when each recipe still had its own CSV writer and every file was
+# renamed into place alone; staged runs and the one table writer keep them.
+PINNED_KIND_RUNS = {
+    "boxdim_ifs": (
+        dict(kind="boxdim", ifs=CANTOR_MAPS, scales=(2, 8), params={"depth": 7}),
+        {"plot.svg": "ddaef85df72539e75b31f2637de1759f4a9c704e9025467717033814ba1969f0",
+         "results.csv": "8cc319aa83814ce681b72cd684390f54f3f0b60b47ccceae7138053cd9079ee7",
+         "summary.json": "2b435b37373d2a5d92ee25866868e11017e305343e057f148695bf090719b1d4"},
+    ),
+    "boxdim_orbit": (
+        dict(kind="boxdim", seed=2, steps=("sqrt2", "sqrt3"), strategy={"type": "random"},
+             n=2000, scales=(4, 10)),
+        {"plot.svg": "562c9d376e63f9f05a50488e973889306f0ac7ac786d5ae47821165e2a893a67",
+         "results.csv": "9a98c894fef05293c834ff4869e758a9a7753f8f6fc4c43fd149b9aa6be17074",
+         "summary.json": "6b7c698b354c6d119878905f5733bf0760fad1571161f371b13205494544cae7"},
+    ),
+    "embed": (
+        dict(kind="embed", params={"n_max": 8, "depth": 5}),
+        {"results.csv": "bcbe32fd05a74f49fa8c1fd72d1d8f689430a3629bf9553e4ab54b96022c068b",
+         "summary.json": "31bc230e257de19d256d85f3ae44ef06e4666e2b651b1067b8b4b923d81b4a62"},
+    ),
+    "trace_ratio_bounds": (
+        dict(kind="verify-theorem", params={"theorem": "trace-ratio-bounds", "n_max": 8, "depth": 5}),
+        {"results.csv": "bcbe32fd05a74f49fa8c1fd72d1d8f689430a3629bf9553e4ab54b96022c068b",
+         "summary.json": "003c629730f7502dceeef03e33ed59af5b6a38db5305909503624b32ddefba6f"},
+    ),
+    "ifs": (
+        dict(kind="ifs", ifs=CANTOR_MAPS, params={"depth": 4, "sample_depth": 5}),
+        {"results.csv": "9a8f5774049e5e68be101b5dc468dbd17aef4af94b9a104bd80de6c63cd4b009",
+         "summary.json": "6afc45ab7b3497b0950b474d9004baa2917236c3d6692e62f77469c9916c1cf5"},
+    ),
+    "rank": (
+        dict(kind="rank", params={"values": ["sqrt2", "1+2*sqrt2", "1/3"], "include_one": True}),
+        {"results.csv": "b55914e9ffc385a4d21c196b789f8c81a55a23afa7937de163e9b03bf1dfdd8e",
+         "summary.json": "ef633527bdba8651b85ad16f2082ab4a8b1bdf89481b532ef92291974c8b7d6a"},
+    ),
+    "independence": (
+        dict(kind="independence", steps=("sqrt2", "sqrt3", "sqrt2+sqrt3")),
+        {"results.csv": "df20b94673cd4e62ae3cd4f3f176900e653c8da010c6008090399aa96b24202b",
+         "summary.json": "e0ee57646dfd7c26113f0d32cb93d155754c20949b99f9729e9990234eea0681"},
+    ),
+    "pigeonhole": (
+        dict(kind="diophantine", n=50, params={"betas": ["sqrt2", "sqrt3"], "m": 2}),
+        {"results.csv": "792ad8417adccf77032019b27afb73f0577f203472da885f0ee8bbca588b05f7",
+         "summary.json": "828bc56586b7095fca1f7f95b1ad1b711a04f44ad8dfff7f9be21936574299cf"},
+    ),
+    "dimension_threshold": (
+        dict(kind="verify-theorem",
+             params={"theorem": "dimension-threshold", "ell_max": 4, "lam_max": 3}),
+        {"results.csv": "6c3f704500745b1cda5162dde28ba174422e54fa582d8fe717910f44f35f163c",
+         "summary.json": "8c11aff53253a0620ec4b53ecdef336b762d8040ba565d80abb4ea33e1d1212d"},
+    ),
+    "scaled_covering": (
+        dict(kind="verify-theorem", seed=3, params={"theorem": "scaled-covering", "trials": 4,
+                                                    "max_points": 40, "p_max": 5, "k_max": 6}),
+        {"results.csv": "fe8be8f2f9745c71800def82aa079c553b0e32866039a37fc727e4829168096f",
+         "summary.json": "205741d40cc15b696b75a0125267b25b7676f87414f356c316e60a22ba045dd3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KIND_RUNS))
+def test_small_kind_artifacts_match_pinned_hashes(tmp_path, name):
+    config, hashes = PINNED_KIND_RUNS[name]
+    out = tmp_path / name
+    result = run_config(ExperimentConfig(out_dir=str(out), **config))
+    assert result.exit_code == 0, result.summary
+    assert sorted(os.listdir(out)) == sorted(hashes)
+    for artifact, digest in hashes.items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
+
+
 @pytest.mark.parametrize("chunk", [CHUNK, table.CHUNK_ROWS])
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_small_orbit_artifacts_match_pinned_hashes(tmp_path, monkeypatch, name, chunk):
