@@ -16,7 +16,8 @@ from fractions import Fraction
 from ..boxdim import DIFF_CELL_K_MAX
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
-from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude
+from ..embedtrace import MAX_TRACE_N
+from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude, power_exceeds
 from ..orbit.generate import MAX_ORBIT_N
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
@@ -33,6 +34,11 @@ KINDS = (
 )
 
 RANDOM_STRATEGIES = ("random",)
+
+# The default embedding pair: the middle-thirds set E, and F, its subset
+# from the ratio-1/9 maps of E's second level.
+_CANTOR_THIRDS = ({"ratio": "1/3", "shift": "0"}, {"ratio": "1/3", "shift": "2/3"})
+_CANTOR_NINTHS = ({"ratio": "1/9", "shift": "0"}, {"ratio": "1/9", "shift": "8/9"})
 
 
 @dataclass(frozen=True)
@@ -175,13 +181,30 @@ class ExperimentConfig:
         if self.kind == "ifs" and self.ifs is not None:
             ell = len(self.ifs)
             depth, sample_depth = self.ifs_depths()
-            # past 64 levels any ell >= 2 exceeds both guards; capping keeps the power small
-            if ell ** min(depth, 64) > MAX_CYLINDERS:
+            if power_exceeds(ell, depth, MAX_CYLINDERS):
                 raise GuardError(f"ssc depth {depth}: {ell}**{depth} cylinders exceed 2**16")
-            if ell ** min(sample_depth, 64) > MAX_SAMPLE_POINTS:
+            if power_exceeds(ell, sample_depth, MAX_SAMPLE_POINTS):
                 raise GuardError(
                     f"sample depth {sample_depth}: {ell}**{sample_depth} points exceed 2**24"
                 )
+        if self.kind == "boxdim" and self.ifs is not None:
+            ell, depth = len(self.ifs), self.param("depth", 10)
+            if power_exceeds(ell, depth, MAX_SAMPLE_POINTS):
+                raise GuardError(f"sample depth {depth}: {ell}**{depth} points exceed 2**24")
+        trace = self.kind == "verify-theorem" and self.params["theorem"] == "trace-ratio-bounds"
+        if self.kind == "embed" or trace:
+            n_max, depth = self.embed_sizes()
+            if n_max < 1 or depth < 1:
+                # an empty trace passes vacuously, and depth 0 has no cylinder words
+                raise ConfigError(f"embedding trace needs n_max >= 1 and depth >= 1, got {n_max}, {depth}")
+            if n_max > MAX_TRACE_N:
+                raise GuardError(f"trace length n_max={n_max} exceeds the guard of {MAX_TRACE_N}")
+            # each step of the trace samples F and covers E at this depth
+            e_spec, f_spec = self.embed_pair()
+            if power_exceeds(len(e_spec), depth, MAX_CYLINDERS):
+                raise GuardError(f"depth {depth}: {len(e_spec)}**{depth} cylinders of E exceed 2**16")
+            if power_exceeds(len(f_spec), depth, MAX_SAMPLE_POINTS):
+                raise GuardError(f"depth {depth}: {len(f_spec)}**{depth} points of F exceed 2**24")
 
     def param(self, name: str, default, kind=int):
         """params[name], or default, converted by kind; a value it rejects is a config error."""
@@ -195,6 +218,16 @@ class ExperimentConfig:
         """(depth, sample_depth) of the ifs kind: the SSC certificate's and the sample's."""
         depth = self.param("depth", 6)
         return depth, self.param("sample_depth", min(depth + 4, 12))
+
+    def embed_sizes(self) -> tuple[int, int]:
+        """(n_max, depth) of the embedding trace: its length and its sample and cover depth."""
+        return self.param("n_max", 24), self.param("depth", 8)
+
+    def embed_pair(self) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
+        """(E, F) specs of the embedding trace; the middle-thirds pair unless both are given."""
+        if self.ifs is None or self.ifs_f is None:
+            return _CANTOR_THIRDS, _CANTOR_NINTHS
+        return self.ifs, self.ifs_f
 
     # -- materialization ----------------------------------------------------
 

@@ -330,22 +330,12 @@ def _run_ifs(cfg, out):
     return summary, [csv]
 
 
-def _default_embed_pair():
-    e = (("1/3", "0"), ("1/3", "2/3"))
-    f = (("1/9", "0"), ("1/9", "8/9"))
-    to_spec = lambda pairs: tuple({"ratio": r, "shift": s} for r, s in pairs)
-    return to_spec(e), to_spec(f)
-
-
 def _run_embed(cfg, out):
-    e_spec, f_spec = cfg.ifs, cfg.ifs_f
-    if e_spec is None or f_spec is None:
-        e_spec, f_spec = _default_embed_pair()
+    e_spec, f_spec = cfg.embed_pair()
     e_ifs, f_ifs = parse_ifs(e_spec), parse_ifs(f_spec)
     affine = cfg.affine or {"m": "1", "b": "0"}
     m, b = Fraction(affine["m"]), Fraction(affine["b"])
-    n_max = cfg.param("n_max", 24)
-    depth = cfg.param("depth", 8)
+    n_max, depth = cfg.embed_sizes()
     inst = build_instance(e_ifs, f_ifs, m, b, coding_len=max(n_max, 8))
     trace = sn_sequence(inst, n_max, depth)
     rows = [[e.n, e.i_n, e.s_n, e.ratio, e.lower_ok, e.upper_ok] for e in trace.entries]

@@ -24,6 +24,11 @@ from .fixedpoint import fp_from_fraction
 
 K_SPACE_GUARD = 1 << 40
 DEFAULT_SCAN_BUDGET = 1 << 23
+# kxn_separation's block: values of k by points, 1 MB of uint64 in all.
+# At 10**6 points and k = 1..100 (2-core x86_64, numpy 2.4) it took 0.11-0.13 s
+# against 0.15 s for all k in one block and 0.44 s for full-length arrays.
+SEPARATION_KS = 32
+SEPARATION_ROWS = 4096
 
 
 def norm_dist(x):
@@ -171,6 +176,13 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
     `ReducedOrbit.top64()`.  A finite-n maximum can only understate the
     true supremum, so entries below 1/5 are flagged as diagnostics, never
     as refutations.
+
+    The scan folds over blocks of at most SEPARATION_KS values of k by
+    SEPARATION_ROWS points in one reused uint64 buffer (1 MB): k x mod
+    2**64 is formed in place, and the absolute value of its int64 view is
+    min(v, 2**64 - v) exactly, 2**63 included.  A block's maximum replaces
+    the running one only when strictly larger, so n_argmax is the first
+    index of the maximum.
     """
     top = np.asarray(top)
     if top.dtype != np.uint64 or top.ndim != 1:
@@ -181,10 +193,24 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
         raise UsageError("bad k range")
     rows = []
     scale = float(1 << 64)
-    for k in range(k_min, k_max + 1):
-        v = top * np.uint64(k)  # exact mod 2**64
-        norms = np.minimum(v, np.uint64(0) - v)
-        arg = int(norms.argmax())
-        sup = float(norms[arg]) / scale
-        rows.append(SeparationRow(k, sup, arg, sup < 0.2))
+    buf = np.empty((SEPARATION_KS, min(SEPARATION_ROWS, top.size)), dtype=np.uint64)
+    for k0 in range(k_min, k_max + 1, SEPARATION_KS):
+        ks = np.arange(k0, min(k0 + SEPARATION_KS, k_max + 1), dtype=np.uint64)
+        which = np.arange(ks.size)
+        best = np.zeros(ks.size, dtype=np.uint64)
+        best_arg = np.zeros(ks.size, dtype=np.int64)
+        for s in range(0, top.size, SEPARATION_ROWS):
+            block = top[s:s + SEPARATION_ROWS]
+            v = buf[:ks.size, :block.size]
+            np.multiply(ks[:, None], block, out=v)  # exact mod 2**64
+            signed = v.view(np.int64)
+            np.abs(signed, out=signed)
+            arg = v.argmax(axis=1)
+            top_v = v[which, arg]
+            better = top_v > best
+            best[better] = top_v[better]
+            best_arg[better] = arg[better] + s
+        for k, norm, arg in zip(range(k0, k0 + ks.size), best, best_arg):
+            sup = float(norm) / scale
+            rows.append(SeparationRow(k, sup, int(arg), sup < 0.2))
     return SeparationReport(tuple(rows), int(top.size))

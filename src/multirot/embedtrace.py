@@ -19,7 +19,7 @@ from math import lcm
 import mpmath
 
 from .boxdim import CirclePoints, box_dim_estimate, covering_profile
-from .errors import DomainError, NotInAttractorError, UsageError
+from .errors import DomainError, GuardError, NotInAttractorError, UsageError
 from .exact.commensurability import log_vector
 from .exact.linalg import (
     clear_denominators,
@@ -32,6 +32,12 @@ from .ifs import Ball, SimilarIFS, Similitude, orthogonal_power_period, sqrt_dow
 from .orbit.generate import Orbit, generate_orbit
 from .orbit.steps import StepSystem, build_step_system
 from .orbit.strategies import ExplicitWord
+
+# Longest s_n trace.  The trace also codes n_max levels of E, and its cost
+# grows faster than linearly: for the default middle-thirds pair (2-core
+# x86_64) n_max = 24, 128, 512, 1024 and 2048 took 1.1, 3.6, 15.5, 31 and
+# 71 s end to end.
+MAX_TRACE_N = 1024
 
 
 def matrix_norms(m, dimension: int) -> tuple[Fraction, Fraction]:
@@ -213,6 +219,8 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
     """
     if inst.e_ifs.dimension != 1:
         raise UsageError("the s_n trace is implemented for d = 1 instances")
+    if n_max > MAX_TRACE_N:
+        raise GuardError(f"trace length n_max={n_max} exceeds the guard of {MAX_TRACE_N}")
     if n_max > len(inst.coding):
         raise UsageError("coding shorter than requested trace length")
     from .ifs import check_affine_embedding

@@ -24,6 +24,14 @@ MAX_CYLINDERS = 1 << 16       # ell**depth guard of cylinder enumeration
 MAX_SAMPLE_POINTS = 1 << 24   # ell**depth guard of attractor samples
 
 
+def power_exceeds(ell: int, depth: int, limit: int) -> bool:
+    """ell**depth > limit, with the exponent capped at 64 so a huge depth costs nothing.
+
+    Past 64 levels every ell >= 2 exceeds both guards, and ell <= 1 never does.
+    """
+    return ell ** min(depth, 64) > limit
+
+
 def sqrt_up(q: Fraction) -> Fraction:
     """Upper bound for sqrt(q), within 2**-40 or so."""
     if q < 0:
@@ -300,7 +308,7 @@ class SimilarIFS:
 
     def cylinders(self, depth: int) -> list[tuple[tuple[int, ...], Similitude]]:
         """All (word, composed map) pairs at the given depth, words 1-based."""
-        if self.ell**depth > MAX_CYLINDERS:
+        if power_exceeds(self.ell, depth, MAX_CYLINDERS):
             raise GuardError("cylinder enumeration guard exceeded")
         out: list[tuple[tuple[int, ...], Similitude]] = [((), None)]
         for _ in range(depth):
@@ -404,7 +412,7 @@ def attractor_sample(ifs: SimilarIFS, depth: int, x0=None) -> list[tuple[Fractio
     The default x0 lies in the attractor, so every sample is a genuine
     attractor point; coordinates are exact when inputs are rational.
     """
-    if ifs.ell**depth > MAX_SAMPLE_POINTS:
+    if power_exceeds(ifs.ell, depth, MAX_SAMPLE_POINTS):
         raise GuardError("attractor sample guard exceeded (ell**depth > 2**24)")
     if x0 is None:
         pts = [ifs.maps[0].fixed_point()]

@@ -5,9 +5,11 @@ image exactly mod 2**B, so the accumulated error after n steps is at most
 n * 2**(-B+2) (stored on the orbit).  Orbits and reduced orbits store their
 points as (n+1, ceil(B/64)) uint64 limb arrays (`multirot.fixedpoint`).
 Word strategies and reduced orbits are summed in numpy by
-`fixedpoint.accumulate`; only the greedy strategy, whose every step depends
-on the last point, runs a per-point loop.  Completed orbits are immutable
-and safe to share.
+`fixedpoint.accumulate`.  The greedy strategy, whose every step depends on
+the last point, runs a per-point loop over Python ints; it tests the
+forbidden interval with one masked compare, scores each candidate with a
+small integer and packs each chunk of points into limbs as it completes
+it.  Completed orbits are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -25,9 +27,13 @@ from ..table import chunk_bounds
 from .steps import StepSystem
 from .strategies import GreedyAvoid, Strategy
 
-# Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits (the
-# greedy strategy also holds a Python int per point, ~50 bytes, until it packs).
+# Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits.
 MAX_ORBIT_N = 10**7
+
+
+def _p_matrix(steps: StepSystem) -> np.ndarray:
+    """The integer coordinates p_ij of the steps, shape (ell, r)."""
+    return np.asarray(steps.p, dtype=np.int64).reshape(steps.ell, steps.r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +73,7 @@ class Orbit:
     def bvec(self) -> np.ndarray:
         """b_j(k) = sum_i p_ij N_i(k), shape (n+1, r)."""
         if "bvec" not in self._cache:
-            p = np.asarray(self.steps.p, dtype=np.int64).reshape(self.ell, self.steps.r)
-            self._cache["bvec"] = self.counts() @ p
+            self._cache["bvec"] = self.counts() @ _p_matrix(self.steps)
         return self._cache["bvec"]
 
     def top64(self) -> np.ndarray:
@@ -83,12 +88,58 @@ class Orbit:
         return Fraction(self.point(k), 1 << self.bits)
 
 
-def _forbidden_bounds(strategy: GreedyAvoid, bits: int) -> tuple[int, int] | None:
+def _forbidden_window(strategy: GreedyAvoid, bits: int) -> tuple[int, int]:
+    """(lo + 1, width): c is forbidden iff (c - lo - 1) mod 2**bits < width.
+
+    The open interval (lo, hi) wraps past 0 when lo > hi; lo == hi, like no
+    interval at all, forbids nothing, so its width is 0.
+    """
     if strategy.forbidden_lo is None:
-        return None
+        return 0, 0
     lo = fp_from_fraction(strategy.forbidden_lo, bits)
     hi = fp_from_fraction(strategy.forbidden_hi, bits)
-    return lo, hi
+    if lo == hi:
+        return 0, 0
+    return lo + 1, (hi - lo - 1) % (1 << bits)
+
+
+def _greedy_avoid(
+    strategy: GreedyAvoid, fp_steps, n: int, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, points) of the greedy-avoid orbit, one Python step a point.
+
+    Each candidate scores 2 * forbidden + new_cell; the lowest score wins,
+    the first symbol among equals, so a score of 0 ends the search.  The
+    running best starts at 4, above every score, so some symbol is always
+    taken.  Each `table.chunk_bounds` block of points is packed into the
+    limb array as soon as it is complete.
+    """
+    mask = (1 << bits) - 1
+    lo1, width = _forbidden_window(strategy, bits)
+    cell_shift = bits - strategy.cell_bits
+    occupied = bytearray(1 << strategy.cell_bits)
+    occupied[0] = 1
+    candidates = tuple(enumerate(fp_steps, 1))
+    symbols = bytearray(n)
+    points = np.zeros((n + 1, fixedpoint.limbs(bits)), dtype=np.uint64)
+    x = 0
+    for s, e in chunk_bounds(n):
+        values = [0] * (e - s)
+        for k in range(e - s):
+            best = 4
+            for sym, step in candidates:
+                c = (x + step) & mask
+                score = 2 * (((c - lo1) & mask) < width) + (not occupied[c >> cell_shift])
+                if score < best:
+                    best, best_sym, best_c = score, sym, c
+                    if not score:
+                        break
+            x = best_c
+            symbols[s + k] = best_sym
+            occupied[x >> cell_shift] = 1
+            values[k] = x
+        points[s + 1:e + 1] = fixedpoint.pack(values, bits)
+    return np.frombuffer(symbols, dtype=np.uint8), points
 
 
 def generate_orbit(
@@ -115,39 +166,7 @@ def generate_orbit(
         points = fixedpoint.accumulate(omega, fp_steps, bits)
     else:
         assert isinstance(strategy, GreedyAvoid)
-        mask = (1 << bits) - 1
-        omega_arr = np.empty(n, dtype=np.uint8)
-        values = [0] * (n + 1)
-        forb = _forbidden_bounds(strategy, bits)
-        cell_shift = bits - strategy.cell_bits
-        occupied = bytearray(1 << strategy.cell_bits)
-        occupied[0] = 1
-        x = 0
-        ell = steps.ell
-        for k in range(n):
-            best = None
-            best_key = None
-            for i in range(ell):
-                cand = (x + fp_steps[i]) & mask
-                if forb is None:
-                    in_forb = 0
-                else:
-                    lo, hi = forb
-                    if lo <= hi:
-                        in_forb = 1 if lo < cand < hi else 0
-                    else:
-                        in_forb = 1 if (cand > lo or cand < hi) else 0
-                new_cell = 0 if occupied[cand >> cell_shift] else 1
-                key = (in_forb, new_cell, i)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = cand
-            x = best
-            omega_arr[k] = best_key[2] + 1
-            occupied[x >> cell_shift] = 1
-            values[k + 1] = x
-        omega = omega_arr
-        points = fixedpoint.pack(values, bits)
+        omega, points = _greedy_avoid(strategy, fp_steps, n, bits)
 
     return Orbit(
         steps=steps,
@@ -264,9 +283,8 @@ def reduced_orbit(
     steps = orbit.steps
     if steps.r == 0:
         raise UsageError("reduced orbit undefined: all steps rational (r = 0)")
-    bvec = orbit.bvec()
     if shift_index is None:
-        shift_index = int(np.abs(bvec[-1]).argmax())
+        shift_index = int(np.abs(orbit.counts()[-1] @ _p_matrix(steps)).argmax())
     if not (0 <= shift_index < steps.r):
         raise UsageError("shift_index out of range")
     beta_vals = steps.beta_values()

@@ -216,6 +216,63 @@ def reference_word_orbit(omega, step_values, bits: int) -> list[int]:
     return points
 
 
+def reference_greedy_orbit(strategy, step_values, n: int, bits: int) -> tuple[list[int], list[int]]:
+    """(omega, points) of the greedy-avoid orbit, each candidate ranked by a tuple.
+
+    This is the loop the integer-scored, chunk-packing greedy loop of
+    `generate_orbit` replaced: the key (in_forb, new_cell, i) is minimized,
+    with the forbidden test written out for plain (lo <= hi, empty when
+    lo == hi) and wrapped (lo > hi) open intervals.
+    """
+    from multirot.fixedpoint import fp_from_fraction
+
+    mask = (1 << bits) - 1
+    forb = None
+    if strategy.forbidden_lo is not None:
+        forb = (fp_from_fraction(strategy.forbidden_lo, bits),
+                fp_from_fraction(strategy.forbidden_hi, bits))
+    cell_shift = bits - strategy.cell_bits
+    occupied = bytearray(1 << strategy.cell_bits)
+    occupied[0] = 1
+    omega, points = [], [0]
+    x = 0
+    for _ in range(n):
+        best = best_key = None
+        for i, step in enumerate(step_values):
+            cand = (x + step) & mask
+            if forb is None:
+                in_forb = 0
+            else:
+                lo, hi = forb
+                if lo <= hi:
+                    in_forb = 1 if lo < cand < hi else 0
+                else:
+                    in_forb = 1 if (cand > lo or cand < hi) else 0
+            new_cell = 0 if occupied[cand >> cell_shift] else 1
+            key = (in_forb, new_cell, i)
+            if best_key is None or key < best_key:
+                best_key, best = key, cand
+        x = best
+        omega.append(best_key[2] + 1)
+        occupied[x >> cell_shift] = 1
+        points.append(x)
+    return omega, points
+
+
+def reference_separation(top, k_min: int, k_max: int) -> list[tuple[int, float, int]]:
+    """(k, max_n ||k x_n||, first argmax) for k = k_min..k_max with full-length arrays.
+
+    This is the per-k scan the blocked fold in `kxn_separation` replaced.
+    """
+    rows = []
+    for k in range(k_min, k_max + 1):
+        v = top * np.uint64(k)
+        norms = np.minimum(v, np.uint64(0) - v)
+        arg = int(norms.argmax())
+        rows.append((k, float(norms[arg]) / float(1 << 64), arg))
+    return rows
+
+
 # -- row-by-row orbit CSV ------------------------------------------------------------
 
 def reference_orbit_csv(orbit) -> bytes:

@@ -613,3 +613,53 @@ def test_ifs_depths_refused_before_the_ssc_check(tmp_path, monkeypatch, ifs, par
     result = run_config(cfg)
     assert result.exit_code == 3 and message in result.summary["error"]
     assert os.listdir(tmp_path) == []
+
+
+NINE_MAPS = tuple({"ratio": "1/10", "shift": f"{i}/9"} for i in range(9))
+
+
+@pytest.mark.parametrize("kind, params, ifs, message", [
+    ("embed", {"n_max": 1025}, {}, "n_max=1025 exceeds the guard of 1024"),
+    ("embed", {"depth": 17}, {}, "2**17 cylinders of E"),
+    ("embed", {"depth": 10**8}, {}, "2**100000000 cylinders of E"),
+    ("embed", {"depth": 8}, {"ifs": tuple(IFS_CANTOR), "ifs_f": NINE_MAPS}, "9**8 points of F"),
+    ("trace-ratio-bounds", {"n_max": 10**5}, {}, "n_max=100000 exceeds"),
+    ("trace-ratio-bounds", {"depth": 17}, {}, "2**17 cylinders of E"),
+])
+def test_embed_sizes_refused_before_the_trace(tmp_path, monkeypatch, kind, params, ifs, message):
+    monkeypatch.setattr(runner, "build_instance", _unreachable)
+    monkeypatch.setattr(runner, "sn_sequence", _unreachable)
+    if kind == "trace-ratio-bounds":
+        kind, params = "verify-theorem", {"theorem": kind, **params}
+    cfg = ExperimentConfig(kind=kind, out_dir=str(tmp_path / "o"), params=params, **ifs)
+    result = run_config(cfg)
+    assert result.exit_code == 3 and message in result.summary["error"], result.summary
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("kind", ["embed", "trace-ratio-bounds"])
+@pytest.mark.parametrize("params", [{"n_max": 0}, {"depth": 0}, {"depth": -3}])
+def test_embed_empty_trace_or_depth_is_a_config_error(tmp_path, monkeypatch, kind, params):
+    """n_max = 0 used to pass trace-ratio-bounds on an empty trace; depth <= 0 crashed."""
+    monkeypatch.setattr(runner, "build_instance", _unreachable)
+    if kind == "trace-ratio-bounds":
+        kind, params = "verify-theorem", {"theorem": kind, **params}
+    result = run_config(ExperimentConfig(kind=kind, out_dir=str(tmp_path / "o"), params=params))
+    assert result.exit_code == 2 and "n_max >= 1 and depth >= 1" in result.summary["error"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_embed_cli_trace_length_guard_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "build_instance", _unreachable)
+    assert main(["embed", "--n-max", "100000", "--out", str(tmp_path / "e")]) == 3
+    assert "guard:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_boxdim_ifs_depth_refused_before_the_sample(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "attractor_sample", _unreachable)
+    cfg = ExperimentConfig(kind="boxdim", out_dir=str(tmp_path / "o"), ifs=tuple(IFS_CANTOR),
+                           scales=(2, 6), params={"depth": 10**8})
+    result = run_config(cfg)
+    assert result.exit_code == 3 and "2**100000000 points" in result.summary["error"]
+    assert os.listdir(tmp_path) == []

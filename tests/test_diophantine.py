@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_min_k, random_basis
+from helpers import brute_force_min_k, random_basis, reference_separation
+from multirot import diophantine
 from multirot.diophantine import kxn_separation, norm_dist, pigeonhole_approx
 from multirot.errors import UsageError
 from multirot.exact.symbolic import builtin_table
@@ -120,3 +123,61 @@ def test_separation_rejects_anything_but_64_bit_points(seq):
     """Big-int lists, signed arrays and whole limb arrays are not 64-bit points."""
     with pytest.raises(UsageError):
         kxn_separation(seq, 1, 5)
+
+
+def separation_rows(report):
+    return [(row.k, row.sup_norm, row.n_argmax) for row in report.rows]
+
+
+# 2**63 is the largest norm, 1/2; 0 and its neighbours give the smallest
+UINT64_EDGES = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**62, 3 * 2**62, 2**32]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(UINT64_EDGES)),
+                       min_size=1, max_size=40),
+       k_min=st.integers(1, 6), k_span=st.integers(0, 10))
+def test_separation_matches_full_length_scan(values, k_min, k_span):
+    """Blocks of 3 values of k by 8 points: ties, edge values and block edges galore."""
+    top = np.array(values, dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diophantine, "SEPARATION_KS", 3)
+        mp.setattr(diophantine, "SEPARATION_ROWS", 8)
+        report = kxn_separation(top, k_min, k_min + k_span)
+    assert separation_rows(report) == reference_separation(top, k_min, k_min + k_span)
+    assert report.n_points == top.size
+
+
+def check_half_at(top, at, k_min):
+    """Against the full-length scan, and 1/2 at index `at` for every odd k."""
+    k_max = k_min + diophantine.SEPARATION_KS + 2  # two k blocks
+    report = kxn_separation(top, k_min, k_max)
+    assert separation_rows(report) == reference_separation(top, k_min, k_max)
+    odd = [row for row in report.rows if row.k % 2]
+    assert odd and all(row.sup_norm == 0.5 and row.n_argmax == at for row in odd)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("k_min", [1, 4])
+def test_separation_lengths_around_the_default_block(offset, k_min):
+    """Lengths block - 1, block and block + 1; the maximum, 2**63, is the last point."""
+    size = diophantine.SEPARATION_ROWS + offset
+    top = np.random.default_rng(size).integers(0, 2**64, size=size, dtype=np.uint64)
+    top[0], top[-1] = 0, 2**63
+    check_half_at(top, size - 1, k_min)
+
+
+@pytest.mark.parametrize("k_min", [1, 4])
+def test_separation_tie_goes_to_the_first_index(k_min):
+    """2**63 opens the second block and recurs at both edges of the third."""
+    rows = diophantine.SEPARATION_ROWS
+    top = np.random.default_rng(3).integers(0, 2**64, size=3 * rows, dtype=np.uint64)
+    top[[rows, 2 * rows - 1, 2 * rows]] = 2**63
+    check_half_at(top, rows, k_min)
+
+
+def test_separation_of_one_point():
+    top = np.array([2**63], dtype=np.uint64)
+    rows = separation_rows(kxn_separation(top, 1, 4))
+    assert rows == [(1, 0.5, 0), (2, 0.0, 0), (3, 0.5, 0), (4, 0.0, 0)]
+    assert rows == reference_separation(top, 1, 4)

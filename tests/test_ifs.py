@@ -10,12 +10,15 @@ import pytest
 from multirot import boxdim as bx
 from multirot.errors import DomainError, GuardError, UsageError
 from multirot.ifs import (
+    MAX_CYLINDERS,
+    MAX_SAMPLE_POINTS,
     SimilarIFS,
     Similitude,
     Turn,
     attractor_sample,
     check_affine_embedding,
     orthogonal_power_period,
+    power_exceeds,
     similarity_dimension,
     ssc_check,
 )
@@ -138,6 +141,16 @@ def test_sample_counts_and_uniqueness_under_ssc():
 def test_sample_guard():
     with pytest.raises(GuardError):
         attractor_sample(MIDDLE_THIRD, 25)
+
+
+def test_depth_guards_cap_the_exponent():
+    """A huge depth is refused without forming ell**depth (2**(10**9) would take 125 MB)."""
+    assert power_exceeds(2, 10**9, MAX_SAMPLE_POINTS) and not power_exceeds(1, 10**9, 1)
+    assert power_exceeds(2, 17, MAX_CYLINDERS) and not power_exceeds(2, 16, MAX_CYLINDERS)
+    with pytest.raises(GuardError):
+        attractor_sample(MIDDLE_THIRD, 10**9)
+    with pytest.raises(GuardError):
+        MIDDLE_THIRD.cylinders(10**9)
 
 
 def test_sample_box_estimate_near_cantor_dimension():

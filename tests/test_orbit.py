@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_basis,
+    reference_greedy_orbit,
     reference_orbit_csv,
     reference_tau_deviations,
     steps_with_negative_b,
@@ -23,7 +24,7 @@ from multirot import table
 from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
 from multirot.errors import GuardError, UsageError
-from multirot.fixedpoint import to_int
+from multirot.fixedpoint import pack, to_int
 from multirot.exact.symbolic import SymbolicReal, builtin_table
 from multirot.orbit import (
     ExplicitWord,
@@ -44,6 +45,7 @@ from multirot.orbit.io import HEADER
 
 F = Fraction
 TABLE = builtin_table()
+CHUNK = 7  # rows per chunk in the chunked-path tests, so that small orbits span several
 
 
 def steps_sqrt23(bits=128):
@@ -361,6 +363,48 @@ def test_greedy_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
+GREEDY_SYSTEMS = {
+    "sqrt": steps_sqrt23,
+    "ell3": steps_with_negative_b,
+    # rational steps land on interval ends drawn with small denominators
+    "eighths": lambda bits: steps_from_values(TABLE, [F(1, 4), F(3, 8)], bits),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bits=st.sampled_from([64, 72, 128, 256]),
+       system=st.sampled_from(sorted(GREEDY_SYSTEMS)), cell_bits=st.sampled_from([1, 4, 12, 20]),
+       interval=st.sampled_from(["empty", "plain", "wrapped", "degenerate"]),
+       n=st.integers(1, 6 * CHUNK))
+def test_greedy_matches_the_tuple_ranked_loop(data, bits, system, cell_bits, interval, n):
+    """Every symbol and every limb of the greedy orbit, across chunk edges of 7 rows."""
+    ends = st.fractions(0, 1, max_denominator=16).filter(lambda f: f < 1)
+    a, b = sorted([data.draw(ends), data.draw(ends)])
+    lo, hi = {"empty": (None, None), "plain": (a, b), "wrapped": (b, a), "degenerate": (a, a)}[interval]
+    strategy = GreedyAvoid(lo, hi, cell_bits)
+    steps = GREEDY_SYSTEMS[system](bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "CHUNK_ROWS", CHUNK)
+        orbit = generate_orbit(steps, strategy, n, bits)
+    omega, points = reference_greedy_orbit(strategy, steps.fixed_point_steps(bits), n, bits)
+    assert orbit.omega.dtype == np.uint8 and orbit.omega.tolist() == omega
+    assert np.array_equal(orbit.points, pack(points, bits))
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_greedy_takes_symbol_one_when_every_candidate_is_forbidden_and_new(monkeypatch, ell):
+    """From x_0 = 0 every step lands in (1/100, 99/100) and in a fresh 2**-20 cell."""
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    steps = steps_sqrt23() if ell == 2 else steps_with_negative_b()
+    strategy = GreedyAvoid(F(1, 100), F(99, 100), 20)
+    assert all(F(1, 100) < a.value() % 1 < F(99, 100) for a in steps.alphas)
+    orbit = generate_orbit(steps, strategy, 3 * CHUNK, 128)
+    assert int(orbit.omega[0]) == 1
+    omega, points = reference_greedy_orbit(strategy, steps.fixed_point_steps(128), 3 * CHUNK, 128)
+    assert orbit.omega.tolist() == omega
+    assert np.array_equal(orbit.points, pack(points, 128))
+
+
 # -- serialization -----------------------------------------------------------------
 
 
@@ -440,9 +484,6 @@ def test_orbit_csv_columns(tmp_path):
     assert lines[1].startswith("0,,000000")
     assert len(lines) == 5
     assert lines[2].split(",")[1] == "1"
-
-
-CHUNK = 7  # rows per chunk in the tests below, so that small orbits span several
 
 
 @pytest.mark.parametrize("bits", [64, 65, 72, 128, 256])
