@@ -50,11 +50,6 @@ class CirclePoints:
         return cls(np.array(vals, dtype=np.uint64))
 
     @classmethod
-    def from_floats(cls, xs: Iterable[float]) -> "CirclePoints":
-        arr = np.mod(np.asarray(list(xs), dtype=np.float64), 1.0)
-        return cls((arr * float(1 << 32)).astype(np.uint64) << np.uint64(32))
-
-    @classmethod
     def from_orbit(cls, orbit) -> "CirclePoints":
         return cls(orbit.top64())
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..boxdim import DIFF_CELL_K_MAX
+from ..boxdim import COVER_BITS, DIFF_CELL_K_MAX
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..embedtrace import MAX_TRACE_N
@@ -22,18 +22,57 @@ from ..orbit.generate import MAX_ORBIT_N
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
 
-KINDS = (
-    "rank",
-    "independence",
-    "orbit",
-    "boxdim",
-    "diophantine",
-    "ifs",
-    "embed",
-    "verify-theorem",
-)
+# Every recipe, by kind, with its parameters: name -> (default, least,
+# largest).  A value below least is a config error (exit 2); one above
+# largest trips a guard (exit 3).  A largest of None leaves the bound to
+# the ell**depth guards of validate or to the library.
+_TRACE = {
+    "n_max": (24, 1, MAX_TRACE_N),  # the trace's cost grows faster than its length
+    "depth": (8, 1, None),          # ell**depth cylinders of E and sample points of F
+}
+RECIPES = {
+    "rank": {"rank": {}},
+    "independence": {"independence": {}},
+    "orbit": {"orbit": {}},
+    "boxdim": {"boxdim": {"depth": (10, 0, None)}},  # the ifs route's sample depth
+    "diophantine": {
+        "pigeonhole": {"m": (1, 1, None)},  # pigeonhole_approx guards (mn)**r
+        "separation": {
+            "k_min": (1, 1, None),
+            "k_max": (100, 1, 4096),  # each k is one pass over the orbit's points
+        },
+    },
+    "ifs": {"ifs": {
+        "depth": (6, 1, None),            # the SSC certificate's cylinders
+        "sample_depth": (None, 0, None),  # None: min(depth + 4, 12)
+    }},
+    "embed": {"embed": _TRACE},
+    "verify-theorem": {
+        "scaled-covering": {
+            "trials": (1000, 1, 10**5),       # about 12 ms a trial at the default sizes
+            "max_points": (256, 1, 1 << 16),  # a trial's set size is drawn from 1..max_points
+            "p_max": (16, 1, 1024),           # a trial makes up to k_max * p_max checks
+            "k_max": (12, 1, None),           # at most COVER_BITS, the covers' precision
+        },
+        "difference-dense": {"k": (12, 0, DIFF_CELL_K_MAX)},  # a 2**k-cell bitmap
+        "orbit-box-lower": {"tolerance": (0.1, None, None)},
+        "trace-ratio-bounds": _TRACE,
+        "dimension-threshold": {
+            "ell_max": (6, 2, 256),  # the table has (ell_max - 1) * lam_max rows
+            "lam_max": (5, 1, 256),
+        },
+    },
+}
+# The params key that picks the recipe of a kind with several, and its default.
+_SELECTORS = {"verify-theorem": ("theorem", None), "diophantine": ("op", "pigeonhole")}
 
-RANDOM_STRATEGIES = ("random",)
+# The JSON type of each config key; null is refused like any other mismatch.
+_KEY_TYPES = {
+    "kind": str, "out_dir": str, "seed": int, "bits": int, "n": int,
+    "basis": list, "steps": list, "scales": list, "ifs": list, "ifs_f": list,
+    "strategy": dict, "affine": dict, "params": dict,
+}
+_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
 
 # The default embedding pair: the middle-thirds set E, and F, its subset
 # from the ratio-1/9 maps of E's second level.
@@ -87,37 +126,23 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {
-            "kind", "out_dir", "seed", "bits", "basis", "steps", "strategy",
-            "n", "scales", "ifs", "ifs_f", "affine", "params",
-        }
+        unknown = set(raw) - set(_KEY_TYPES)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(
-                kind=raw["kind"],
-                out_dir=raw.get("out_dir", "out"),
-                seed=raw.get("seed"),
-                bits=int(raw.get("bits", 128)),
-                basis=tuple(raw["basis"]) if "basis" in raw else None,
-                steps=tuple(raw["steps"]) if "steps" in raw else None,
-                strategy=raw.get("strategy"),
-                n=int(raw["n"]) if "n" in raw else None,
-                scales=tuple(int(x) for x in raw["scales"]) if "scales" in raw else None,
-                ifs=tuple(raw["ifs"]) if "ifs" in raw else None,
-                ifs_f=tuple(raw["ifs_f"]) if "ifs_f" in raw else None,
-                affine=raw.get("affine"),
-                params=raw.get("params", {}),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
+        if "kind" not in raw:
+            raise ConfigError("missing config key: 'kind'")
+        for key, value in raw.items():
+            want = _KEY_TYPES[key]
+            if not isinstance(value, want) or isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} must be {_JSON_TYPES[want]}, got {value!r}")
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         cfg = cls.from_dict(raw)
         cfg.validate()
@@ -128,57 +153,77 @@ class ExperimentConfig:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self) -> None:
-        errors = []
-        if self.kind not in KINDS:
-            errors.append(f"unknown kind {self.kind!r}")
-        if self.strategy is not None:
-            stype = self.strategy.get("type")
-            if stype in RANDOM_STRATEGIES and self.seed is None:
-                errors.append("random strategy requires a seed")
-            try:
-                parse_strategy(self.strategy)
-            except (UsageError, KeyError) as exc:
-                errors.append(f"bad strategy: {exc}")
-        if self.steps is not None:
-            table = self.basis_table()
-            for expr in self.steps:
-                try:
-                    parse_step_expression(expr, table)
-                except UsageError as exc:
-                    errors.append(f"bad step {expr!r}: {exc}")
-        if self.scales is not None and (len(self.scales) != 2 or self.scales[0] > self.scales[1]):
-            errors.append("scales must be [k_min, k_max] with k_min <= k_max")
-        for name in ("ifs", "ifs_f"):
-            spec = getattr(self, name)
-            if spec is not None:
-                try:
-                    parse_ifs(spec)
-                except (UsageError, ValueError) as exc:
-                    errors.append(f"bad {name}: {exc}")
-        if self.kind == "orbit" and self.bits % 8:
-            errors.append(f"orbit export needs bits to be a multiple of 8, got {self.bits}")
-        if self.kind == "verify-theorem" and "theorem" not in self.params:
-            errors.append("verify-theorem needs params.theorem")
-        if errors:
-            raise ConfigError("; ".join(errors))
-        # n is an orbit length everywhere but in the pigeonhole op
-        pigeonhole = self.kind == "diophantine" and self.params.get("op", "pigeonhole") == "pigeonhole"
-        if self.n is not None and self.n > MAX_ORBIT_N and not pigeonhole:
-            raise GuardError(f"orbit length n={self.n} exceeds the guard of {MAX_ORBIT_N}")
-        self._check_scales()
+    @property
+    def recipe(self):
+        """What the config runs: its kind, or the theorem or op that params pick."""
+        if self.kind not in _SELECTORS:
+            return self.kind
+        key, default = _SELECTORS[self.kind]
+        return self.params.get(key, default)
 
-    def _check_scales(self) -> None:
-        """Refuse recipe scales past the library's guards before any work runs."""
-        if self.kind == "verify-theorem" and self.params["theorem"] == "difference-dense":
-            k = self.param("k", 12)
-            if k < 0:
-                raise ConfigError(f"params.k = {k} is negative")
-            if k > DIFF_CELL_K_MAX:
-                raise GuardError(
-                    f"difference-set scale k={k} exceeds {DIFF_CELL_K_MAX} (a 2**k-cell bitmap)"
-                )
-        if self.kind == "ifs" and self.ifs is not None:
+    def validate(self) -> None:
+        """Parse every field the recipe reads, through the readers its handler calls.
+
+        This runs before any output exists.  A value that does not parse or
+        lies below its least value raises ConfigError; a size past its guard
+        raises GuardError.
+        """
+        where = "config"
+        try:
+            if self.kind not in RECIPES:
+                raise ConfigError(f"unknown kind {self.kind!r}")
+            if self.recipe not in RECIPES[self.kind]:
+                key = _SELECTORS[self.kind][0]
+                raise ConfigError(f"params.{key} = {self.recipe!r} is not one of "
+                                  f"{', '.join(RECIPES[self.kind])}")
+            if self.seed is not None and self.seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            where = "basis"
+            self.basis_table()
+            if self.steps is not None:
+                where = "steps"
+                self.step_system()
+            if self.strategy is not None:
+                where = "strategy"
+                self.strategy_object()
+                if self.strategy.get("type") == "random" and self.seed is None:
+                    raise ConfigError("random strategy requires a seed")
+            for where in ("ifs", "ifs_f"):
+                if getattr(self, where) is not None:
+                    parse_ifs(getattr(self, where))
+            where = "affine"
+            self.affine_map()
+            if self.scales is not None and not (
+                len(self.scales) == 2 and all(type(k) is int for k in self.scales)
+                and self.scales[0] <= self.scales[1]
+            ):
+                raise ConfigError("scales must be [k_min, k_max], integers with k_min <= k_max")
+            if self.kind == "orbit" and self.bits % 8:
+                raise ConfigError(f"orbit export needs bits to be a multiple of 8, got {self.bits}")
+            where = "params"
+            for name in RECIPES[self.kind][self.recipe]:
+                self.param(name)
+            self._check_recipe()
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+            prefix = {KeyError: "missing key ", ZeroDivisionError: "zero denominator: "}
+            raise ConfigError(f"bad {where}: {prefix.get(type(exc), '')}{exc}") from None
+
+    def _check_recipe(self) -> None:
+        """The recipe's own inputs, and the guards that bound two values together."""
+        recipe = self.recipe
+        if recipe == "rank":
+            self.reals("values", self.steps)
+        if recipe == "pigeonhole":
+            self.reals("betas")
+        if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
+            raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
+                              "precision of exact covers")
+        # n is an orbit length everywhere but in the pigeonhole op
+        if self.n is not None and self.n > MAX_ORBIT_N and recipe != "pigeonhole":
+            raise GuardError(f"orbit length n={self.n} exceeds the guard of {MAX_ORBIT_N}")
+        if recipe == "ifs" and self.ifs is not None:
             ell = len(self.ifs)
             depth, sample_depth = self.ifs_depths()
             if power_exceeds(ell, depth, MAX_CYLINDERS):
@@ -187,47 +232,54 @@ class ExperimentConfig:
                 raise GuardError(
                     f"sample depth {sample_depth}: {ell}**{sample_depth} points exceed 2**24"
                 )
-        if self.kind == "boxdim" and self.ifs is not None:
-            ell, depth = len(self.ifs), self.param("depth", 10)
+        if recipe == "boxdim" and self.ifs is not None:
+            ell, depth = len(self.ifs), self.param("depth")
             if power_exceeds(ell, depth, MAX_SAMPLE_POINTS):
                 raise GuardError(f"sample depth {depth}: {ell}**{depth} points exceed 2**24")
-        trace = self.kind == "verify-theorem" and self.params["theorem"] == "trace-ratio-bounds"
-        if self.kind == "embed" or trace:
-            n_max, depth = self.embed_sizes()
-            if n_max < 1 or depth < 1:
-                # an empty trace passes vacuously, and depth 0 has no cylinder words
-                raise ConfigError(f"embedding trace needs n_max >= 1 and depth >= 1, got {n_max}, {depth}")
-            if n_max > MAX_TRACE_N:
-                raise GuardError(f"trace length n_max={n_max} exceeds the guard of {MAX_TRACE_N}")
+        if recipe in ("embed", "trace-ratio-bounds"):
             # each step of the trace samples F and covers E at this depth
-            e_spec, f_spec = self.embed_pair()
-            if power_exceeds(len(e_spec), depth, MAX_CYLINDERS):
-                raise GuardError(f"depth {depth}: {len(e_spec)}**{depth} cylinders of E exceed 2**16")
-            if power_exceeds(len(f_spec), depth, MAX_SAMPLE_POINTS):
-                raise GuardError(f"depth {depth}: {len(f_spec)}**{depth} points of F exceed 2**24")
+            (e_ifs, f_ifs), depth = self.embed_pair(), self.param("depth")
+            if power_exceeds(e_ifs.ell, depth, MAX_CYLINDERS):
+                raise GuardError(f"depth {depth}: {e_ifs.ell}**{depth} cylinders of E exceed 2**16")
+            if power_exceeds(f_ifs.ell, depth, MAX_SAMPLE_POINTS):
+                raise GuardError(f"depth {depth}: {f_ifs.ell}**{depth} points of F exceed 2**24")
 
-    def param(self, name: str, default, kind=int):
-        """params[name], or default, converted by kind; a value it rejects is a config error."""
-        value = self.params.get(name, default)
+    def param(self, name: str):
+        """params[name], defaulted, parsed and bounded by its row in RECIPES."""
+        rows = RECIPES[self.kind][self.recipe]
+        default, least, largest = rows[name]
+        raw = self.params.get(name, default)
+        if raw is None and default is None:
+            return None
+        convert = float if isinstance(default, float) else int
         try:
-            return kind(value)
+            value = convert(raw)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"params.{name} = {value!r} is not a valid {kind.__name__}") from None
+            raise ConfigError(f"params.{name} = {raw!r} is not a valid {convert.__name__}") from None
+        if least is not None and value < least:
+            floors = " and ".join(f"{n} >= {row[1]}" for n, row in rows.items() if row[1] is not None)
+            raise ConfigError(f"{self.recipe} needs {floors}, got {name}={value}")
+        if largest is not None and value > largest:
+            raise GuardError(f"params.{name}={value} exceeds the guard of {largest}")
+        return value
 
     def ifs_depths(self) -> tuple[int, int]:
         """(depth, sample_depth) of the ifs kind: the SSC certificate's and the sample's."""
-        depth = self.param("depth", 6)
-        return depth, self.param("sample_depth", min(depth + 4, 12))
+        depth, sample_depth = self.param("depth"), self.param("sample_depth")
+        return depth, min(depth + 4, 12) if sample_depth is None else sample_depth
 
-    def embed_sizes(self) -> tuple[int, int]:
-        """(n_max, depth) of the embedding trace: its length and its sample and cover depth."""
-        return self.param("n_max", 24), self.param("depth", 8)
+    def embed_pair(self) -> tuple[SimilarIFS, SimilarIFS]:
+        """(E, F) of the embedding trace; the middle-thirds pair when neither is given."""
+        if (self.ifs is None) != (self.ifs_f is None):
+            raise ConfigError("the embedding trace needs both ifs and ifs_f, or neither")
+        if self.ifs is None:
+            return parse_ifs(_CANTOR_THIRDS), parse_ifs(_CANTOR_NINTHS)
+        return parse_ifs(self.ifs), parse_ifs(self.ifs_f)
 
-    def embed_pair(self) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
-        """(E, F) specs of the embedding trace; the middle-thirds pair unless both are given."""
-        if self.ifs is None or self.ifs_f is None:
-            return _CANTOR_THIRDS, _CANTOR_NINTHS
-        return self.ifs, self.ifs_f
+    def affine_map(self) -> tuple[Fraction, Fraction]:
+        """(m, b) of the embedding x -> m x + b; 1 and 0 where affine leaves them out."""
+        affine = self.affine or {}
+        return Fraction(affine.get("m", "1")), Fraction(affine.get("b", "0"))
 
     # -- materialization ----------------------------------------------------
 
@@ -250,6 +302,16 @@ class ExperimentConfig:
         if self.strategy is None:
             raise ConfigError("config has no strategy")
         return parse_strategy(self.strategy)
+
+    def reals(self, name: str, fallback=None) -> tuple[list[str], list[SymbolicReal]]:
+        """params[name], else fallback: expressions and their reals over the basis."""
+        exprs = self.params.get(name) or fallback
+        if not exprs:
+            raise ConfigError(f"{self.recipe} needs params.{name}")
+        if not isinstance(exprs, (list, tuple)):
+            raise ConfigError(f"params.{name} must be a list of expressions, got {exprs!r}")
+        table = self.basis_table()
+        return list(exprs), [parse_step_expression(e, table) for e in exprs]
 
 
 # -- step expressions ---------------------------------------------------------
@@ -323,7 +385,7 @@ def parse_ifs(specs) -> SimilarIFS:
 
 
 def parse_ifs_inline(text: str) -> tuple[dict, ...]:
-    """Inline DSL "ratio:shift[:sign]" comma-separated, to config form."""
+    """Inline DSL "ratio:shift[:sign]" comma-separated, to config form (parsed by parse_ifs)."""
     out = []
     for part in text.split(","):
         bits = part.strip().split(":")
@@ -331,6 +393,6 @@ def parse_ifs_inline(text: str) -> tuple[dict, ...]:
             raise UsageError(f"bad IFS map spec {part!r} (want ratio:shift[:sign])")
         entry = {"ratio": bits[0], "shift": bits[1]}
         if len(bits) == 3:
-            entry["sign"] = int(bits[2])
+            entry["sign"] = bits[2]
         out.append(entry)
     return tuple(out)

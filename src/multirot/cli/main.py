@@ -1,23 +1,26 @@
 """Command-line entry point.
 
 Subcommands: run <config>, verify <target>, and direct orbit / boxdim /
-rank / embed invocations whose flags mirror the config keys.  Exit codes:
-0 success, 2 validation error, 3 guarded-resource error.
+rank / embed invocations whose flags mirror the config keys.  A flag left
+out takes the config's default.  Exit codes: 0 success, 2 validation
+error, 3 guarded-resource error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 
-from ..errors import ConfigError, DomainError, GuardError, UsageError
-from .config import ExperimentConfig, parse_ifs_inline
+from ..errors import ConfigError, GuardError, UsageError
+from .config import RECIPES, ExperimentConfig, parse_ifs_inline
 from .runner import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, run_config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (required for random strategies)")
-    parser.add_argument("--bits", type=int, default=128, help="fixed-point precision (>= 64)")
+    parser.add_argument("--bits", type=int, default=None, help="fixed-point precision (>= 64)")
     parser.add_argument("--out", default="out", help="output directory")
 
 
@@ -34,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; execution is sequential")
 
     p_verify = sub.add_parser("verify", help="run a named verification recipe")
-    p_verify.add_argument("target", help="scaled-covering | difference-dense | "
-                                         "orbit-box-lower | trace-ratio-bounds | dimension-threshold")
+    p_verify.add_argument("target", help=" | ".join(RECIPES["verify-theorem"]))
     p_verify.add_argument("--params", default=None,
                           help="extra recipe parameters as a JSON object")
     p_verify.add_argument("--steps", default=None, help="comma-separated step expressions")
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_box.add_argument("--forbidden", default=None)
     p_box.add_argument("--n", type=int, default=None)
     p_box.add_argument("--ifs", default=None, help="attractor route: ratio:shift[:sign],...")
-    p_box.add_argument("--depth", type=int, default=10)
+    p_box.add_argument("--depth", type=int, default=None)
     p_box.add_argument("--kmin", type=int, required=True)
     p_box.add_argument("--kmax", type=int, required=True)
     _add_common(p_box)
@@ -77,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed = sub.add_parser("embed", help="embedding trace for a pair of 1-d IFSs")
     p_embed.add_argument("--e-ifs", default=None, help="ratio:shift[:sign],... for E")
     p_embed.add_argument("--f-ifs", default=None, help="ratio:shift[:sign],... for F")
-    p_embed.add_argument("--m", default="1")
-    p_embed.add_argument("--b", default="0")
-    p_embed.add_argument("--n-max", type=int, default=24)
-    p_embed.add_argument("--depth", type=int, default=8)
+    p_embed.add_argument("--m", default=None)
+    p_embed.add_argument("--b", default=None)
+    p_embed.add_argument("--n-max", type=int, default=None)
+    p_embed.add_argument("--depth", type=int, default=None)
     _add_common(p_embed)
 
     return parser
@@ -95,18 +97,25 @@ def _strategy_dict(args) -> dict:
     if name in ("greedy", "greedy_avoid"):
         spec = {"type": "greedy_avoid"}
         if getattr(args, "forbidden", None):
-            lo, hi = args.forbidden.split(",")
+            lo, _, hi = args.forbidden.partition(",")
             spec["lo"], spec["hi"] = lo.strip(), hi.strip()
         return spec
     raise ConfigError(f"unknown strategy {name!r}")
+
+
+def _given(**fields) -> dict:
+    """The fields a flag set; the others keep the config's defaults."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _steps(text):
+    return tuple(s.strip() for s in text.split(",")) if text else None
 
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.command == "verify":
         params = {"theorem": args.target}
         if args.params:
-            import json
-
             try:
                 extra = json.loads(args.params)
             except json.JSONDecodeError as exc:
@@ -114,101 +123,47 @@ def _config_from_args(args) -> ExperimentConfig:
             if not isinstance(extra, dict):
                 raise ConfigError("--params must be a JSON object")
             params.update(extra)
-        if args.trials is not None:
-            params["trials"] = args.trials
+        params.update(_given(trials=args.trials))
         scales = (args.kmin, args.kmax) if args.kmin is not None and args.kmax is not None else None
-        return ExperimentConfig(
-            kind="verify-theorem",
-            out_dir=args.out,
-            seed=args.seed,
-            bits=args.bits,
-            steps=tuple(s.strip() for s in args.steps.split(",")) if args.steps else None,
-            strategy=_strategy_dict(args) if (args.steps or args.strategy) else None,
-            n=args.n,
-            scales=scales,
-            params=params,
-        )
-    if args.command == "orbit":
-        return ExperimentConfig(
-            kind="orbit",
-            out_dir=args.out,
-            seed=args.seed,
-            bits=args.bits,
-            steps=tuple(s.strip() for s in args.steps.split(",")),
-            strategy=_strategy_dict(args),
-            n=args.n,
-        )
-    if args.command == "boxdim":
-        kwargs = dict(
-            kind="boxdim",
-            out_dir=args.out,
-            seed=args.seed,
-            bits=args.bits,
-            scales=(args.kmin, args.kmax),
-        )
+        strategy = _strategy_dict(args) if (args.steps or args.strategy) else None
+        fields = dict(kind="verify-theorem", steps=_steps(args.steps), strategy=strategy,
+                      n=args.n, scales=scales, params=params)
+    elif args.command == "orbit":
+        fields = dict(kind="orbit", steps=_steps(args.steps), strategy=_strategy_dict(args), n=args.n)
+    elif args.command == "boxdim":
+        fields = dict(kind="boxdim", scales=(args.kmin, args.kmax))
         if args.ifs:
-            kwargs["ifs"] = parse_ifs_inline(args.ifs)
-            kwargs["params"] = {"depth": args.depth}
+            fields.update(ifs=parse_ifs_inline(args.ifs), params=_given(depth=args.depth))
+        elif args.steps and args.n is not None:
+            fields.update(steps=_steps(args.steps), strategy=_strategy_dict(args), n=args.n)
         else:
-            if not args.steps or args.n is None:
-                raise ConfigError("boxdim needs --ifs or (--steps and --n)")
-            kwargs["steps"] = tuple(s.strip() for s in args.steps.split(","))
-            kwargs["strategy"] = _strategy_dict(args)
-            kwargs["n"] = args.n
-        return ExperimentConfig(**kwargs)
-    if args.command == "rank":
-        return ExperimentConfig(
-            kind="rank",
-            out_dir=args.out,
-            seed=args.seed,
-            bits=args.bits,
-            params={
-                "values": [s.strip() for s in args.values.split(",")],
-                "include_one": bool(args.include_one),
-            },
-        )
-    if args.command == "embed":
-        cfg_kwargs = dict(
-            kind="embed",
-            out_dir=args.out,
-            seed=args.seed,
-            bits=args.bits,
-            affine={"m": args.m, "b": args.b},
-            params={"n_max": args.n_max, "depth": args.depth},
-        )
-        if args.e_ifs:
-            cfg_kwargs["ifs"] = parse_ifs_inline(args.e_ifs)
-        if args.f_ifs:
-            cfg_kwargs["ifs_f"] = parse_ifs_inline(args.f_ifs)
-        return ExperimentConfig(**cfg_kwargs)
-    raise ConfigError(f"unhandled command {args.command!r}")
+            raise ConfigError("boxdim needs --ifs or (--steps and --n)")
+    elif args.command == "rank":
+        fields = dict(kind="rank", params={"values": [s.strip() for s in args.values.split(",")],
+                                           "include_one": bool(args.include_one)})
+    else:  # embed
+        fields = dict(kind="embed", affine=_given(m=args.m, b=args.b) or None,
+                      params=_given(n_max=args.n_max, depth=args.depth),
+                      ifs=parse_ifs_inline(args.e_ifs) if args.e_ifs else None,
+                      ifs_f=parse_ifs_inline(args.f_ifs) if args.f_ifs else None)
+    return ExperimentConfig(**_given(out_dir=args.out, seed=args.seed, bits=args.bits, **fields))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             cfg = ExperimentConfig.load(args.config)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.bits is not None:
-                overrides["bits"] = args.bits
-            if overrides:
-                import dataclasses
-
-                cfg = dataclasses.replace(cfg, **overrides)
-            result = run_config(cfg, args.out)
+            cfg = dataclasses.replace(cfg, **_given(seed=args.seed, bits=args.bits))
         else:
             cfg = _config_from_args(args)
-            result = run_config(cfg)
-    except (ConfigError, UsageError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    result = run_config(cfg, args.out)
     for key in sorted(result.summary):
         print(f"{key} = {result.summary[key]}")
     if result.exit_code != EXIT_OK and "error" in result.summary:

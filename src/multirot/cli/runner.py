@@ -12,6 +12,7 @@ in the output depends on any parallelism setting.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -24,25 +25,20 @@ import numpy as np
 from .. import boxdim as bx
 from ..diophantine import kxn_separation, pigeonhole_approx
 from ..embedtrace import build_instance, induced_step_system, sn_sequence, threshold_c
-from ..errors import ConfigError, GuardError, UsageError
+from ..errors import ConfigError, DomainError, GuardError, UsageError
 from ..exact.independence import q_independent_mod1, qplus_independent_mod1, rank_span
 from ..ifs import attractor_sample, similarity_dimension, ssc_check
 from ..orbit.generate import generate_orbit, reduced_orbit, tau_discrepancy
 from ..orbit.io import write_orb1, write_orbit_csv
 from ..svgplot import loglog_svg
-from .config import ExperimentConfig, parse_ifs, parse_step_expression
+from .config import ExperimentConfig, parse_ifs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
-VERIFY_TARGETS = (
-    "scaled-covering",      # exact covering inequality on random sets
-    "difference-dense",     # two-step orbit: difference set fills the circle or an interval shows
-    "orbit-box-lower",      # lower box estimate against the 1/(r+1) bound
-    "trace-ratio-bounds",   # embedding trace ratios inside their two-sided interval
-    "dimension-threshold",  # the piecewise threshold table
-)
+# The orbit of the verify recipes, field by field, where the config leaves one out.
+VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
 
 
 def atomic_write(path: str, data: str | bytes) -> None:
@@ -131,21 +127,23 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     The artifacts move into the output directory, made if missing, only
     after the handler and the summary have both succeeded.  A failed or
     interrupted run leaves no new directory and no artifact behind, and a
-    directory that existed before the run keeps its contents.
+    directory that existed before the run keeps its contents.  A refused
+    input is exit 2 and a guarded size exit 3, each with the reason as the
+    summary's error.
     """
     out = out_dir or cfg.out_dir
     stage = None
     try:
         cfg.validate()
         stage = _make_stage(out)
-        summary, staged = _HANDLERS[cfg.kind](cfg, stage)
+        summary, staged = _HANDLERS[cfg.recipe](cfg, stage)
         summary = _jsonable(summary)
         staged.append(write_summary(stage, summary))
         os.makedirs(out, exist_ok=True)
         artifacts = [os.path.join(out, os.path.basename(path)) for path in staged]
         for src, dst in zip(staged, artifacts):
             os.replace(src, dst)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, DomainError) as exc:
         return RunResult(EXIT_VALIDATION, {"error": str(exc)}, [])
     except GuardError as exc:
         return RunResult(EXIT_GUARD, {"error": str(exc)}, [])
@@ -158,11 +156,7 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
 # -- kind handlers ---------------------------------------------------------------
 
 def _run_rank(cfg, out):
-    table = cfg.basis_table()
-    exprs = cfg.params.get("values") or list(cfg.steps or ())
-    if not exprs:
-        raise ConfigError("rank needs params.values or steps")
-    reals = [parse_step_expression(e, table) for e in exprs]
+    exprs, reals = cfg.reals("values", cfg.steps)
     include_one = bool(cfg.params.get("include_one", False))
     rank = rank_span(reals, include_one)
     rows = [[i, e] for i, e in enumerate(exprs)]
@@ -197,11 +191,18 @@ def _witness_str(w):
     return ";".join(f"{t.numerator}/{t.denominator}" for t in w)
 
 
-def _run_orbit(cfg, out):
-    steps = cfg.step_system()
+def _orbit(cfg, fill=None):
+    """(steps, orbit) of the config's orbit fields; fill supplies those it leaves out."""
+    if fill:
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in fill.items() if getattr(cfg, k) is None})
     if cfg.n is None:
-        raise ConfigError("orbit needs n")
-    orbit = generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
+        raise ConfigError(f"{cfg.recipe} needs n")
+    steps = cfg.step_system()
+    return steps, generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
+
+
+def _run_orbit(cfg, out):
+    steps, orbit = _orbit(cfg)
     csv_path = atomic_via(lambda p: write_orbit_csv(orbit, p), os.path.join(out, "results.csv"))
     orb_path = atomic_via(lambda p: write_orb1(orbit, p), os.path.join(out, "orbit.orb1"))
     summary = {
@@ -223,16 +224,13 @@ def _run_orbit(cfg, out):
 
 def _points_for_boxdim(cfg):
     if cfg.ifs is not None:
-        depth = cfg.param("depth", 10)
+        depth = cfg.param("depth")
         ifs = parse_ifs(cfg.ifs)
         sample = attractor_sample(ifs, depth)
         return bx.CirclePoints.from_unit_reals([p[0] for p in sample]), {
             "source": "ifs", "depth": depth, "points": len(sample),
         }
-    steps = cfg.step_system()
-    if cfg.n is None:
-        raise ConfigError("boxdim needs n (orbit route) or an ifs")
-    orbit = generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
+    orbit = _orbit(cfg)[1]
     return bx.CirclePoints.from_orbit(orbit), {
         "source": "orbit", "n": orbit.n, "strategy": orbit.strategy_descriptor,
     }
@@ -269,41 +267,34 @@ def _write_profile(out, profile):
     return [csv, svg]
 
 
-def _run_diophantine(cfg, out):
-    op = cfg.params.get("op", "pigeonhole")
-    if op == "pigeonhole":
-        table = cfg.basis_table()
-        exprs = cfg.params.get("betas")
-        if not exprs:
-            raise ConfigError("pigeonhole needs params.betas")
-        betas = [parse_step_expression(e, table).value() for e in exprs]
-        m = cfg.param("m", 1)
-        if cfg.n is None:
-            raise ConfigError("pigeonhole needs n")
-        res = pigeonhole_approx(betas, m, cfg.n, cfg.bits)
-        rows = [[j, res.achieved[j], res.bound()] for j in range(res.r)]
-        csv = write_csv(out, "results.csv", ["j", "achieved", "bound"], rows)
-        summary = {
-            "kind": "diophantine", "op": op, "k": res.k, "m": m, "n": cfg.n,
-            "r": res.r, "path": res.path, "minimal": res.minimal,
-            "k_space": res.k_space(),
-        }
-        return summary, [csv]
-    if op == "separation":
-        steps = cfg.step_system()
-        orbit = generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
-        red = reduced_orbit(orbit)
-        report = kxn_separation(red.top64(), cfg.param("k_min", 1),
-                                cfg.param("k_max", 100))
-        rows = [[row.k, row.sup_norm, row.n_argmax] for row in report.rows]
-        csv = write_csv(out, "results.csv", ["k", "sup_norm", "n_argmax"], rows)
-        summary = {
-            "kind": "diophantine", "op": op, "n": orbit.n,
-            "flagged_below_one_fifth": report.flagged(),
-            "shift_index": red.shift_index, "shift_amount": red.shift_amount,
-        }
-        return summary, [csv]
-    raise ConfigError(f"unknown diophantine op {op!r}")
+def _run_pigeonhole(cfg, out):
+    betas = [x.value() for x in cfg.reals("betas")[1]]
+    m = cfg.param("m")
+    if cfg.n is None:
+        raise ConfigError("pigeonhole needs n")
+    res = pigeonhole_approx(betas, m, cfg.n, cfg.bits)
+    rows = [[j, res.achieved[j], res.bound()] for j in range(res.r)]
+    csv = write_csv(out, "results.csv", ["j", "achieved", "bound"], rows)
+    summary = {
+        "kind": "diophantine", "op": "pigeonhole", "k": res.k, "m": m, "n": cfg.n,
+        "r": res.r, "path": res.path, "minimal": res.minimal,
+        "k_space": res.k_space(),
+    }
+    return summary, [csv]
+
+
+def _run_separation(cfg, out):
+    orbit = _orbit(cfg)[1]
+    red = reduced_orbit(orbit)
+    report = kxn_separation(red.top64(), cfg.param("k_min"), cfg.param("k_max"))
+    rows = [[row.k, row.sup_norm, row.n_argmax] for row in report.rows]
+    csv = write_csv(out, "results.csv", ["k", "sup_norm", "n_argmax"], rows)
+    summary = {
+        "kind": "diophantine", "op": "separation", "n": orbit.n,
+        "flagged_below_one_fifth": report.flagged(),
+        "shift_index": red.shift_index, "shift_amount": red.shift_amount,
+    }
+    return summary, [csv]
 
 
 def _run_ifs(cfg, out):
@@ -331,11 +322,9 @@ def _run_ifs(cfg, out):
 
 
 def _run_embed(cfg, out):
-    e_spec, f_spec = cfg.embed_pair()
-    e_ifs, f_ifs = parse_ifs(e_spec), parse_ifs(f_spec)
-    affine = cfg.affine or {"m": "1", "b": "0"}
-    m, b = Fraction(affine["m"]), Fraction(affine["b"])
-    n_max, depth = cfg.embed_sizes()
+    e_ifs, f_ifs = cfg.embed_pair()
+    m, b = cfg.affine_map()
+    n_max, depth = cfg.param("n_max"), cfg.param("depth")
     inst = build_instance(e_ifs, f_ifs, m, b, coding_len=max(n_max, 8))
     trace = sn_sequence(inst, n_max, depth)
     rows = [[e.n, e.i_n, e.s_n, e.ratio, e.lower_ok, e.upper_ok] for e in trace.entries]
@@ -363,19 +352,9 @@ def _run_embed(cfg, out):
 
 # -- verify recipes ----------------------------------------------------------------
 
-def verify_theorem(name: str, cfg: ExperimentConfig, out: str):
-    if name not in VERIFY_TARGETS:
-        raise ConfigError(
-            f"unknown verify target {name!r}; expected one of {', '.join(VERIFY_TARGETS)}"
-        )
-    return _VERIFIERS[name](cfg, out)
-
-
 def _verify_scaled_covering(cfg, out):
-    trials = cfg.param("trials", 1000)
-    max_points = cfg.param("max_points", 256)
-    p_max = cfg.param("p_max", 16)
-    k_max = cfg.param("k_max", 12)
+    trials, max_points = cfg.param("trials"), cfg.param("max_points")
+    p_max, k_max = cfg.param("p_max"), cfg.param("k_max")
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     violations = 0
     checked = 0
@@ -399,28 +378,9 @@ def _verify_scaled_covering(cfg, out):
     return summary, [csv]
 
 
-def _orbit_from_cfg(cfg, default_steps=("sqrt2", "sqrt3"), default_n=10**6):
-    wcfg = cfg
-    if cfg.steps is None:
-        wcfg = ExperimentConfig(
-            kind=cfg.kind, out_dir=cfg.out_dir, seed=cfg.seed, bits=cfg.bits,
-            steps=default_steps, strategy=cfg.strategy or {"type": "random"},
-            n=cfg.n or default_n, params=cfg.params,
-        )
-    steps = wcfg.step_system()
-    strategy = wcfg.strategy_object() if wcfg.strategy else None
-    if strategy is None:
-        from ..orbit.strategies import RandomSymbols
-
-        strategy = RandomSymbols()
-    seed = wcfg.seed if wcfg.seed is not None else 0
-    n = wcfg.n or default_n
-    return steps, generate_orbit(steps, strategy, n, wcfg.bits, seed)
-
-
 def _verify_difference_dense(cfg, out):
-    k = cfg.param("k", 12)
-    steps, orbit = _orbit_from_cfg(cfg)
+    k = cfg.param("k")
+    orbit = _orbit(cfg, VERIFY_ORBIT)[1]
     pts = bx.CirclePoints.from_orbit(orbit)
     diff = bx.difference_set(pts, cell_k=k)
     total = 1 << k
@@ -446,8 +406,8 @@ def _verify_difference_dense(cfg, out):
 
 def _verify_orbit_box_lower(cfg, out):
     scales = cfg.scales or (6, 14)
-    tolerance = cfg.param("tolerance", 0.1, float)
-    steps, orbit = _orbit_from_cfg(cfg)
+    tolerance = cfg.param("tolerance")
+    steps, orbit = _orbit(cfg, VERIFY_ORBIT)
     pts = bx.CirclePoints.from_orbit(orbit)
     profile = bx.covering_profile(pts, scales[0], scales[1])
     est = bx.box_dim_estimate(profile)
@@ -479,8 +439,7 @@ def _verify_trace_ratio_bounds(cfg, out):
 
 
 def _verify_dimension_threshold(cfg, out):
-    ell_max = cfg.param("ell_max", 6)
-    lam_max = cfg.param("lam_max", 5)
+    ell_max, lam_max = cfg.param("ell_max"), cfg.param("lam_max")
     rows = []
     ok = True
     for ell in range(2, ell_max + 1):
@@ -500,23 +459,16 @@ def _verify_dimension_threshold(cfg, out):
     return summary, [csv]
 
 
-def _run_verify(cfg, out):
-    name = cfg.params.get("theorem")
-    return verify_theorem(name, cfg, out)
-
-
+# One handler per recipe: each kind, and each theorem and op of config.RECIPES.
 _HANDLERS = {
     "rank": _run_rank,
     "independence": _run_independence,
     "orbit": _run_orbit,
     "boxdim": _run_boxdim,
-    "diophantine": _run_diophantine,
+    "pigeonhole": _run_pigeonhole,
+    "separation": _run_separation,
     "ifs": _run_ifs,
     "embed": _run_embed,
-    "verify-theorem": _run_verify,
-}
-
-_VERIFIERS = {
     "scaled-covering": _verify_scaled_covering,
     "difference-dense": _verify_difference_dense,
     "orbit-box-lower": _verify_orbit_box_lower,

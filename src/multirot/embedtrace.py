@@ -149,6 +149,11 @@ def build_instance(
 
     if e_ifs.dimension != f_ifs.dimension:
         raise UsageError("E and F must share a dimension")
+    # a one-point E has no separation gap for the trace to reach, and a
+    # one-point F has no diameter to take ratios against
+    for name, ifs in (("E", e_ifs), ("F", f_ifs)):
+        if ifs.hull().diameter == 0:
+            raise DomainError(f"{name} is a single point (its hull has diameter 0)")
     cert = ssc_check(e_ifs, ssc_depth)
     if not cert.certified:
         raise UsageError("E must be SSC-certified for unique codings")

@@ -21,7 +21,7 @@ class FactorLimitError(DomainError):
     """A rational carries a prime factor beyond the trial-division bound."""
 
 
-class NotInAttractorError(ValueError):
+class NotInAttractorError(DomainError):
     """A point could not be coded: it escapes every cylinder at some depth."""
 
     def __init__(self, depth: int, message: str | None = None):

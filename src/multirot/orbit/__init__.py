@@ -18,7 +18,6 @@ from .strategies import (
     RandomSymbols,
     Strategy,
     parse_strategy,
-    strategy_to_dict,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "RandomSymbols",
     "GreedyAvoid",
     "parse_strategy",
-    "strategy_to_dict",
     "write_orb1",
     "read_orb1",
     "write_orbit_csv",

@@ -66,9 +66,6 @@ class StepSystem:
     def beta_values(self) -> tuple[Fraction, ...]:
         return tuple(b.value() for b in self.betas)
 
-    def q_denominator_lcm(self) -> int:
-        return lcm(*(qi.denominator for qi in self.q)) if self.q else 1
-
 
 def build_step_system(alphas: list[SymbolicReal], bits: int = 128) -> StepSystem:
     """Compute the integer expansion for a step family (ell >= 1)."""

@@ -107,18 +107,3 @@ def parse_strategy(spec: dict) -> Strategy:
         return GreedyAvoid(Fraction(str(lo)), Fraction(str(hi)), int(spec.get("cell_bits", 20)))
     raise UsageError(f"unknown strategy type {kind!r}")
 
-
-def strategy_to_dict(s: Strategy) -> dict:
-    if isinstance(s, ExplicitWord):
-        return {"type": "word", "word": "".join(map(str, s.word))}
-    if isinstance(s, PeriodicWord):
-        return {"type": "periodic", "word": "".join(map(str, s.word))}
-    if isinstance(s, RandomSymbols):
-        return {"type": "random"}
-    if isinstance(s, GreedyAvoid):
-        out = {"type": "greedy_avoid", "cell_bits": s.cell_bits}
-        if s.forbidden_lo is not None:
-            out["lo"] = str(s.forbidden_lo)
-            out["hi"] = str(s.forbidden_hi)
-        return out
-    raise UsageError(f"unknown strategy {s!r}")

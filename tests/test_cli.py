@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multirot.cli.config import ExperimentConfig, parse_step_expression
+from multirot.cli.config import RECIPES, ExperimentConfig, parse_step_expression
 from multirot.cli.main import main
 from multirot.cli import runner
 from multirot.cli.runner import run_config, write_csv
@@ -663,3 +669,238 @@ def test_boxdim_ifs_depth_refused_before_the_sample(tmp_path, monkeypatch):
     result = run_config(cfg)
     assert result.exit_code == 3 and "2**100000000 points" in result.summary["error"]
     assert os.listdir(tmp_path) == []
+
+
+# -- refused inputs: exit 2 or 3 with a message, never a traceback ------------------------
+
+
+def _verify(theorem, **params):
+    return {"kind": "verify-theorem", "params": {"theorem": theorem, **params}}
+
+
+SEPARATION = {"kind": "diophantine", **ORBIT_PART, "params": {"op": "separation"}}
+
+
+@pytest.mark.parametrize("config, code", [
+    (_verify("scaled-covering", trials=10**8), 3),
+    (_verify("scaled-covering", max_points=10**9), 3),
+    (_verify("scaled-covering", p_max=10**6), 3),
+    (_verify("scaled-covering", k_max=61), 2),
+    (_verify("scaled-covering", k_max=0), 2),
+    (_verify("scaled-covering", max_points=0), 2),
+    (_verify("scaled-covering", trials=0), 2),
+    (_verify("scaled-covering", p_max=0), 2),
+    (_verify("dimension-threshold", ell_max=10**8), 3),
+    (_verify("dimension-threshold", lam_max=10**8), 3),
+    (_verify("dimension-threshold", ell_max=1), 2),
+    (_verify("dimension-threshold", lam_max=0), 2),
+    ({**SEPARATION, "params": {"op": "separation", "k_max": 10**9}}, 3),
+    (_verify("nope"), 2),
+    ({**SEPARATION, "params": {"op": "nope"}}, 2),
+    ({"kind": "embed", "ifs": IFS_CANTOR}, 2),
+    ({"kind": "embed", "ifs_f": IFS_CANTOR}, 2),
+    ({**ORBIT_CONFIG, "seed": "1"}, 2),
+    ({**ORBIT_CONFIG, "seed": 1.5}, 2),
+    ({**ORBIT_CONFIG, "n": 20.0}, 2),
+    ({**ORBIT_CONFIG, "bits": "128"}, 2),
+    ({"kind": "rank", "params": [1]}, 2),
+    ({**ORBIT_CONFIG, "strategy": "random"}, 2),
+    ({"kind": "embed", "affine": ["1", "0"]}, 2),
+])
+def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
+    monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
+    path = write_config(tmp_path, {**config, "out_dir": str(tmp_path / "o")})
+    assert main(["run", path]) == code
+    assert capsys.readouterr().err.startswith("guard:" if code == 3 else "error:")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--steps", "sqrt2,sqrt3", "--strategy", "greedy", "--forbidden", "1", "--n", "10"],
+    ["orbit", "--steps", "sqrt2,sqrt3", "--strategy", "greedy", "--forbidden", "a,b", "--n", "10"],
+    ["orbit", "--steps", "sqrt2,sqrt3", "--word", "12x", "--n", "3"],
+    ["orbit", "--steps", "1/0,sqrt2", "--seed", "1", "--n", "3"],
+    ["boxdim", "--ifs", "1/3:0:x", "--kmin", "2", "--kmax", "6"],
+    ["rank", "--values", "sqrt2,1/0"],
+    ["embed", "--e-ifs", "1/3:0,1/4:3/4"],
+])
+def test_refused_flags_exit_2_before_any_stage(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_on_a_directory_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21]")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--e-ifs", "1/3:0", "--f-ifs", "1/9:0,1/9:8/9"], "E is a single point"),
+    (["--e-ifs", "1/3:0,1/3:2/3", "--f-ifs", "1/9:0"], "F is a single point"),
+    (["--b", "1/2"], "not in attractor"),
+    (["--m", "0"], "M must be invertible"),
+])
+def test_degenerate_embedding_exits_2(tmp_path, capsys, argv, message):
+    """A one-map E used to loop forever; the others ended in a traceback."""
+    out = tmp_path / "o"
+    assert main(["embed", *argv, "--n-max", "4", "--depth", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_recipe_has_one_handler():
+    assert set(runner._HANDLERS) == {recipe for recipes in RECIPES.values() for recipe in recipes}
+
+
+def test_readme_states_each_recipe_parameter_as_the_table_does():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for recipes in RECIPES.values():
+        for recipe, rows in recipes.items():
+            for name, row in rows.items():
+                cells = " | ".join("-" if v is None else str(v) for v in row)
+                line = f"| `{recipe}` | `{name}` | {cells} |"
+                assert line in readme, line
+
+
+# -- fuzz: every config and flag set ends in exit 0, 2 or 3 ------------------------------
+
+
+def mostly(good, bad):
+    """good in about nine draws of ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else bad)
+
+
+JUNK = st.sampled_from(["x", None, [1], {}, 2.5, True, -1])
+# sizes stay tiny, or lie below their least value or far past their guard
+SIZE = mostly(st.integers(1, 3), st.one_of(st.integers(-1, 0), st.just(10**9), JUNK))
+STEPS = st.lists(st.sampled_from(["sqrt2", "sqrt3", "1+2*sqrt2", "1/2"]), min_size=2, max_size=2)
+BAD_EXPRS = st.lists(st.sampled_from(["sqrt2", "1/0", "x", "", 5]), max_size=2)
+MAP = st.fixed_dictionaries(
+    {"ratio": st.sampled_from(["1/3", "1/9", "1/2", "2", "0", "x"]),
+     "shift": st.sampled_from(["0", "2/3", "8/9", "x"])},
+    optional={"sign": st.sampled_from([1, -1, 2, "x"])},
+)
+NINTHS = [{"ratio": "1/9", "shift": "0"}, {"ratio": "1/9", "shift": "8/9"}]
+# each field: its value in a run that works, and the values that may replace it
+FIELDS = {
+    "seed": (1, st.one_of(st.integers(-1, 3), JUNK)),
+    "bits": (128, st.sampled_from([64, 100, 0, "x"])),
+    "basis": (None, st.sampled_from([[{"label": "a", "value": "x"}], [{"value": "1"}], [5], "x"])),
+    "steps": (["sqrt2", "sqrt3"], st.one_of(STEPS, BAD_EXPRS, JUNK)),
+    "strategy": ({"type": "random"}, st.sampled_from([
+        {"type": "word", "word": "1212"}, {"type": "periodic", "word": "12"},
+        {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}, {"type": "greedy_avoid"},
+        {"type": "word", "word": "12x"}, {"type": "nope"}, {}, "random"])),
+    "scales": ([2, 6], st.one_of(st.lists(st.integers(-1, 8), max_size=3), JUNK)),
+    "ifs": (IFS_CANTOR, st.one_of(st.lists(MAP, max_size=3), JUNK)),
+    "ifs_f": (NINTHS, st.one_of(st.lists(MAP, max_size=3), JUNK)),
+    "affine": (None, st.one_of(st.fixed_dictionaries({}, optional={
+        "m": st.sampled_from(["1", "1/3", "0", "x", None]),
+        "b": st.sampled_from(["0", "2/3", "1/2", "x"])}), JUNK)),
+    # always given: the verify recipes' own orbit has 10**6 points
+    "n": (50, st.one_of(st.integers(-1, 200), JUNK)),
+}
+
+
+@st.composite
+def configs(draw):
+    kind = draw(mostly(st.sampled_from(list(RECIPES)), st.just("nope")))
+    recipe, params = kind, {}
+    if kind in ("verify-theorem", "diophantine"):
+        recipe = draw(mostly(st.sampled_from(list(RECIPES[kind])), st.just("nope")))
+        params = {"theorem" if kind == "verify-theorem" else "op": recipe}
+    for name in RECIPES.get(kind, {}).get(recipe, {}):  # every size given, so none defaults
+        params[name] = draw(SIZE)
+    for name in ("values", "betas"):
+        params[name] = draw(mostly(st.just(["sqrt2", "1/3"]), st.one_of(BAD_EXPRS, JUNK)))
+    raw = {"kind": kind, "params": params}
+    for key, (good, other) in FIELDS.items():
+        pick = draw(st.integers(0, 7))  # keep, drop or replace
+        if pick < 5 and good is not None:
+            raw[key] = good
+        elif pick == 7 or key == "n":
+            raw[key] = draw(other)
+    return draw(mostly(st.just(raw), JUNK))
+
+
+# each flag: a value that works, and the values that may replace it
+FLAGS = {
+    "--steps": ("sqrt2,sqrt3", ["sqrt2", "1/2,1/2", "1/0,sqrt2", "x", ""]),
+    "--strategy": ("random", ["greedy", "nope"]),
+    "--word": ("12" * 25, ["12x", "3"]),
+    "--forbidden": ("0.4,0.6", ["1", "a,b"]),
+    "--seed": ("1", ["-1", "0"]),
+    "--bits": ("128", ["64", "100", "0"]),
+    "--ifs": ("1/3:0,1/3:2/3", ["1/3:0:x", "1/3:0", "2:0", "x"]),
+    "--e-ifs": ("1/3:0,1/3:2/3", ["1/3:0", "1/2:0,1/2:1/2"]),
+    "--f-ifs": ("1/9:0,1/9:8/9", ["1/9:0", "x"]),
+    "--kmin": ("2", ["-1", "6"]),
+    "--kmax": ("6", ["4", "70"]),
+    "--values": ("sqrt2,1+2*sqrt2", ["sqrt2,1/0", "x"]),
+    "--m": ("1", ["0", "1/3", "x"]),
+    "--b": ("0", ["1/2", "2/3", "x"]),
+    "--trials": ("2", ["0", "1000000000"]),
+    "--n": ("50", ["-1", "0", "1", "200"]),
+    "--depth": ("3", ["-1", "0"]),
+    "--n-max": ("3", ["-1", "1"]),
+}
+# per subcommand: the flags always given (the required ones and the sizes), and the others
+SUBCOMMANDS = {
+    "verify": (["--n"], ["--steps", "--strategy", "--forbidden", "--seed", "--bits", "--kmin",
+                         "--kmax", "--trials"]),
+    "orbit": (["--steps", "--n", "--seed"], ["--strategy", "--word", "--forbidden", "--bits"]),
+    "boxdim": (["--kmin", "--kmax", "--depth"], ["--steps", "--strategy", "--word", "--forbidden",
+                                                 "--n", "--ifs", "--seed", "--bits"]),
+    "rank": (["--values"], ["--bits"]),
+    "embed": (["--n-max", "--depth"], ["--e-ifs", "--f-ifs", "--m", "--b", "--bits"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    given_flags, optional = SUBCOMMANDS[command]
+    argv = [command]
+    if command == "verify":
+        theorem = draw(mostly(st.sampled_from(list(RECIPES["verify-theorem"])), st.just("nope")))
+        rows = RECIPES["verify-theorem"].get(theorem, {})
+        params = json.dumps({name: draw(SIZE) for name in rows})
+        argv += [theorem, "--params", draw(mostly(st.just(params), st.sampled_from(["[1]", "{"])))]
+    for flag in given_flags + draw(st.lists(st.sampled_from(optional), unique=True)):
+        good, other = FLAGS[flag]
+        argv += [flag, draw(mostly(st.just(good), st.sampled_from(other)))]
+    return argv
+
+
+def _check_fuzzed_run(argv_for_out):
+    """Run main on the argv made for a fresh directory; a failed run leaves no output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = argv_for_out(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert not os.path.exists(os.path.join(tmp, "o"))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(configs())
+def test_fuzzed_configs_exit_0_2_or_3(raw):
+    def argv(tmp):
+        path = os.path.join(tmp, "config.json")
+        payload = {**raw, "out_dir": os.path.join(tmp, "o")} if isinstance(raw, dict) else raw
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        return ["run", path]
+
+    _check_fuzzed_run(argv)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argvs())
+def test_fuzzed_flags_exit_0_2_or_3(argv):
+    _check_fuzzed_run(lambda tmp: argv + ["--out", os.path.join(tmp, "o")])
