@@ -18,7 +18,7 @@ from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..embedtrace import MAX_TRACE_N
 from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude, power_exceeds
-from ..orbit.generate import MAX_ORBIT_N
+from ..orbit.generate import guard_orbit_size
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
 
@@ -63,6 +63,10 @@ RECIPES = {
         },
     },
 }
+# The recipes that build an orbit (boxdim without ifs): values for the orbit fields left out.
+VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
+ORBIT_FILLS = {"orbit": {}, "boxdim": {}, "separation": {},
+               "difference-dense": VERIFY_ORBIT, "orbit-box-lower": VERIFY_ORBIT}
 # The params key that picks the recipe of a kind with several, and its default.
 _SELECTORS = {"verify-theorem": ("theorem", None), "diophantine": ("op", "pigeonhole")}
 
@@ -220,9 +224,10 @@ class ExperimentConfig:
         if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")
-        # n is an orbit length everywhere but in the pigeonhole op
-        if self.n is not None and self.n > MAX_ORBIT_N and recipe != "pigeonhole":
-            raise GuardError(f"orbit length n={self.n} exceeds the guard of {MAX_ORBIT_N}")
+        if recipe in ORBIT_FILLS and not (recipe == "boxdim" and self.ifs is not None):
+            n = self.n if self.n is not None else ORBIT_FILLS[recipe].get("n")
+            if n is not None:
+                guard_orbit_size(n, self.bits)
         if recipe == "ifs" and self.ifs is not None:
             ell = len(self.ifs)
             depth, sample_depth = self.ifs_depths()
@@ -237,7 +242,7 @@ class ExperimentConfig:
             if power_exceeds(ell, depth, MAX_SAMPLE_POINTS):
                 raise GuardError(f"sample depth {depth}: {ell}**{depth} points exceed 2**24")
         if recipe in ("embed", "trace-ratio-bounds"):
-            # each step of the trace samples F and covers E at this depth
+            # the trace samples F and covers E once at this depth
             (e_ifs, f_ifs), depth = self.embed_pair(), self.param("depth")
             if power_exceeds(e_ifs.ell, depth, MAX_CYLINDERS):
                 raise GuardError(f"depth {depth}: {e_ifs.ell}**{depth} cylinders of E exceed 2**16")

@@ -18,6 +18,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -31,14 +32,11 @@ from ..ifs import attractor_sample, similarity_dimension, ssc_check
 from ..orbit.generate import generate_orbit, reduced_orbit, tau_discrepancy
 from ..orbit.io import write_orb1, write_orbit_csv
 from ..svgplot import loglog_svg
-from .config import ExperimentConfig, parse_ifs
+from .config import ORBIT_FILLS, ExperimentConfig, parse_ifs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GUARD = 3
-
-# The orbit of the verify recipes, field by field, where the config leaves one out.
-VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
 
 
 def atomic_write(path: str, data: str | bytes) -> None:
@@ -59,9 +57,14 @@ def atomic_via(writer, path: str) -> str:
     return path
 
 
+def _fraction_text(q: Fraction) -> str:
+    # Decimal, unlike str, writes ints past the interpreter's 4300-digit limit
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _fraction_text(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -93,7 +96,7 @@ def write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> s
 def _csv_cell(c) -> str:
     """The one CSV cell format: Fraction as n/d, float repr, lower-case bools."""
     if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
+        return _fraction_text(c)
     if isinstance(c, float):
         return repr(c)
     if isinstance(c, bool):
@@ -186,15 +189,13 @@ def _run_independence(cfg, out):
 
 
 def _witness_str(w):
-    if w is None:
-        return ""
-    return ";".join(f"{t.numerator}/{t.denominator}" for t in w)
+    return ";".join(map(_fraction_text, w or ()))
 
 
-def _orbit(cfg, fill=None):
-    """(steps, orbit) of the config's orbit fields; fill supplies those it leaves out."""
-    if fill:
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in fill.items() if getattr(cfg, k) is None})
+def _orbit(cfg):
+    """(steps, orbit) of the config's orbit fields, its recipe's ORBIT_FILLS for those left out."""
+    fill = ORBIT_FILLS[cfg.recipe]
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in fill.items() if getattr(cfg, k) is None})
     if cfg.n is None:
         raise ConfigError(f"{cfg.recipe} needs n")
     steps = cfg.step_system()
@@ -380,7 +381,7 @@ def _verify_scaled_covering(cfg, out):
 
 def _verify_difference_dense(cfg, out):
     k = cfg.param("k")
-    orbit = _orbit(cfg, VERIFY_ORBIT)[1]
+    orbit = _orbit(cfg)[1]
     pts = bx.CirclePoints.from_orbit(orbit)
     diff = bx.difference_set(pts, cell_k=k)
     total = 1 << k
@@ -407,7 +408,7 @@ def _verify_difference_dense(cfg, out):
 def _verify_orbit_box_lower(cfg, out):
     scales = cfg.scales or (6, 14)
     tolerance = cfg.param("tolerance")
-    steps, orbit = _orbit(cfg, VERIFY_ORBIT)
+    steps, orbit = _orbit(cfg)
     pts = bx.CirclePoints.from_orbit(orbit)
     profile = bx.covering_profile(pts, scales[0], scales[1])
     est = bx.box_dim_estimate(profile)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm, log, log2, prod
 
 import mpmath
 
@@ -28,16 +28,20 @@ from .exact.linalg import (
     rank_bareiss,
 )
 from .exact.symbolic import BasisEntry, BasisTable, SymbolicReal
-from .ifs import Ball, SimilarIFS, Similitude, orthogonal_power_period, sqrt_down, sqrt_up
+from .ifs import (Ball, SimilarIFS, Similitude, attractor_sample, orthogonal_power_period,
+                  scan_cover, sqrt_down, sqrt_up)
 from .orbit.generate import Orbit, generate_orbit
 from .orbit.steps import StepSystem, build_step_system
 from .orbit.strategies import ExplicitWord
 
-# Longest s_n trace.  The trace also codes n_max levels of E, and its cost
-# grows faster than linearly: for the default middle-thirds pair (2-core
-# x86_64) n_max = 24, 128, 512, 1024 and 2048 took 1.1, 3.6, 15.5, 31 and
-# 71 s end to end.
+# Longest s_n trace; it also codes n_max levels of E.  The default pair took
+# 0.7, 1.0, 4.4 and 7-9 s at n_max 24, 128, 512 and 1024 (2-core x86_64).
 MAX_TRACE_N = 1024
+# Most trace_work a trace may estimate.  On that host: the default pair at
+# n_max 1024 (4.3e8) 7-9 s, at depth 9 (8.5e8) 17 s; F = {99/100 x, 99/100 x
+# + 1/100} at depth 4, n_max 16 (6.5e8) 7.5 s, n_max 24 (1.5e9) 18 s.
+# Tests and the benchmark trace at most 2e5.
+MAX_TRACE_WORK = 10**9
 
 
 def matrix_norms(m, dimension: int) -> tuple[Fraction, Fraction]:
@@ -88,7 +92,7 @@ def coding_of_point(e_ifs: SimilarIFS, y, n: int) -> tuple[int, ...]:
         for i, mp in enumerate(e_ifs.maps):
             cand = mp if comp is None else comp.compose(mp)
             ball = Ball(cand.apply(hull.center), cand.ratio * hull.radius)
-            dist = _dist_to_ball(point, ball, e_ifs.dimension)
+            dist = ball.distance(point)
             if dist <= slack and (best_dist is None or dist < best_dist):
                 best, best_dist, best_comp = i + 1, dist, cand
         if best is None:
@@ -96,13 +100,6 @@ def coding_of_point(e_ifs: SimilarIFS, y, n: int) -> tuple[int, ...]:
         word.append(best)
         comp = best_comp
     return tuple(word)
-
-
-def _dist_to_ball(point, ball: Ball, dimension: int) -> Fraction:
-    if dimension == 1:
-        return max(Fraction(0), abs(point[0] - ball.center[0]) - ball.radius)
-    d2 = sum((a - c) ** 2 for a, c in zip(point, ball.center))
-    return max(Fraction(0), sqrt_up(d2) - ball.radius)
 
 
 # -- the embedding instance ------------------------------------------------------
@@ -124,13 +121,9 @@ class EmbeddingInstance:
     y: tuple[Fraction, ...]
     coding: tuple[int, ...]
 
-    @property
-    def rho_star(self) -> Fraction:
-        return self.e_ifs.rho_star
-
     def ratio_lower_bound(self) -> Fraction:
         """gamma_1 delta / (rho* ||M|| diam F); valid whenever s_n >= 1."""
-        return self.gamma1 * self.delta / (self.rho_star * self.norm_upper * self.diam_f)
+        return self.gamma1 * self.delta / (self.e_ifs.rho_star * self.norm_upper * self.diam_f)
 
     def ratio_upper_bound(self) -> Fraction:
         return self.diam_e / (self.norm_lower * self.diam_f)
@@ -158,7 +151,7 @@ def build_instance(
     if not cert.certified:
         raise UsageError("E must be SSC-certified for unique codings")
     ell_power = orthogonal_power_period(f_ifs.maps[0].ortho)
-    psi1 = f_ifs.maps[0].power(ell_power) if ell_power > 1 else f_ifs.maps[0]
+    psi1 = f_ifs.maps[0].power(ell_power)
     norm_upper, norm_lower = matrix_norms(m, e_ifs.dimension)
     b_vec = tuple(Fraction(c) for c in (b if isinstance(b, (tuple, list)) else (b,)))
     x = psi1.fixed_point()
@@ -196,8 +189,6 @@ class SnEntry:
     ratio: Fraction               # gamma_1**s_n / rho_{i_1..i_n}
     lower_ok: bool                # vacuously true when s_n = 0
     upper_ok: bool
-    slack_used: bool              # containment relied on the one-cell tolerance
-    by_diameter: bool             # the sufficient diameter criterion decided it
 
 
 @dataclass(frozen=True)
@@ -213,6 +204,32 @@ class SnTrace:
         return all(e.lower_ok and e.upper_ok for e in self.entries)
 
 
+def _then(g: Fraction, h: Fraction, mp: Similitude) -> tuple[Fraction, Fraction]:
+    """(g', h') with g' x + h' = g mp(x) + h: x -> g x + h after the d=1 map mp."""
+    return g * mp.ratio * mp.ortho, g * mp.shift[0] + h
+
+
+def _log(q: Fraction) -> float:
+    """log q from the logs of its numerator and denominator, which do not underflow."""
+    return log(q.numerator) - log(q.denominator)
+
+
+def trace_work(inst: EmbeddingInstance, n: int, depth: int) -> tuple[int, float]:
+    """(K, work): a bound K on s_n, and about the bit operations of the trace up to n.
+
+    K is the least k with ||M|| gamma_1**k diam F < rho_{i_1..i_{n-1}} delta, the
+    diameter criterion, solved in logs (floats underflow) and so maybe off by one.
+    Up to K scans each map F's ell**depth points by numbers as long as gamma_1**K
+    and rho_{i_1..i_{n-1}} together; work is that product.
+    """
+    prefix = prod((inst.e_ifs.maps[i - 1].ratio for i in inst.coding[:n - 1]), start=Fraction(1))
+    excess = _log(inst.norm_upper * inst.diam_f / (prefix * inst.delta))
+    k = max(0, floor(excess / -_log(inst.gamma1)) + 1)
+    points = inst.f_ifs.ell ** min(depth, 64)  # past 64 levels attractor_sample's guard trips
+    bits = k * log2(inst.gamma1.numerator * inst.gamma1.denominator)
+    return k, k * points * (bits + log2(prefix.numerator * prefix.denominator))
+
+
 def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
     """s_1..s_{n_max} with exact ratio bound verdicts.
 
@@ -220,7 +237,9 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
     is nondecreasing); each candidate k first tries the sufficient
     diameter criterion diam(M psi_1^k(F)) < rho_{i_1..i_{n-1}} delta, then
     the sample containment check against depth-refined cylinder hulls with
-    one cell of slack.
+    one cell of slack: one scan_cover of F's sample, built once per trace,
+    with psi_1^k and the cylinder map carried from step to step.  A trace
+    whose trace_work passes MAX_TRACE_WORK raises GuardError first.
     """
     if inst.e_ifs.dimension != 1:
         raise UsageError("the s_n trace is implemented for d = 1 instances")
@@ -228,62 +247,37 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
         raise GuardError(f"trace length n_max={n_max} exceeds the guard of {MAX_TRACE_N}")
     if n_max > len(inst.coding):
         raise UsageError("coding shorter than requested trace length")
-    from .ifs import check_affine_embedding
+    steps, work = trace_work(inst, n_max, depth)
+    if work > MAX_TRACE_WORK:
+        raise GuardError(f"trace work: s_{n_max} <= {steps} steps over {inst.f_ifs.ell}**{depth} "
+                         f"points of F come to {work:.3g} bit operations, past the guard of "
+                         f"{MAX_TRACE_WORK:.0e}")
+    xs = [x for (x,) in attractor_sample(inst.f_ifs, depth)]
+    cover = inst.e_ifs.cover_intervals(depth)
+    tol = inst.e_ifs.rho_star**depth * inst.diam_e
 
     m = Fraction(inst.m)
     lower = inst.ratio_lower_bound()
     upper = inst.ratio_upper_bound()
     entries = []
-    s_prev = 0
-    rho_word = Fraction(1)
-    rho_prefix = Fraction(1)      # rho_{i_1..i_{n-1}}
-    comp: Similitude | None = None
+    g, h = Fraction(1), Fraction(0)    # psi_1^k(x) = g x + h
+    c_w, d_w = Fraction(1), Fraction(0)  # phi_{i_1..i_n}(x) = c_w x + d_w
+    k = 0
     for n in range(1, n_max + 1):
         symbol = inst.coding[n - 1]
-        step_map = inst.e_ifs.maps[symbol - 1]
-        comp = step_map if comp is None else comp.compose(step_map)
-        rho_prefix = rho_word
-        rho_word = rho_word * step_map.ratio
+        rho_prefix = abs(c_w)          # rho_{i_1..i_{n-1}}
+        c_w, d_w = _then(c_w, d_w, inst.e_ifs.maps[symbol - 1])
 
-        k = s_prev
-        while True:
-            diam_image = inst.norm_upper * inst.gamma1**k * inst.diam_f
-            if diam_image < rho_prefix * inst.delta:
-                by_diameter = True
-                slack_used = False
-                break
+        # the sufficient diameter criterion, else containment with one cell of slack
+        while inst.norm_upper * abs(g) * inst.diam_f >= rho_prefix * inst.delta:
             # pull M . psi_1^k into E-coordinates through the cylinder map
-            psi_k = inst.psi1.power(k) if k >= 1 else None
-            if psi_k is None:
-                slope = m
-                intercept = inst.b[0]
-            else:
-                slope = m * psi_k.ratio * psi_k.ortho
-                intercept = m * psi_k.shift[0] + inst.b[0]
-            c_w = comp.ratio * comp.ortho
-            d_w = comp.shift[0]
-            check = check_affine_embedding(
-                (slope / c_w), (intercept - d_w) / c_w, inst.f_ifs, inst.e_ifs, depth
-            )
-            if check.contained:
-                by_diameter = False
-                slack_used = check.max_distance > 0
+            if scan_cover(m * g / c_w, (m * h + inst.b[0] - d_w) / c_w, xs, cover, tol).contained:
                 break
             k += 1
-        ratio = inst.gamma1**k / rho_word
-        entries.append(
-            SnEntry(
-                n=n,
-                i_n=symbol,
-                s_n=k,
-                ratio=ratio,
-                lower_ok=(k == 0) or ratio >= lower,
-                upper_ok=ratio <= upper,
-                slack_used=slack_used,
-                by_diameter=by_diameter,
-            )
-        )
-        s_prev = k
+            g, h = _then(g, h, inst.psi1)
+        ratio = abs(g / c_w)           # gamma_1**s_n / rho_{i_1..i_n}
+        entries.append(SnEntry(n=n, i_n=symbol, s_n=k, ratio=ratio,
+                               lower_ok=(k == 0) or ratio >= lower, upper_ok=ratio <= upper))
     return SnTrace(tuple(entries), lower, upper)
 
 

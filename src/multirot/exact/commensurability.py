@@ -65,10 +65,6 @@ class CommensurabilityOutcome:
     denominator_bound: int
 
     @property
-    def all_feasible(self) -> bool:
-        return all(c.feasible for c in self.columns)
-
-    @property
     def witness(self) -> CommensurabilityWitness | None:
         """The bounded witness matrix, or None (infeasible or out of bound)."""
         if not all(c.feasible and c.within_bound for c in self.columns):

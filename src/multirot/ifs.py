@@ -10,10 +10,12 @@ roots bracketed so separation certificates stay one-sided.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log
+from operator import itemgetter
 
 import mpmath
 
@@ -212,6 +214,13 @@ class Ball:
         (c,) = self.center
         return (c - self.radius, c + self.radius)
 
+    def distance(self, point: tuple[Fraction, ...]) -> Fraction:
+        """Distance from point to the ball: exact in d=1, rounded up in d=2."""
+        if len(self.center) == 1:
+            return max(Fraction(0), abs(point[0] - self.center[0]) - self.radius)
+        d2 = sum((a - c) ** 2 for a, c in zip(point, self.center))
+        return max(Fraction(0), sqrt_up(d2) - self.radius)
+
 
 class SimilarIFS:
     """A finite family of contracting similitudes in dimension 1 or 2."""
@@ -327,6 +336,10 @@ class SimilarIFS:
             out.append((word[0], Ball(comp.apply(hull.center), comp.ratio * hull.radius)))
         return out
 
+    def cover_intervals(self, depth: int) -> list[tuple[Fraction, Fraction]]:
+        """d=1: the depth cylinder covers as intervals, sorted by their low ends."""
+        return sorted(ball.interval() for _, ball in self.cylinder_balls(depth))
+
 
 # -- operations ------------------------------------------------------------------
 
@@ -375,9 +388,7 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
         return SSCResult(True, ifs.hull().diameter, depth)
     balls = ifs.cylinder_balls(depth)
     if ifs.dimension == 1:
-        items = sorted(
-            (b.center[0] - b.radius, b.center[0] + b.radius, g) for g, b in balls
-        )
+        items = sorted((*b.interval(), g) for g, b in balls)
         best: Fraction | None = None
         last_hi: dict[int, Fraction] = {}
         for lo, hi, g in items:
@@ -439,76 +450,54 @@ def check_affine_embedding(m, b, f_ifs: SimilarIFS, e_ifs: SimilarIFS,
     cylinder covers.  "Contained" is resolution-limited evidence; any
     sample at positive distance from the cover proves non-containment,
     because the cover contains E.  Default tolerance is one refinement
-    cell of E.
+    cell of E.  The witness is, in d=1, the first sample farther than tol
+    from the cover (scan_cover) and, in d=2, the farthest sample.
     """
     d = e_ifs.dimension
     if f_ifs.dimension != d:
         raise UsageError("dimension mismatch between F and E")
     if d == 1:
-        m_frac = Fraction(m)
-        if m_frac == 0:
-            raise DomainError("M must be invertible")
-        b_vec = (Fraction(b),)
+        m, b = Fraction(m), Fraction(b)
+        det = m
     else:
         ((m00, m01), (m10, m11)) = [[Fraction(x) for x in row] for row in m]
-        if m00 * m11 - m01 * m10 == 0:
-            raise DomainError("M must be invertible")
-        b_vec = (Fraction(b[0]), Fraction(b[1]))
+        b0, b1 = Fraction(b[0]), Fraction(b[1])
+        det = m00 * m11 - m01 * m10
+    if det == 0:
+        raise DomainError("M must be invertible")
 
     if tol is None:
         tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
     samples = attractor_sample(f_ifs, depth)
-    covers = e_ifs.cylinder_balls(depth)
-
     if d == 1:
-        intervals = sorted(b2.interval() for _, b2 in covers)
-        los = [iv[0] for iv in intervals]
-        import bisect
+        return scan_cover(m, b, [x for (x,) in samples], e_ifs.cover_intervals(depth), tol)
 
-        def dist_to_cover(y: Fraction) -> Fraction:
-            i = bisect.bisect_right(los, y)
-            best = None
-            for j in (i - 1, i):
-                if 0 <= j < len(intervals):
-                    lo, hi = intervals[j]
-                    cand = max(Fraction(0), lo - y, y - hi)
-                    best = cand if best is None or cand < best else best
-            return best
-
-        max_dist = Fraction(0)
-        witness = None
-        for x in samples:
-            y = m_frac * x[0] + b_vec[0]
-            dist = dist_to_cover(y)
-            if dist > max_dist:
-                max_dist = dist
-                if dist > tol and witness is None:
-                    witness = (y,)
-        if max_dist > tol:
-            # recompute the first offender in sample order for a stable witness
-            for x in samples:
-                y = m_frac * x[0] + b_vec[0]
-                if dist_to_cover(y) > tol:
-                    witness = (y,)
-                    break
-            return EmbeddingCheck(False, witness, max_dist, tol)
-        return EmbeddingCheck(True, None, max_dist, tol)
-
+    covers = e_ifs.cylinder_balls(depth)
     max_dist = Fraction(0)
     witness = None
     for x in samples:
-        y = (m00 * x[0] + m01 * x[1] + b_vec[0], m10 * x[0] + m11 * x[1] + b_vec[1])
-        best = None
-        for _, ball in covers:
-            d2 = sum((a - c) ** 2 for a, c in zip(y, ball.center))
-            cand = max(Fraction(0), sqrt_up(d2) - ball.radius)
-            if best is None or cand < best:
-                best = cand
-            if best == 0:
-                break
+        y = (m00 * x[0] + m01 * x[1] + b0, m10 * x[0] + m11 * x[1] + b1)
+        best = min(ball.distance(y) for _, ball in covers)
         if best > max_dist:
-            max_dist = best
-            witness = y
-    if max_dist > tol:
-        return EmbeddingCheck(False, witness, max_dist, tol)
-    return EmbeddingCheck(True, None, max_dist, tol)
+            max_dist, witness = best, y
+    return EmbeddingCheck(max_dist <= tol, witness if max_dist > tol else None, max_dist, tol)
+
+
+def scan_cover(m: Fraction, b: Fraction, xs, intervals, tol: Fraction) -> EmbeddingCheck:
+    """d=1: each x of xs mapped by m x + b and measured against the cover.
+
+    intervals are sorted by their low ends; a point is measured against the
+    two whose low ends bracket it.  The witness is the first point farther
+    than tol from the cover.
+    """
+    max_dist = Fraction(0)
+    witness = None
+    for x in xs:
+        y = m * x + b
+        i = bisect_right(intervals, y, key=itemgetter(0))
+        dist = min(max(Fraction(0), lo - y, y - hi) for lo, hi in intervals[max(i - 1, 0):i + 1])
+        if dist > max_dist:
+            max_dist = dist
+        if witness is None and dist > tol:
+            witness = (y,)
+    return EmbeddingCheck(max_dist <= tol, witness, max_dist, tol)

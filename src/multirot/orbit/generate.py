@@ -27,8 +27,21 @@ from ..table import chunk_bounds
 from .steps import StepSystem
 from .strategies import GreedyAvoid, Strategy
 
-# Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits.
+# Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits,
+# and no more at any B.  accumulate carries 2 * ceil(B/64) sub-limb columns
+# one by one, a cost bytes do not show: n = 10 at B = 2**22 ran past 100 s.
 MAX_ORBIT_N = 10**7
+MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
+MAX_ORBIT_BITS = 1 << 16
+
+
+def guard_orbit_size(n: int, bits: int) -> None:
+    """GuardError past MAX_ORBIT_N points, MAX_ORBIT_BITS bits or MAX_ORBIT_BYTES of limbs."""
+    size = (n + 1) * fixedpoint.limbs(bits) * 8
+    for name, value, limit in (("orbit length n", n, MAX_ORBIT_N), ("orbit bits", bits, MAX_ORBIT_BITS),
+                               (f"n={n}, bits={bits}: orbit limb bytes", size, MAX_ORBIT_BYTES)):
+        if value > limit:
+            raise GuardError(f"{name}={value} exceeds the guard of {limit}")
 
 
 def _p_matrix(steps: StepSystem) -> np.ndarray:
@@ -154,8 +167,7 @@ def generate_orbit(
         raise UsageError("bits must be >= 64")
     if n < 1:
         raise UsageError("n must be >= 1")
-    if n > MAX_ORBIT_N:
-        raise GuardError(f"orbit length n={n} exceeds the guard of {MAX_ORBIT_N}")
+    guard_orbit_size(n, bits)
     if steps.ell < 2:
         raise UsageError("orbit generation needs at least two steps")
     fp_steps = steps.fixed_point_steps(bits)

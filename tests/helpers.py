@@ -6,6 +6,7 @@ definition, deliberately avoiding the library's own decision paths.
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,7 +14,9 @@ from math import ceil, log
 
 import numpy as np
 
+from multirot.embedtrace import SnEntry, SnTrace
 from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
+from multirot.ifs import EmbeddingCheck, attractor_sample
 from multirot.orbit import steps_from_values
 
 # -- random declared-irrational bases -----------------------------------------
@@ -331,3 +334,91 @@ def pairwise_cell_differences(cells, k: int, block: int = 1024) -> np.ndarray:
     for start in range(0, cells.size, block):
         seen[(cells[None, :] - cells[start:start + block, None]) % (1 << k)] = True
     return np.flatnonzero(seen)
+
+
+# -- the s_n trace, one full embedding check per candidate -------------------------------
+
+def reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth: int, tol=None) -> EmbeddingCheck:
+    """The d = 1 check with a second scan for the witness, rebuilding sample and cover.
+
+    The first scan finds the largest distance; when it passes tol, a second
+    scan returns the first sample in sample order farther than tol.  This is
+    the branch the one scan of `ifs.scan_cover` replaced.
+    """
+    m_frac, b0 = Fraction(m), Fraction(b)
+    if tol is None:
+        tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
+    samples = attractor_sample(f_ifs, depth)
+    intervals = sorted(ball.interval() for _, ball in e_ifs.cylinder_balls(depth))
+    los = [iv[0] for iv in intervals]
+
+    def dist_to_cover(y: Fraction) -> Fraction:
+        i = bisect.bisect_right(los, y)
+        best = None
+        for j in (i - 1, i):
+            if 0 <= j < len(intervals):
+                lo, hi = intervals[j]
+                cand = max(Fraction(0), lo - y, y - hi)
+                best = cand if best is None or cand < best else best
+        return best
+
+    max_dist = Fraction(0)
+    witness = None
+    for x in samples:
+        y = m_frac * x[0] + b0
+        dist = dist_to_cover(y)
+        if dist > max_dist:
+            max_dist = dist
+            if dist > tol and witness is None:
+                witness = (y,)
+    if max_dist > tol:
+        for x in samples:
+            y = m_frac * x[0] + b0
+            if dist_to_cover(y) > tol:
+                witness = (y,)
+                break
+        return EmbeddingCheck(False, witness, max_dist, tol)
+    return EmbeddingCheck(True, None, max_dist, tol)
+
+
+def reference_sn_sequence(inst, n_max: int, depth: int) -> SnTrace:
+    """s_1..s_n_max with psi_1**k recomposed from scratch and a full check for each k.
+
+    This is the loop `embedtrace.sn_sequence` replaced: each candidate k
+    tries the diameter criterion, then builds psi_1**k by k compositions and
+    runs the whole d = 1 embedding check, sample and cover included.
+    """
+    m = Fraction(inst.m)
+    lower, upper = inst.ratio_lower_bound(), inst.ratio_upper_bound()
+    entries = []
+    s_prev = 0
+    rho_word = Fraction(1)
+    comp = None
+    for n in range(1, n_max + 1):
+        symbol = inst.coding[n - 1]
+        step_map = inst.e_ifs.maps[symbol - 1]
+        comp = step_map if comp is None else comp.compose(step_map)
+        rho_prefix = rho_word
+        rho_word = rho_word * step_map.ratio
+        k = s_prev
+        while True:
+            if inst.norm_upper * inst.gamma1**k * inst.diam_f < rho_prefix * inst.delta:
+                break
+            psi_k = inst.psi1.power(k) if k >= 1 else None
+            if psi_k is None:
+                slope, intercept = m, inst.b[0]
+            else:
+                slope = m * psi_k.ratio * psi_k.ortho
+                intercept = m * psi_k.shift[0] + inst.b[0]
+            c_w, d_w = comp.ratio * comp.ortho, comp.shift[0]
+            check = reference_check_affine_embedding_1d(
+                slope / c_w, (intercept - d_w) / c_w, inst.f_ifs, inst.e_ifs, depth
+            )
+            if check.contained:
+                break
+            k += 1
+        ratio = inst.gamma1**k / rho_word
+        entries.append(SnEntry(n=n, i_n=symbol, s_n=k, ratio=ratio,
+                               lower_ok=(k == 0) or ratio >= lower, upper_ok=ratio <= upper))
+        s_prev = k
+    return SnTrace(tuple(entries), lower, upper)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,9 @@ from multirot.cli.runner import run_config, write_csv
 from multirot.errors import ConfigError, GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
 from multirot.orbit.generate import MAX_ORBIT_N
+
+
+F = Fraction
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -660,6 +664,48 @@ def test_embed_cli_trace_length_guard_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["embed", "--n-max", "100000", "--out", str(tmp_path / "e")]) == 3
     assert "guard:" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+NEAR_ONE_F = ["--e-ifs", "1/3:0,1/3:2/3", "--f-ifs", "99/100:0,99/100:1/100", "--depth", "4"]
+
+
+def test_embed_trace_work_guard_exit_3(tmp_path, monkeypatch, capsys):
+    """gamma_1 = 99/100 took 45 s at n_max 16 and grows about quadratically in n_max."""
+    monkeypatch.setattr(runner, "induced_step_system", _unreachable)
+    assert main(["embed", *NEAR_ONE_F, "--n-max", "64", "--out", str(tmp_path / "e")]) == 3
+    assert "guard: trace work: s_64 <= 6996 steps" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_fraction_cells_past_the_interpreter_digit_limit():
+    """str() refuses ints past 4300 digits; a near-one trace's ratios reach them."""
+    big = F(10**5000 + 7, 3)
+    assert runner._csv_cell(big) == "1" + "0" * 4999 + "7/3"
+    assert runner._jsonable([-big]) == ["-1" + "0" * 4999 + "7/3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["boxdim", "--steps", "sqrt2,sqrt3", "--seed", "1", "--n", "1000", "--bits", "1048576",
+      "--kmin", "2", "--kmax", "8"], "orbit bits=1048576 exceeds the guard of 65536"),
+    (["orbit", "--steps", "sqrt2,sqrt3", "--seed", "1", "--n", "19531", "--bits", "65536"],
+     "n=19531, bits=65536: orbit limb bytes=160006144 exceeds the guard of 160000016"),
+    # the verify recipes' own orbit has 10**6 points: 21 limbs a point pass the guard
+    (["verify", "difference-dense", "--bits", "1344"], "n=1000000, bits=1344: orbit limb bytes"),
+    (["verify", "orbit-box-lower", "--bits", "1344"], "n=1000000, bits=1344: orbit limb bytes"),
+])
+def test_orbit_bits_guard_exit_3_before_the_orbit(tmp_path, monkeypatch, capsys, argv, message):
+    """bits = 2**20 at n = 1000 took 11.5 s and 542 MB; every orbit route refuses it first."""
+    monkeypatch.setattr(runner, "generate_orbit", _unreachable)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard:") and message in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_orbit_bits_guard_spares_the_ifs_route_and_the_largest_orbit():
+    ExperimentConfig(kind="boxdim", ifs=tuple(IFS_CANTOR), scales=(2, 6), bits=1 << 20).validate()
+    ExperimentConfig(kind="orbit", steps=("sqrt2", "sqrt3"), strategy={"type": "random"},
+                     seed=1, n=MAX_ORBIT_N, bits=128).validate()
 
 
 def test_boxdim_ifs_depth_refused_before_the_sample(tmp_path, monkeypatch):

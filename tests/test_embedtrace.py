@@ -6,10 +6,15 @@ from fractions import Fraction
 from math import ceil, log
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_sn_sequence
 from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
 from multirot.embedtrace import (
+    MAX_TRACE_N,
+    MAX_TRACE_WORK,
     build_instance,
     coding_of_point,
     dimension_chain_report,
@@ -19,8 +24,9 @@ from multirot.embedtrace import (
     matrix_norms,
     sn_sequence,
     threshold_c,
+    trace_work,
 )
-from multirot.errors import DomainError, NotInAttractorError, UsageError
+from multirot.errors import DomainError, GuardError, NotInAttractorError, UsageError
 from multirot.exact.independence import qplus_independent_mod1
 from multirot.ifs import SimilarIFS
 
@@ -124,6 +130,84 @@ def test_sn_coding_too_short():
     inst = cantor_pair_instance(n_max=10)
     with pytest.raises(UsageError):
         sn_sequence(inst, 11)
+
+
+def word_map(ifs: SimilarIFS, word) -> tuple[F, F]:
+    """(g, h) with phi_{w_1} o ... o phi_{w_k}(x) = g x + h, 0-based symbols."""
+    g, h = F(1), F(0)
+    for i in word:
+        mp = ifs.maps[i]
+        g, h = g * mp.ratio * mp.ortho, g * mp.shift[0] + h
+    return g, h
+
+
+@st.composite
+def trace_instances(draw):
+    """(instance, n_max, depth) of a d = 1 trace with ±1 signs in E and F.
+
+    E has 2-3 maps, each inside its own slot of [0, 1), so E certifies SSC.
+    Either F is made of E's length-2 words and M x + b is an E-word map, so
+    M(F) + b lies in E; or F, M and b are free, with b chosen so that the
+    embedded fixed point is a point of E.
+    """
+    ell = draw(st.integers(2, 3))
+    specs = []
+    for i in range(ell):
+        r, sign = F(1, draw(st.integers(ell + 1, 5))), draw(st.sampled_from([1, -1]))
+        specs.append((r, F(i, ell) + (r if sign < 0 else 0), sign))
+    e_ifs = SimilarIFS.line_maps(specs)
+    if draw(st.booleans()):
+        words = draw(st.lists(st.tuples(st.integers(0, ell - 1), st.integers(0, ell - 1)),
+                              min_size=2, max_size=3, unique=True))
+        f_ifs = SimilarIFS.line_maps([(abs(g), h, 1 if g > 0 else -1)
+                                      for g, h in (word_map(e_ifs, w) for w in words)])
+        m, b = word_map(e_ifs, draw(st.lists(st.integers(0, ell - 1), max_size=1)))
+    else:
+        f_ifs = SimilarIFS.line_maps([
+            (F(1, draw(st.integers(2, 6))), F(draw(st.integers(-3, 3)), draw(st.integers(1, 4))),
+             draw(st.sampled_from([1, -1])))
+            for _ in range(draw(st.integers(2, 3)))
+        ])
+        assume(f_ifs.hull().diameter > 0)
+        p = draw(st.integers(1, 5).flatmap(lambda p: st.sampled_from([p, -p])))
+        m = F(p, draw(st.integers(1, 5)))
+        g, h = word_map(e_ifs, draw(st.lists(st.integers(0, ell - 1), min_size=1, max_size=3)))
+        b = h / (1 - g) - m * f_ifs.maps[0].fixed_point()[0]  # y is phi_w's fixed point
+    n_max = draw(st.integers(1, 6))
+    inst = build_instance(e_ifs, f_ifs, m, b, coding_len=max(n_max, 8))
+    return inst, n_max, draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=trace_instances())
+def test_sn_sequence_matches_the_per_step_reference(case):
+    """Carried psi_1**k and one scan per candidate give the trace of full checks."""
+    inst, n_max, depth = case
+    got = sn_sequence(inst, n_max, depth)
+    want = reference_sn_sequence(inst, n_max, depth)
+    assert got == want and repr(got) == repr(want)
+    assert got.entries[-1].s_n <= trace_work(inst, n_max, depth)[0] + 1  # logs: off by one
+
+
+NEAR_ONE = SimilarIFS.line_maps([(F(99, 100), 0), (F(99, 100), F(1, 100))])
+
+
+def test_trace_work_guard_refuses_a_near_one_gamma_before_any_step(monkeypatch):
+    """gamma_1 = 99/100 needs about 109 steps per level of E's middle thirds."""
+    import multirot.embedtrace as et
+
+    monkeypatch.setattr(et, "attractor_sample", None)  # the guard trips before the sample
+    inst = build_instance(MIDDLE_THIRD, NEAR_ONE, F(1), F(0), coding_len=24)
+    steps, work = trace_work(inst, 24, 4)
+    assert steps == 2624 and work > MAX_TRACE_WORK
+    with pytest.raises(GuardError, match="s_24 <= 2624 steps over 2\\*\\*4 points of F"):
+        sn_sequence(inst, 24, depth=4)
+
+
+def test_trace_work_admits_the_default_pair_at_the_longest_trace():
+    inst = build_instance(MIDDLE_THIRD, NINTH_PAIR, F(1), F(0), coding_len=MAX_TRACE_N)
+    steps, work = trace_work(inst, MAX_TRACE_N, 8)
+    assert steps == 513 and work < MAX_TRACE_WORK  # s_n = ceil(n / 2), so s_1024 = 512
 
 
 def test_trace_csv(tmp_path):

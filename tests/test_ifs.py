@@ -6,7 +6,10 @@ from fractions import Fraction
 from math import log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_check_affine_embedding_1d
 from multirot import boxdim as bx
 from multirot.errors import DomainError, GuardError, UsageError
 from multirot.ifs import (
@@ -188,6 +191,29 @@ def test_embedding_identity_reflexive():
 def test_embedding_singular_matrix_rejected():
     with pytest.raises(DomainError):
         check_affine_embedding(0, 0, MIDDLE_THIRD, MIDDLE_THIRD, 4)
+
+
+# ratio 1/q, shift p/d, sign
+LINE_MAPS = st.lists(st.tuples(st.integers(2, 7), st.integers(-4, 4), st.integers(1, 5),
+                               st.sampled_from([1, -1])), min_size=2, max_size=3)
+NONZERO = st.builds(F, st.integers(1, 5).flatmap(lambda p: st.sampled_from([p, -p])),
+                    st.integers(1, 5))
+
+
+def line_ifs(specs):
+    return SimilarIFS.line_maps([(F(1, q), F(p, d), sign) for q, p, d, sign in specs])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f_specs=LINE_MAPS, e_specs=LINE_MAPS, m=NONZERO,
+       b=st.builds(F, st.integers(-5, 5), st.integers(1, 5)), depth=st.integers(1, 6),
+       tol=st.sampled_from([None, F(0), F(1, 50), F(1, 3), F(-1, 7)]))
+def test_line_embedding_check_matches_the_two_scan_reference(f_specs, e_specs, m, b, depth, tol):
+    """The one scan gives the first offender as witness, as the second scan did."""
+    f_ifs, e_ifs = line_ifs(f_specs), line_ifs(e_specs)
+    got = check_affine_embedding(m, b, f_ifs, e_ifs, depth, tol)
+    want = reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth, tol)
+    assert got == want and repr(got) == repr(want)
 
 
 # -- orthogonal parts -----------------------------------------------------------------

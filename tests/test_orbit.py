@@ -40,7 +40,7 @@ from multirot.orbit import (
     write_orb1,
     write_orbit_csv,
 )
-from multirot.orbit.generate import MAX_ORBIT_N
+from multirot.orbit.generate import MAX_ORBIT_BITS, MAX_ORBIT_N
 from multirot.orbit.io import HEADER
 
 F = Fraction
@@ -269,6 +269,13 @@ def test_orbit_length_guard():
     steps = steps_sqrt23()
     with pytest.raises(GuardError):
         generate_orbit(steps, PeriodicWord((1, 2)), MAX_ORBIT_N + 1, 128)
+
+
+@pytest.mark.parametrize("n, bits", [(1, MAX_ORBIT_BITS + 1), (19531, 65536), (10**6, 1344)])
+def test_orbit_bits_and_limb_bytes_guard(n, bits):
+    """The limb array may take no more than MAX_ORBIT_N points take at 128 bits."""
+    with pytest.raises(GuardError):
+        generate_orbit(steps_sqrt23(bits), PeriodicWord((1, 2)), n, bits)
 
 
 # -- reduced orbit ----------------------------------------------------------------
