@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..boxdim import COVER_BITS, DIFF_CELL_K_MAX
+from ..diophantine import check_k_space
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..embedtrace import MAX_TRACE_N
@@ -36,7 +37,7 @@ RECIPES = {
     "orbit": {"orbit": {}},
     "boxdim": {"boxdim": {"depth": (10, 0, None)}},  # the ifs route's sample depth
     "diophantine": {
-        "pigeonhole": {"m": (1, 1, None)},  # pigeonhole_approx guards (mn)**r
+        "pigeonhole": {"m": (1, 1, None)},  # check_k_space guards (mn)**r
         "separation": {
             "k_min": (1, 1, None),
             "k_max": (100, 1, 4096),  # each k is one pass over the orbit's points
@@ -220,7 +221,9 @@ class ExperimentConfig:
         if recipe == "rank":
             self.reals("values", self.steps)
         if recipe == "pigeonhole":
-            self.reals("betas")
+            betas = self.reals("betas")[1]
+            if self.n is not None:
+                check_k_space(self.param("m"), self.n, len(betas))
         if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")

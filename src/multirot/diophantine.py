@@ -8,7 +8,7 @@ adjudicates each candidate with exact rational arithmetic, so the
 returned k is truly minimal.  When the scan budget is exceeded, the
 subcube-collision construction runs instead: it returns |k' - k|, which
 satisfies the bound but need not be minimal (the result says which path
-ran).
+ran); past MAX_BUCKET_K_SPACE it is refused with GuardError.
 """
 
 from __future__ import annotations
@@ -18,12 +18,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import GuardError, UsageError
 from .exact.symbolic import SymbolicReal
 from .fixedpoint import fp_from_fraction
 
 K_SPACE_GUARD = 1 << 40
 DEFAULT_SCAN_BUDGET = 1 << 23
+# The largest k-space (mn)^r + 1 the bucket path may take.  It keeps one dict
+# entry per k until two subcubes collide, so k-space entries at worst: with
+# beta = 1/n + 10**-40, m = 1, n = 4 * 10**6 (every subcube distinct until
+# k = n) it took 8.8 s at 622 MB peak RSS on 2-core x86_64, Python 3.11, and
+# [sqrt2] at n = 10**7 took 15.6 s at 1113 MB.
+MAX_BUCKET_K_SPACE = 1 << 22
 # kxn_separation's block: values of k by points, 1 MB of uint64 in all.
 # At 10**6 points and k = 1..100 (2-core x86_64, numpy 2.4) it took 0.11-0.13 s
 # against 0.15 s for all k in one block and 0.44 s for full-length arrays.
@@ -65,6 +71,24 @@ class ApproxResult:
         return (self.m * self.n) ** self.r + 1
 
 
+def check_k_space(m: int, n: int, r: int, scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
+    """The k-space (mn)^r + 1 of pigeonhole_approx, refused before any work.
+
+    UsageError for m or n below 1 or a k-space past K_SPACE_GUARD;
+    GuardError when it exceeds scan_budget (the bucket path runs) and
+    MAX_BUCKET_K_SPACE.
+    """
+    if m < 1 or n < 1:
+        raise UsageError("m and n must be positive integers")
+    k_space = (m * n) ** r + 1
+    if k_space > K_SPACE_GUARD:
+        raise UsageError(f"(mn)^r + 1 = {k_space} exceeds the 2^40 guard")
+    if k_space > scan_budget and k_space > MAX_BUCKET_K_SPACE:
+        raise GuardError(f"(mn)^r + 1 = {k_space} exceeds the bucket path's guard "
+                         f"of {MAX_BUCKET_K_SPACE}")
+    return k_space
+
+
 def pigeonhole_approx(
     betas,
     m: int,
@@ -73,16 +97,12 @@ def pigeonhole_approx(
     scan_budget: int = DEFAULT_SCAN_BUDGET,
 ) -> ApproxResult:
     """Smallest k in [1, (mn)^r + 1] with ||k beta_j|| <= 1/(mn) for all j."""
-    if m < 1 or n < 1:
-        raise UsageError("m and n must be positive integers")
     fracs = [_as_fraction(b) for b in betas]
     r = len(fracs)
     if r < 1:
         raise UsageError("need at least one beta")
     mn = m * n
-    k_max = mn**r + 1
-    if k_max > K_SPACE_GUARD:
-        raise UsageError(f"(mn)^r + 1 = {k_max} exceeds the 2^40 guard")
+    k_max = check_k_space(m, n, r, scan_budget)
     if Fraction(1, 1 << (bits - 4)) >= Fraction(1, mn):
         raise UsageError("bits too small for the requested 1/(mn) target")
     bound = Fraction(1, mn)

@@ -14,19 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm, log, log2, prod
+from math import floor, log, log2, prod
 
 import mpmath
 
 from .boxdim import CirclePoints, box_dim_estimate, covering_profile
 from .errors import DomainError, GuardError, NotInAttractorError, UsageError
-from .exact.commensurability import log_vector
-from .exact.linalg import (
-    clear_denominators,
-    hermite_row_basis,
-    integer_coordinates,
-    rank_bareiss,
-)
+from .exact.commensurability import log_rows
+from .exact.linalg import common_denominator, hermite_row_basis, integer_coordinates, rank_rational
 from .exact.symbolic import BasisEntry, BasisTable, SymbolicReal
 from .ifs import (Ball, SimilarIFS, Similitude, attractor_sample, orthogonal_power_period,
                   scan_cover, sqrt_down, sqrt_up)
@@ -311,32 +306,25 @@ def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
         if isinstance(r, SymbolicReal):
             for label in r.coeffs:
                 tables[label] = r.table
-    v0 = log_vector(gamma1)
-    vs = [log_vector(r) for r in rhos]
-    keys = sorted({k for v in vs + [v0] for k in v})
-    pivot = next(k for k in keys if v0.get(k, 0) != 0)
+    keys, (v0, *vs) = log_rows([gamma1, *rhos])
+    lead = next(i for i, c in enumerate(v0) if c != 0)
 
     qs = []
     ws = []
     for v in vs:
-        q = v.get(pivot, Fraction(0)) / v0[pivot]
-        w = {k: v.get(k, Fraction(0)) - q * v0.get(k, Fraction(0)) for k in keys}
+        q = v[lead] / v0[lead]
         qs.append(q)
-        ws.append([w[k] for k in keys])
+        ws.append([c - q * c0 for c, c0 in zip(v, v0)])
 
-    denom = 1
-    for row in ws:
-        for c in row:
-            denom = lcm(denom, c.denominator)
-    int_rows = [[int(c * denom) for c in row] for row in ws]
+    denom, int_rows = common_denominator(ws)
     hermite = hermite_row_basis(int_rows)
 
     with mpmath.workdps(70):
         key_reals = {k: log_real_value(k, tables) for k in keys}
         log_gamma = mpmath.fsum(
-            (mpmath.mpf(v0[k].numerator) / v0[k].denominator) * key_reals[k]
-            for k in keys
-            if v0.get(k, 0) != 0
+            (mpmath.mpf(c.numerator) / c.denominator) * key_reals[k]
+            for c, k in zip(v0, keys)
+            if c != 0
         )
         # orient each basis row so the associated beta is positive
         oriented = []
@@ -365,10 +353,7 @@ def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
 
 def induced_rank(rhos) -> int:
     """dim span_Q(log rho_1..log rho_ell), exactly, from log vectors."""
-    vs = [log_vector(r) for r in rhos]
-    keys = sorted({k for v in vs for k in v})
-    rows = [[v.get(k, Fraction(0)) for k in keys] for v in vs]
-    return rank_bareiss(clear_denominators(rows))
+    return rank_rational(log_rows(rhos)[1])
 
 
 def induced_orbit(inst: EmbeddingInstance, length: int | None = None,

@@ -42,6 +42,14 @@ def log_vector(ratio) -> dict[tuple, Fraction]:
     return {("p", p): Fraction(e) for p, e in exponent_vector(q).items()}
 
 
+def log_rows(ratios) -> tuple[list[tuple], list[list[Fraction]]]:
+    """(keys, rows): the sorted union of the ratios' log_vector keys, and
+    each ratio's log_vector as a dense row over them."""
+    vecs = [log_vector(r) for r in ratios]
+    keys = sorted({k for v in vecs for k in v})
+    return keys, [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
+
+
 @dataclass(frozen=True)
 class CommensurabilityWitness:
     """Nonnegative rational exponents t[i][j] with gamma_j = prod rho_i^t[i][j]."""
@@ -87,13 +95,12 @@ def commensurability_witness(rhos, gammas, denominator_bound: int = 64) -> Comme
     all denominators <= denominator_bound, otherwise records the exact
     feasibility verdict (with an unbounded witness when feasible).
     """
-    rho_vecs = [log_vector(r) for r in rhos]
-    gamma_vecs = [log_vector(g) for g in gammas]
-    keys = sorted({k for v in rho_vecs + gamma_vecs for k in v})
-    a_rows = [[v.get(k, Fraction(0)) for v in rho_vecs] for k in keys]
+    ell = len(rhos)
+    keys, logs = log_rows([*rhos, *gammas])
+    # one equation per log coordinate, one unknown per rho
+    a_rows = [[row[i] for row in logs[:ell]] for i in range(len(keys))]
     columns = []
-    for gvec in gamma_vecs:
-        b = [gvec.get(k, Fraction(0)) for k in keys]
+    for b in logs[ell:]:
         t = feasible_point(a_rows, b)
         if t is None:
             columns.append(ColumnVerdict(False, None, False))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import UsageError
-from .linalg import clear_denominators, kernel_basis, rank_bareiss
+from .linalg import kernel_basis, rank_rational
 from .simplex import nonneg_kernel_vector
 from .symbolic import SymbolicReal
 
@@ -41,7 +41,7 @@ def rank_span(reals: list[SymbolicReal], include_one: bool = False) -> int:
     rows = [[x.q0] + x.coefficient_vector(labels) for x in reals]
     if include_one:
         rows.append([Fraction(1)] + [Fraction(0)] * len(labels))
-    return rank_bareiss(clear_denominators(rows))
+    return rank_rational(rows)
 
 
 @dataclass(frozen=True)

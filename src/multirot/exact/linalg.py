@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here is small and dense: fraction-free (Bareiss) elimination
-for ranks, plain rational elimination for kernels and solves, and a
-row-style Hermite form used to extract an integer-coefficient basis of a
-finitely generated subgroup of Q^n.
+Everything here is small and dense.  Ranks come from fraction-free
+(Bareiss) elimination; kernels, solves and the simplex's tableau all go
+through one Gauss-Jordan `pivot` over Fractions, and a row-style Hermite
+form extracts an integer-coefficient basis of a finitely generated
+subgroup of Q^n.
 """
 
 from __future__ import annotations
@@ -12,18 +13,22 @@ from fractions import Fraction
 from math import lcm
 
 
-def clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
+def common_denominator(rows: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(d, rows scaled by d), d the lcm of every entry's denominator."""
+    d = lcm(*(c.denominator for row in rows for c in row))
+    return d, [[int(c * d) for c in row] for row in rows]
+
+
+def rank_rational(rows: list[list[Fraction]]) -> int:
+    """Rank over Q by fraction-free Gaussian elimination (Bareiss).
+
+    Each row is first scaled by the lcm of its own denominators, which
+    keeps the rank and leaves integers only; rows of ints are accepted too.
+    """
+    m = []
     for row in rows:
-        d = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * d) for f in row])
-    return out
-
-
-def rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank via fraction-free Gaussian elimination (Bareiss)."""
-    m = [row[:] for row in rows]
+        d = lcm(*(f.denominator for f in row))
+        m.append([int(f * d) for f in row])
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     rank = 0
@@ -44,33 +49,44 @@ def rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank_rational(rows: list[list[Fraction]]) -> int:
-    return rank_bareiss(clear_denominators(rows))
+def pivot(m: list[list[Fraction]], r: int, col: int) -> None:
+    """Gauss-Jordan step in place: scale row r to a 1 at col, clear col from every other row."""
+    inv = 1 / m[r][col]
+    m[r] = [v * inv for v in m[r]]
+    for i, row in enumerate(m):
+        if i != r and row[col] != 0:
+            f = row[col]
+            m[i] = [a - f * b for a, b in zip(row, m[r])]
 
 
-def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} by reduced row echelon over Fractions."""
+def rref(rows: list[list[Fraction]], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of rows: (reduced rows, pivot columns).
+
+    Pivots are sought in the first n_cols columns only; later columns (a
+    right-hand side) ride along.  The form is unique, so the result does
+    not depend on the order of elimination.
+    """
     m = [row[:] for row in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
     pivots: list[int] = []
-    r = 0
     for col in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot(m, r, col)
         pivots.append(col)
-        r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
+    return m, pivots
+
+
+def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Basis of {x : A x = 0}, one vector per non-pivot column of rref(A)."""
+    n_cols = len(rows[0]) if rows else 0
+    m, pivots = rref(rows, n_cols)
     basis = []
-    for fc in free:
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -79,22 +95,16 @@ def kernel_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b for square A; None when A is singular or inconsistent."""
-    n = len(rows)
-    m = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The unique x with A x = b.
+
+    None when A's columns are dependent or the system is inconsistent.
+    """
+    n = len(rows[0]) if rows else 0
+    m, pivots = rref([row + [b] for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n or any(row[n] != 0 for row in m[n:]):
+        return None
+    return [row[n] for row in m[:n]]
 
 
 def hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:

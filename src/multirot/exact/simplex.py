@@ -2,14 +2,18 @@
 
 Used to decide, with no floating point anywhere, whether a system
 A x = b, x >= 0 is feasible, and to extract a basic (vertex) solution.
-Bland's rule guarantees termination.  Problems here are tiny (a handful
-of variables), so no effort is spent on sparsity.
+Bland's rule guarantees termination.  The tableau, objective row
+included, is updated by `linalg.pivot`, and vertices are enumerated by
+`linalg.solve` on each column support.  Problems here are tiny (a
+handful of variables), so no effort is spent on sparsity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from .linalg import pivot, solve
 
 ZERO = Fraction(0)
 
@@ -33,14 +37,12 @@ def feasible_point(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Frac
     total = n + m
     tableau = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    # objective row for min(sum of artificials), expressed in reduced costs
-    obj = [ZERO] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            obj[j] += tableau[i][j]
+    # the objective row for min(sum of artificials), in reduced costs, is the
+    # tableau's last row, so each pivot updates it along with the rest
+    tableau.append([sum(col, ZERO) for col in zip(*tableau)])
 
     while True:
-        enter = next((j for j in range(total) if j not in basis and obj[j] > 0), None)
+        enter = next((j for j in range(total) if j not in basis and tableau[m][j] > 0), None)
         if enter is None:
             break
         # ratio test with Bland tie-break on the leaving basic variable
@@ -55,17 +57,10 @@ def feasible_point(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Frac
         if leave is None:
             # unbounded phase-1 objective cannot happen (bounded below by 0)
             raise RuntimeError("phase-1 simplex: no leaving variable")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * c for a, c in zip(tableau[i], tableau[leave])]
-        f = obj[enter]
-        obj = [a - f * c for a, c in zip(obj, tableau[leave])]
+        pivot(tableau, leave, enter)
         basis[leave] = enter
 
-    if obj[total] != 0:
+    if tableau[m][total] != 0:
         return None
     x = [ZERO] * n
     for i, var in enumerate(basis):
@@ -106,7 +101,7 @@ def basic_feasible_solutions(a_rows: list[list[Fraction]], b: list[Fraction]) ->
     seen = set()
     for size in range(0, min(m, n) + 1):
         for cols in combinations(range(n), size):
-            square = _solve_on_support(a_rows, b, cols)
+            square = solve([[row[c] for c in cols] for row in a_rows], b)
             if square is None:
                 continue
             x = [ZERO] * n
@@ -119,30 +114,3 @@ def basic_feasible_solutions(a_rows: list[list[Fraction]], b: list[Fraction]) ->
                 seen.add(key)
                 out.append(x)
     return out
-
-
-def _solve_on_support(a_rows, b, cols):
-    """Solve A[:, cols] y = b when it has a unique solution; else None."""
-    sub = [[row[c] for c in cols] for row in a_rows]
-    # reduce to a square consistent system via elimination
-    n = len(cols)
-    aug = [sub[i] + [b[i]] for i in range(len(a_rows))]
-    r = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            return None  # underdetermined on this support: not a vertex
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return None  # inconsistent
-    return [aug[i][n] for i in range(r)]

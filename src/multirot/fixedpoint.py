@@ -38,20 +38,19 @@ def accumulate(omega: np.ndarray, step_values, bits: int) -> np.ndarray:
     """x_0 = 0 and x_k = x_{k-1} + step_values[omega[k-1] - 1] mod 2**bits, k = 1..n.
 
     omega holds symbols 1..ell and step_values one B-bit integer per
-    symbol; the result is the (n+1, L) limb array.  Every step is split
-    into 32-bit sub-limbs, which np.cumsum adds up one chunk of
-    `table.CHUNK_ROWS` rows at a time, starting from the previous chunk's
-    last row.  A chunk's sub-limb sums stay below (CHUNK_ROWS + 1) * 2**32,
+    symbol; the result is the (n+1, L) limb array.  Every step's `pack`
+    limbs are split into 32-bit sub-limbs, which np.cumsum adds up one
+    chunk of `table.CHUNK_ROWS` rows at a time, starting from the previous
+    chunk's last row.  A chunk's sub-limb sums stay below (CHUNK_ROWS + 1) * 2**32,
     far from overflow; the carries then go up from the least significant
     sub-limb, and the carry out of the top one is dropped (mod 2**bits).
     """
     n, L = len(omega), limbs(bits)
-    pad, subs = 64 * L - bits, 2 * L
-    sub_limbs = np.array(
-        [[((v << pad) >> (32 * (subs - 1 - j))) & 0xFFFFFFFF for j in range(subs)]
-         for v in step_values],
-        dtype=np.uint64,
-    )
+    subs = 2 * L
+    packed = pack(step_values, bits)
+    sub_limbs = np.empty((len(packed), subs), dtype=np.uint64)
+    sub_limbs[:, 0::2] = packed >> _THIRTY_TWO
+    sub_limbs[:, 1::2] = packed & _LOW32
     out = np.zeros((n + 1, L), dtype=np.uint64)
     last = np.zeros(subs, dtype=np.uint64)
     for s, e in table.chunk_bounds(n):

@@ -81,10 +81,6 @@ class Turn:
                 del acc[label]
         return Turn((self.rational + other.rational) % 1, tuple(sorted(acc.items())))
 
-    def times(self, k: int) -> "Turn":
-        acc = {label: c * k for label, c in self.irrational if c * k != 0}
-        return Turn((self.rational * k) % 1, tuple(sorted(acc.items())))
-
     @property
     def is_rational(self) -> bool:
         return not self.irrational
@@ -273,13 +269,13 @@ class SimilarIFS:
             r = mp.ratio * mp.ortho
             return (Fraction(0), r, mp.shift[0]) if mp.ortho > 0 else (r, Fraction(0), mp.shift[0])
 
-        from .exact.linalg import solve_square
+        from .exact.linalg import solve
 
         for i in range(len(maps)):
             for j in range(len(maps)):
                 am, aM, ac = lo_expr(maps[i])
                 bm, bM, bc = hi_expr(maps[j])
-                sol = solve_square(
+                sol = solve(
                     [[1 - am, -aM], [-bm, 1 - bM]],
                     [ac, bc],
                 )

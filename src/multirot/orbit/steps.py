@@ -15,16 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from ..errors import UsageError
 from ..fixedpoint import fp_from_fraction
-from ..exact.linalg import (
-    clear_denominators,
-    hermite_row_basis,
-    integer_coordinates,
-    rank_bareiss,
-)
+from ..exact.linalg import common_denominator, hermite_row_basis, integer_coordinates, rank_rational
 from ..exact.symbolic import BasisTable, SymbolicReal
 
 
@@ -80,12 +74,7 @@ def build_step_system(alphas: list[SymbolicReal], bits: int = 128) -> StepSystem
         if not table.is_irrational(l):
             raise UsageError(f"basis entry {l!r} used by a step is not declared irrational")
 
-    coeff_rows = [a.coefficient_vector(labels) for a in alphas]
-    denom = 1
-    for row in coeff_rows:
-        for c in row:
-            denom = lcm(denom, c.denominator)
-    int_rows = [[int(c * denom) for c in row] for row in coeff_rows]
+    denom, int_rows = common_denominator([a.coefficient_vector(labels) for a in alphas])
     hermite = hermite_row_basis(int_rows)
     r = len(hermite)
 
@@ -108,7 +97,7 @@ def build_step_system(alphas: list[SymbolicReal], bits: int = 128) -> StepSystem
         assert acc == a, "expansion failed to reproduce a step exactly"
 
     lam_rows = [[a.q0] + a.coefficient_vector(labels) for a in alphas]
-    lam = rank_bareiss(clear_denominators(lam_rows))
+    lam = rank_rational(lam_rows)
 
     return StepSystem(tuple(alphas), betas, tuple(p_rows), q, r, lam, bits)
 

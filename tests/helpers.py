@@ -141,6 +141,46 @@ def brute_force_commensurable(
     return None
 
 
+# -- feasibility of A x = b, x >= 0, by basic solutions ----------------------------
+
+def determinant(m: list[list[Fraction]]) -> Fraction:
+    """Cofactor expansion along the first row (small matrices only)."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+         for j in range(len(m))),
+        Fraction(0),
+    )
+
+
+def brute_force_feasible(a: list[list[Fraction]], b: list[Fraction]) -> bool:
+    """Whether A x = b has a solution x >= 0.
+
+    A feasible system has a basic solution: nonnegative values on linearly
+    independent columns.  Every column support and every nonsingular square
+    block of its rows is tried, the block solved by Cramer's rule, and the
+    solution kept when it is nonnegative and satisfies every row.
+    """
+    n_rows, n_cols = len(a), len(a[0])
+    for size in range(min(n_rows, n_cols) + 1):
+        for cols in combinations(range(n_cols), size):
+            for rows in combinations(range(n_rows), size):
+                d = determinant([[a[i][j] for j in cols] for i in rows])
+                if d == 0:
+                    continue
+                y = [
+                    determinant([[b[i] if j == c else a[i][j] for j in cols] for i in rows]) / d
+                    for c in cols
+                ]
+                if all(v >= 0 for v in y) and all(
+                    sum((a[i][j] * v for j, v in zip(cols, y)), Fraction(0)) == b[i]
+                    for i in range(n_rows)
+                ):
+                    return True
+    return False
+
+
 # -- brute-force minimal circular cover --------------------------------------------
 
 def brute_force_cover(vals: list[int], delta: int, mod: int) -> int:

@@ -313,11 +313,23 @@ def test_orbit_length_guard_exit_3_writes_nothing(tmp_path, capsys, route):
 
 
 def test_orbit_length_guard_spares_pigeonhole_n():
-    """The pigeonhole op's n is the approximation target, not an orbit length."""
-    cfg = ExperimentConfig(kind="diophantine", n=10 * MAX_ORBIT_N, params={"betas": ["sqrt2"]})
-    cfg.validate()
-    with pytest.raises(GuardError):
+    """The pigeonhole op's n is the approximation target, not an orbit length:
+    its bound is the k-space (mn)^r + 1, not MAX_ORBIT_N."""
+    with pytest.raises(GuardError, match=r"\(mn\)\^r \+ 1"):
+        ExperimentConfig(kind="diophantine", n=10 * MAX_ORBIT_N,
+                         params={"betas": ["sqrt2"]}).validate()
+    with pytest.raises(GuardError, match=f"n={MAX_ORBIT_N + 1} exceeds"):
         ExperimentConfig(kind="boxdim", n=MAX_ORBIT_N + 1, scales=(2, 6)).validate()
+
+
+def test_pigeonhole_bucket_guard_exits_3(tmp_path, capsys):
+    """A k-space past the scan budget and the bucket path's guard exits 3 before any work."""
+    out = tmp_path / "o"
+    path = write_config(tmp_path, {"kind": "diophantine", "n": 10 * MAX_ORBIT_N,
+                                   "params": {"betas": ["sqrt2"]}, "out_dir": str(out)})
+    assert main(["run", path]) == 3
+    assert "guard:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_orbit_single_step(tmp_path, capsys):

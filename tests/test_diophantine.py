@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import brute_force_min_k, random_basis, reference_separation
 from multirot import diophantine
 from multirot.diophantine import kxn_separation, norm_dist, pigeonhole_approx
-from multirot.errors import UsageError
+from multirot.errors import GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
 from multirot.fixedpoint import fp_from_fraction, pack
 from multirot.orbit import RandomSymbols, generate_orbit, reduced_orbit, steps_from_values
@@ -58,6 +58,17 @@ def test_pigeonhole_guards():
         pigeonhole_approx([SQRT2] * 5, 3, 200)  # (mn)^r + 1 beyond 2**40
     with pytest.raises(UsageError):
         pigeonhole_approx([SQRT2], 1000, 1000, bits=16)
+
+
+def test_pigeonhole_bucket_path_guard():
+    """Past MAX_BUCKET_K_SPACE the bucket path is refused before its loop; the
+    scan path, when the scan budget covers the k-space, is not."""
+    limit = diophantine.MAX_BUCKET_K_SPACE
+    with pytest.raises(GuardError):
+        pigeonhole_approx([SQRT2], 1, limit, scan_budget=1)
+    with pytest.raises(GuardError):
+        pigeonhole_approx([SQRT2], 1, 10**8)  # past the default scan budget too
+    assert pigeonhole_approx([SQRT2], 1, limit, scan_budget=limit + 1).path == "scan"
 
 
 def test_pigeonhole_matches_brute_force_and_bounds():

@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from helpers import brute_force_feasible
 from multirot.exact.linalg import (
-    clear_denominators,
+    common_denominator,
     hermite_row_basis,
     integer_coordinates,
     kernel_basis,
-    rank_bareiss,
     rank_rational,
-    solve_square,
+    solve,
 )
 from multirot.exact.simplex import (
     basic_feasible_solutions,
@@ -36,7 +36,7 @@ def test_rank_matches_float_rank_on_random_matrices():
         cols = rng.randint(1, 5)
         m = _random_int_matrix(rng, rows, cols)
         expected = np.linalg.matrix_rank(np.array(m, dtype=np.float64))
-        assert rank_bareiss(m) == expected
+        assert rank_rational(m) == expected
 
 
 def test_rank_rational_clears_denominators():
@@ -64,11 +64,27 @@ def test_solve_square_roundtrip():
         m = [[F(x) for x in row] for row in _random_int_matrix(rng, n, n)]
         x = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         b = [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)]
-        sol = solve_square(m, b)
+        sol = solve(m, b)
         if sol is not None:
             assert all(
                 sum(m[i][j] * sol[j] for j in range(n)) == b[i] for i in range(n)
             )
+
+
+def test_solve_needs_independent_columns_and_a_consistent_system():
+    # 3 x 2, independent columns: the unique solution
+    a = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
+    assert solve(a, [F(1, 2), F(1, 3), F(5, 6)]) == [F(1, 2), F(1, 3)]
+    # the same columns, third equation contradicting the first two
+    assert solve(a, [F(1, 2), F(1, 3), F(1)]) is None
+    # 3 x 2 with dependent columns: consistent, yet no unique solution
+    dep = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]]
+    assert solve(dep, [F(1), F(2), F(3)]) is None
+    # square and singular
+    assert solve([[F(1), F(1)], [F(1), F(1)]], [F(1), F(1)]) is None
+    # no columns: consistent only for b = 0
+    assert solve([[], []], [F(0), F(0)]) == []
+    assert solve([[], []], [F(0), F(1)]) is None
 
 
 def test_hermite_rows_generate_same_module():
@@ -85,7 +101,7 @@ def test_hermite_rows_generate_same_module():
                 rebuilt = [x + c * y for x, y in zip(rebuilt, hrow)]
             assert rebuilt == row
         # basis rows lie in the module spanned by the originals (rank check)
-        assert rank_bareiss(h) == rank_bareiss(rows) == len(h)
+        assert rank_rational(h) == rank_rational(rows) == len(h)
 
 
 def test_feasible_point_finds_solutions_and_rejects_infeasible():
@@ -96,9 +112,7 @@ def test_feasible_point_finds_solutions_and_rejects_infeasible():
     assert sol is not None and sol == [F(2), F(1)]
 
 
-def test_feasible_point_on_random_systems_against_scipy():
-    from scipy.optimize import linprog
-
+def test_feasible_point_on_random_systems_against_basic_solutions():
     rng = random.Random(13)
     for _ in range(80):
         rows = rng.randint(1, 3)
@@ -106,14 +120,7 @@ def test_feasible_point_on_random_systems_against_scipy():
         a = [[F(x) for x in row] for row in _random_int_matrix(rng, rows, cols, 4)]
         b = [F(rng.randint(-4, 4)) for _ in range(rows)]
         mine = feasible_point(a, b)
-        ref = linprog(
-            [0.0] * cols,
-            A_eq=[[float(x) for x in row] for row in a],
-            b_eq=[float(x) for x in b],
-            bounds=[(0, None)] * cols,
-            method="highs",
-        )
-        assert (mine is not None) == ref.success
+        assert (mine is not None) == brute_force_feasible(a, b)
         if mine is not None:
             for row, bi in zip(a, b):
                 assert sum(x * y for x, y in zip(row, mine)) == bi
@@ -137,6 +144,6 @@ def test_basic_feasible_solutions_cover_vertices():
     assert [F(1), F(0)] in sols and [F(0), F(1)] in sols
 
 
-def test_clear_denominators_preserves_ratios():
-    rows = clear_denominators([[F(1, 2), F(3, 4)]])
-    assert rows == [[2, 3]]
+def test_common_denominator_scales_every_row_by_one_lcm():
+    assert common_denominator([[F(1, 2), F(3, 4)], [F(5, 6)]]) == (12, [[6, 9], [10]])
+    assert common_denominator([[F(2), F(-3)]]) == (1, [[2, -3]])
