@@ -157,9 +157,7 @@ class DifferenceSet:
     cell_count: int | None = None
 
 
-def difference_set(
-    points: CirclePoints, cell_k: int | None = None, exact_limit: int = EXACT_DIFF_LIMIT
-) -> DifferenceSet:
+def difference_set(points: CirclePoints, cell_k: int | None = None) -> DifferenceSet:
     """X - X mod 1: exact pairwise for small sets, cell-level otherwise.
 
     The cell-level result is {(a - b) mod 2**k : a, b occupied cells}; each
@@ -172,7 +170,7 @@ def difference_set(
     finer k raises GuardError, since the bitmap takes O(2**k) memory.
     """
     n = len(points)
-    if cell_k is None and n <= exact_limit:
+    if cell_k is None and n <= EXACT_DIFF_LIMIT:
         vals = points.values
         acc = np.array([0], dtype=np.uint64)
         block = max(1, (1 << 22) // max(n, 1))
@@ -320,6 +318,8 @@ def scaled_covering_check(points: CirclePoints, p: int, k: int) -> ScaledCoverin
     grid the points are truncated to (all subsequent arithmetic is exact on
     that grid).
     """
+    if not 1 <= k <= COVER_BITS:
+        raise UsageError(f"k={k} is outside [1, {COVER_BITS}], the precision of exact covers")
     if p < 1:
         raise UsageError("p must be a positive integer")
     if p >= (1 << k):

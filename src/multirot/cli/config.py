@@ -8,6 +8,7 @@ byte-identically and diffs cleanly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from ..diophantine import check_k_space
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..embedtrace import MAX_TRACE_N
-from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude, power_exceeds
+from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude, guard_power
 from ..orbit.generate import guard_orbit_size
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
@@ -68,6 +69,9 @@ RECIPES = {
 VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
 ORBIT_FILLS = {"orbit": {}, "boxdim": {}, "separation": {},
                "difference-dense": VERIFY_ORBIT, "orbit-box-lower": VERIFY_ORBIT}
+# The config fields a recipe's handler reads that nothing defaults; an orbit route
+# also reads steps, strategy and n.
+_NEEDS = {"independence": ("steps",), "boxdim": ("scales",), "pigeonhole": ("n",), "ifs": ("ifs",)}
 # The params key that picks the recipe of a kind with several, and its default.
 _SELECTORS = {"verify-theorem": ("theorem", None), "diophantine": ("op", "pigeonhole")}
 
@@ -144,14 +148,18 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
+        """Parse the config file at path: its JSON and the type of each key.
+
+        The values are checked later, once, by validate, on the config that
+        runs: the one with the command line's overrides and the recipe's
+        defaults applied.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        cfg = cls.from_dict(raw)
-        cfg.validate()
-        return cfg
+        return cls.from_dict(raw)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -166,12 +174,19 @@ class ExperimentConfig:
         key, default = _SELECTORS[self.kind]
         return self.params.get(key, default)
 
+    def with_defaults(self) -> "ExperimentConfig":
+        """This config with its recipe's ORBIT_FILLS in the orbit fields it leaves out."""
+        fill = ORBIT_FILLS.get(self.recipe, {}) if isinstance(self.recipe, str) else {}
+        return dataclasses.replace(self, **{k: v for k, v in fill.items() if getattr(self, k) is None})
+
     def validate(self) -> None:
         """Parse every field the recipe reads, through the readers its handler calls.
 
-        This runs before any output exists.  A value that does not parse or
-        lies below its least value raises ConfigError; a size past its guard
-        raises GuardError.
+        run_config calls this once, before any output exists, on the config
+        its handler runs: overrides and with_defaults already applied.  A
+        field the handler needs that is missing, a value that does not
+        parse or one below its least value raises ConfigError; a size past
+        its guard raises GuardError.
         """
         where = "config"
         try:
@@ -216,8 +231,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad {where}: {prefix.get(type(exc), '')}{exc}") from None
 
     def _check_recipe(self) -> None:
-        """The recipe's own inputs, and the guards that bound two values together."""
+        """The recipe's own inputs, the guards that bound two values together, and
+        the fields its handler needs."""
         recipe = self.recipe
+        needs = _NEEDS.get(recipe, ())
         if recipe == "rank":
             self.reals("values", self.steps)
         if recipe == "pigeonhole":
@@ -228,29 +245,23 @@ class ExperimentConfig:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")
         if recipe in ORBIT_FILLS and not (recipe == "boxdim" and self.ifs is not None):
-            n = self.n if self.n is not None else ORBIT_FILLS[recipe].get("n")
-            if n is not None:
-                guard_orbit_size(n, self.bits)
+            needs += ("steps", "strategy", "n")
+            if self.n is not None:
+                guard_orbit_size(self.n, self.bits)
         if recipe == "ifs" and self.ifs is not None:
-            ell = len(self.ifs)
             depth, sample_depth = self.ifs_depths()
-            if power_exceeds(ell, depth, MAX_CYLINDERS):
-                raise GuardError(f"ssc depth {depth}: {ell}**{depth} cylinders exceed 2**16")
-            if power_exceeds(ell, sample_depth, MAX_SAMPLE_POINTS):
-                raise GuardError(
-                    f"sample depth {sample_depth}: {ell}**{sample_depth} points exceed 2**24"
-                )
+            guard_power(len(self.ifs), depth, MAX_CYLINDERS, "cylinders")
+            guard_power(len(self.ifs), sample_depth, MAX_SAMPLE_POINTS, "points")
         if recipe == "boxdim" and self.ifs is not None:
-            ell, depth = len(self.ifs), self.param("depth")
-            if power_exceeds(ell, depth, MAX_SAMPLE_POINTS):
-                raise GuardError(f"sample depth {depth}: {ell}**{depth} points exceed 2**24")
+            guard_power(len(self.ifs), self.param("depth"), MAX_SAMPLE_POINTS, "points")
         if recipe in ("embed", "trace-ratio-bounds"):
             # the trace samples F and covers E once at this depth
             (e_ifs, f_ifs), depth = self.embed_pair(), self.param("depth")
-            if power_exceeds(e_ifs.ell, depth, MAX_CYLINDERS):
-                raise GuardError(f"depth {depth}: {e_ifs.ell}**{depth} cylinders of E exceed 2**16")
-            if power_exceeds(f_ifs.ell, depth, MAX_SAMPLE_POINTS):
-                raise GuardError(f"depth {depth}: {f_ifs.ell}**{depth} points of F exceed 2**24")
+            guard_power(e_ifs.ell, depth, MAX_CYLINDERS, "cylinders of E")
+            guard_power(f_ifs.ell, depth, MAX_SAMPLE_POINTS, "points of F")
+        missing = [name for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ConfigError(f"{recipe} needs {', '.join(missing)}")
 
     def param(self, name: str):
         """params[name], defaulted, parsed and bounded by its row in RECIPES."""

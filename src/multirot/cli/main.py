@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from ..errors import ConfigError, GuardError, UsageError
+from ..errors import ConfigError, UsageError
 from .config import RECIPES, ExperimentConfig, parse_ifs_inline
 from .runner import EXIT_GUARD, EXIT_OK, EXIT_VALIDATION, run_config
 
@@ -160,9 +160,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except GuardError as exc:
-        print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     result = run_config(cfg, args.out)
     for key in sorted(result.summary):
         print(f"{key} = {result.summary[key]}")

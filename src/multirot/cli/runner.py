@@ -12,7 +12,6 @@ in the output depends on any parallelism setting.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
@@ -32,7 +31,7 @@ from ..ifs import attractor_sample, similarity_dimension, ssc_check
 from ..orbit.generate import generate_orbit, reduced_orbit, tau_discrepancy
 from ..orbit.io import write_orb1, write_orbit_csv
 from ..svgplot import loglog_svg
-from .config import ORBIT_FILLS, ExperimentConfig, parse_ifs
+from .config import ExperimentConfig, parse_ifs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -125,18 +124,20 @@ def _make_stage(out: str) -> str:
 
 
 def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
-    """Validate a config, run it in a staging directory, then publish it.
+    """Fill in the recipe's defaults, validate once, run in a staging directory, then publish.
 
-    The artifacts move into the output directory, made if missing, only
-    after the handler and the summary have both succeeded.  A failed or
-    interrupted run leaves no new directory and no artifact behind, and a
-    directory that existed before the run keeps its contents.  A refused
-    input is exit 2 and a guarded size exit 3, each with the reason as the
-    summary's error.
+    validate checks the config the handler runs, so an input it refuses
+    ends the run before the stage exists.  The artifacts move into the
+    output directory, made if missing, only after the handler and the
+    summary have both succeeded.  A failed or interrupted run leaves no
+    new directory and no artifact behind, and a directory that existed
+    before the run keeps its contents.  A refused input is exit 2 and a
+    guarded size exit 3, each with the reason as the summary's error.
     """
     out = out_dir or cfg.out_dir
     stage = None
     try:
+        cfg = cfg.with_defaults()
         cfg.validate()
         stage = _make_stage(out)
         summary, staged = _HANDLERS[cfg.recipe](cfg, stage)
@@ -193,11 +194,7 @@ def _witness_str(w):
 
 
 def _orbit(cfg):
-    """(steps, orbit) of the config's orbit fields, its recipe's ORBIT_FILLS for those left out."""
-    fill = ORBIT_FILLS[cfg.recipe]
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in fill.items() if getattr(cfg, k) is None})
-    if cfg.n is None:
-        raise ConfigError(f"{cfg.recipe} needs n")
+    """(steps, orbit) of the config's orbit fields."""
     steps = cfg.step_system()
     return steps, generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
 
@@ -238,8 +235,6 @@ def _points_for_boxdim(cfg):
 
 
 def _run_boxdim(cfg, out):
-    if cfg.scales is None:
-        raise ConfigError("boxdim needs scales [k_min, k_max]")
     points, meta = _points_for_boxdim(cfg)
     k_min, k_max = cfg.scales
     profile = bx.covering_profile(points, k_min, k_max)
@@ -271,8 +266,6 @@ def _write_profile(out, profile):
 def _run_pigeonhole(cfg, out):
     betas = [x.value() for x in cfg.reals("betas")[1]]
     m = cfg.param("m")
-    if cfg.n is None:
-        raise ConfigError("pigeonhole needs n")
     res = pigeonhole_approx(betas, m, cfg.n, cfg.bits)
     rows = [[j, res.achieved[j], res.bound()] for j in range(res.r)]
     csv = write_csv(out, "results.csv", ["j", "achieved", "bound"], rows)
@@ -299,8 +292,6 @@ def _run_separation(cfg, out):
 
 
 def _run_ifs(cfg, out):
-    if cfg.ifs is None:
-        raise ConfigError("ifs kind needs an ifs definition")
     ifs = parse_ifs(cfg.ifs)
     depth, sample_depth = cfg.ifs_depths()
     cert = ssc_check(ifs, depth)

@@ -22,7 +22,6 @@ from .errors import GuardError, UsageError
 from .exact.symbolic import SymbolicReal
 from .fixedpoint import fp_from_fraction
 
-K_SPACE_GUARD = 1 << 40
 DEFAULT_SCAN_BUDGET = 1 << 23
 # The largest k-space (mn)^r + 1 the bucket path may take.  It keeps one dict
 # entry per k until two subcubes collide, so k-space entries at worst: with
@@ -74,15 +73,12 @@ class ApproxResult:
 def check_k_space(m: int, n: int, r: int, scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
     """The k-space (mn)^r + 1 of pigeonhole_approx, refused before any work.
 
-    UsageError for m or n below 1 or a k-space past K_SPACE_GUARD;
-    GuardError when it exceeds scan_budget (the bucket path runs) and
-    MAX_BUCKET_K_SPACE.
+    UsageError for m or n below 1; GuardError when it exceeds scan_budget
+    (the bucket path runs) and MAX_BUCKET_K_SPACE.
     """
     if m < 1 or n < 1:
         raise UsageError("m and n must be positive integers")
     k_space = (m * n) ** r + 1
-    if k_space > K_SPACE_GUARD:
-        raise UsageError(f"(mn)^r + 1 = {k_space} exceeds the 2^40 guard")
     if k_space > scan_budget and k_space > MAX_BUCKET_K_SPACE:
         raise GuardError(f"(mn)^r + 1 = {k_space} exceeds the bucket path's guard "
                          f"of {MAX_BUCKET_K_SPACE}")
@@ -103,7 +99,7 @@ def pigeonhole_approx(
         raise UsageError("need at least one beta")
     mn = m * n
     k_max = check_k_space(m, n, r, scan_budget)
-    if Fraction(1, 1 << (bits - 4)) >= Fraction(1, mn):
+    if mn >= 1 << max(bits - 4, 0):  # 2**-(bits-4) >= 1/(mn)
         raise UsageError("bits too small for the requested 1/(mn) target")
     bound = Fraction(1, mn)
 

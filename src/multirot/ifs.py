@@ -26,12 +26,14 @@ MAX_CYLINDERS = 1 << 16       # ell**depth guard of cylinder enumeration
 MAX_SAMPLE_POINTS = 1 << 24   # ell**depth guard of attractor samples
 
 
-def power_exceeds(ell: int, depth: int, limit: int) -> bool:
-    """ell**depth > limit, with the exponent capped at 64 so a huge depth costs nothing.
+def guard_power(ell: int, depth: int, limit: int, what: str) -> None:
+    """GuardError when ell**depth, the count of `what`, exceeds limit, a power of two.
 
-    Past 64 levels every ell >= 2 exceeds both guards, and ell <= 1 never does.
+    The exponent is capped at 64 so a huge depth costs nothing: past 64
+    levels every ell >= 2 exceeds both guards, and ell <= 1 never does.
     """
-    return ell ** min(depth, 64) > limit
+    if ell ** min(depth, 64) > limit:
+        raise GuardError(f"{ell}**{depth} {what} exceed 2**{limit.bit_length() - 1}")
 
 
 def sqrt_up(q: Fraction) -> Fraction:
@@ -313,8 +315,7 @@ class SimilarIFS:
 
     def cylinders(self, depth: int) -> list[tuple[tuple[int, ...], Similitude]]:
         """All (word, composed map) pairs at the given depth, words 1-based."""
-        if power_exceeds(self.ell, depth, MAX_CYLINDERS):
-            raise GuardError("cylinder enumeration guard exceeded")
+        guard_power(self.ell, depth, MAX_CYLINDERS, "cylinders")
         out: list[tuple[tuple[int, ...], Similitude]] = [((), None)]
         for _ in range(depth):
             nxt = []
@@ -419,8 +420,7 @@ def attractor_sample(ifs: SimilarIFS, depth: int, x0=None) -> list[tuple[Fractio
     The default x0 lies in the attractor, so every sample is a genuine
     attractor point; coordinates are exact when inputs are rational.
     """
-    if power_exceeds(ifs.ell, depth, MAX_SAMPLE_POINTS):
-        raise GuardError("attractor sample guard exceeded (ell**depth > 2**24)")
+    guard_power(ifs.ell, depth, MAX_SAMPLE_POINTS, "points")
     if x0 is None:
         pts = [ifs.maps[0].fixed_point()]
     else:

@@ -149,7 +149,7 @@ def test_difference_set_contains_zero():
 def test_difference_set_cell_level_flagged():
     rng = np.random.default_rng(10)
     points = bx.CirclePoints(rng.integers(0, 1 << 63, 20000).astype(np.uint64))
-    diff = bx.difference_set(points, exact_limit=4096)
+    diff = bx.difference_set(points)
     assert diff.cell_level and diff.k == 12
     assert diff.cell_count <= 1 << 12
 
@@ -460,6 +460,13 @@ def test_scaled_covering_examples():
 def test_scaled_covering_precondition():
     with pytest.raises(UsageError):
         bx.scaled_covering_check(pts_of(0), 16, 4)
+
+
+@pytest.mark.parametrize("k", [-1, 0, bx.COVER_BITS + 1])
+def test_scaled_covering_scale_outside_the_cover_precision(k):
+    """k = 61 used to end in a raw ValueError from a negative shift count."""
+    with pytest.raises(UsageError, match=f"k={k} is outside"):
+        bx.scaled_covering_check(pts_of(0), 1, k)
 
 
 def test_scaled_covering_holds_on_random_sets():

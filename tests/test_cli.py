@@ -460,6 +460,45 @@ def test_main_run_seed_override(tmp_path, capsys):
     assert a != b  # different seed, different orbit
 
 
+@pytest.mark.parametrize("config, override", [
+    ({k: v for k, v in ORBIT_CONFIG.items() if k != "seed"}, ["--seed", "5"]),
+    ({**ORBIT_CONFIG, "bits": 100}, ["--bits", "128"]),
+])
+def test_overrides_apply_before_the_config_is_checked(tmp_path, capsys, config, override):
+    """The config alone is refused; with the override it is the config that runs."""
+    path = write_config(tmp_path, {**config, "out_dir": str(tmp_path / "o")})
+    assert main(["run", path]) == 2
+    assert main(["run", path, *override]) == 0
+    assert (tmp_path / "o" / "orbit.orb1").exists()
+
+
+def test_verify_orbit_defaults_fill_a_left_out_seed(tmp_path, capsys):
+    """A random strategy without a seed takes the verify recipes' seed 0, as with no strategy."""
+    runs = {}
+    for name, extra in [("given", {"seed": 0}), ("left_out", {})]:
+        out = tmp_path / name
+        path = write_config(tmp_path, {
+            "kind": "verify-theorem", "strategy": {"type": "random"}, "n": 2000,
+            "params": {"theorem": "difference-dense", "k": 10}, "out_dir": str(out), **extra})
+        assert main(["run", path]) == 0
+        runs[name] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert runs["left_out"] == runs["given"]
+
+
+def test_one_run_validates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = ExperimentConfig.validate
+
+    def counted(cfg):
+        calls.append(cfg)
+        validate(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    path = write_config(tmp_path, {**ORBIT_CONFIG, "out_dir": str(tmp_path / "o")})
+    assert main(["run", path, "--seed", "2"]) == 0
+    assert len(calls) == 1 and calls[0].seed == 2
+
+
 def test_main_verify_params_json(tmp_path, capsys):
     code = main([
         "verify", "scaled-covering", "--seed", "0", "--out", str(tmp_path / "o"),
@@ -739,6 +778,10 @@ def _verify(theorem, **params):
 SEPARATION = {"kind": "diophantine", **ORBIT_PART, "params": {"op": "separation"}}
 
 
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
 @pytest.mark.parametrize("config, code", [
     (_verify("scaled-covering", trials=10**8), 3),
     (_verify("scaled-covering", max_points=10**9), 3),
@@ -764,6 +807,16 @@ SEPARATION = {"kind": "diophantine", **ORBIT_PART, "params": {"op": "separation"
     ({"kind": "rank", "params": [1]}, 2),
     ({**ORBIT_CONFIG, "strategy": "random"}, 2),
     ({"kind": "embed", "affine": ["1", "0"]}, 2),
+    # a field the handler reads left out
+    (_without(ORBIT_CONFIG, "steps"), 2),
+    (_without(ORBIT_CONFIG, "strategy"), 2),
+    (_without(ORBIT_CONFIG, "n"), 2),
+    (_without(SEPARATION, "steps"), 2),
+    ({"kind": "boxdim", **_without(ORBIT_PART, "n"), "scales": [2, 6]}, 2),
+    ({"kind": "boxdim", "ifs": IFS_CANTOR}, 2),
+    ({"kind": "diophantine", "params": {"betas": ["sqrt2"]}}, 2),
+    ({"kind": "ifs"}, 2),
+    ({"kind": "independence"}, 2),
 ])
 def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
     monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
@@ -945,15 +998,20 @@ def _check_fuzzed_run(argv_for_out):
             assert not os.path.exists(os.path.join(tmp, "o"))
 
 
+# run's overrides: each left out, or a value that works or one that is refused
+OVERRIDES = st.fixed_dictionaries({}, optional={
+    "--seed": st.sampled_from(["1", "0", "-1"]), "--bits": st.sampled_from(["128", "64", "100", "0"])})
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(configs())
-def test_fuzzed_configs_exit_0_2_or_3(raw):
+@given(configs(), OVERRIDES)
+def test_fuzzed_configs_exit_0_2_or_3(raw, overrides):
     def argv(tmp):
         path = os.path.join(tmp, "config.json")
         payload = {**raw, "out_dir": os.path.join(tmp, "o")} if isinstance(raw, dict) else raw
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        return ["run", path]
+        return ["run", path, *(part for flag, value in overrides.items() for part in (flag, value))]
 
     _check_fuzzed_run(argv)
 

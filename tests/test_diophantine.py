@@ -54,10 +54,12 @@ def test_pigeonhole_rational_beta():
 
 
 def test_pigeonhole_guards():
-    with pytest.raises(UsageError):
+    with pytest.raises(GuardError, match="bucket path's guard"):
         pigeonhole_approx([SQRT2] * 5, 3, 200)  # (mn)^r + 1 beyond 2**40
     with pytest.raises(UsageError):
         pigeonhole_approx([SQRT2], 1000, 1000, bits=16)
+    with pytest.raises(UsageError, match="bits too small"):
+        pigeonhole_approx([SQRT2], 1, 4, bits=0)  # used to end in a negative shift count
 
 
 def test_pigeonhole_bucket_path_guard():

@@ -20,8 +20,8 @@ from multirot.ifs import (
     Turn,
     attractor_sample,
     check_affine_embedding,
+    guard_power,
     orthogonal_power_period,
-    power_exceeds,
     similarity_dimension,
     ssc_check,
 )
@@ -148,8 +148,12 @@ def test_sample_guard():
 
 def test_depth_guards_cap_the_exponent():
     """A huge depth is refused without forming ell**depth (2**(10**9) would take 125 MB)."""
-    assert power_exceeds(2, 10**9, MAX_SAMPLE_POINTS) and not power_exceeds(1, 10**9, 1)
-    assert power_exceeds(2, 17, MAX_CYLINDERS) and not power_exceeds(2, 16, MAX_CYLINDERS)
+    guard_power(1, 10**9, 1, "points")
+    guard_power(2, 16, MAX_CYLINDERS, "cylinders")
+    with pytest.raises(GuardError, match=r"^2\*\*1000000000 points exceed 2\*\*24$"):
+        guard_power(2, 10**9, MAX_SAMPLE_POINTS, "points")
+    with pytest.raises(GuardError, match=r"^2\*\*17 cylinders exceed 2\*\*16$"):
+        guard_power(2, 17, MAX_CYLINDERS, "cylinders")
     with pytest.raises(GuardError):
         attractor_sample(MIDDLE_THIRD, 10**9)
     with pytest.raises(GuardError):
