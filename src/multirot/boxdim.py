@@ -58,17 +58,22 @@ class CirclePoints:
         """Exact rationals in [0,1] (mod 1); optionally affinely rescaled to [0,1).
 
         Rescaling by the hull is dimension-preserving and is the documented
-        route for real-line data such as attractor samples.
+        route for real-line data such as attractor samples.  A rescaled
+        point x becomes floor((x - lo) / span * (2**64 - 1)), taken as one
+        integer floor division of that rational.
         """
-        xs = [Fraction(f) for f in fracs]
-        if rescale:
-            lo, hi = min(xs), max(xs)
-            span = hi - lo
-            if span > 0:
-                xs = [(x - lo) / span * Fraction(2**BITS - 1, 2**BITS) for x in xs]
-            else:
-                xs = [Fraction(0)]
-        return cls.from_fractions(xs)
+        xs = [f if isinstance(f, Fraction) else Fraction(f) for f in fracs]
+        if not rescale:
+            return cls.from_fractions(xs)
+        lo, hi = min(xs), max(xs)
+        span = hi - lo
+        if span == 0:
+            return cls(np.zeros(1, dtype=np.uint64))
+        # (x - lo) / span * (2**64 - 1) = (p lo_q - lo_p q) scale / (q unit) for x = p / q
+        lo_p, lo_q = lo.numerator, lo.denominator
+        scale, unit = span.denominator * (2**BITS - 1), lo_q * span.numerator
+        return cls(np.array([(x.numerator * lo_q - lo_p * x.denominator) * scale
+                             // (x.denominator * unit) for x in xs], dtype=np.uint64))
 
     def cells(self, k: int) -> np.ndarray:
         """Sorted distinct dyadic cell indices floor(x * 2**k)."""

@@ -240,7 +240,7 @@ class ExperimentConfig:
         if recipe == "pigeonhole":
             betas = self.reals("betas")[1]
             if self.n is not None:
-                check_k_space(self.param("m"), self.n, len(betas))
+                check_k_space(self.param("m"), self.n, len(betas), self.bits)
         if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")

@@ -70,14 +70,19 @@ class ApproxResult:
         return (self.m * self.n) ** self.r + 1
 
 
-def check_k_space(m: int, n: int, r: int, scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
+def check_k_space(m: int, n: int, r: int, bits: int = 128,
+                  scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
     """The k-space (mn)^r + 1 of pigeonhole_approx, refused before any work.
 
-    UsageError for m or n below 1; GuardError when it exceeds scan_budget
-    (the bucket path runs) and MAX_BUCKET_K_SPACE.
+    UsageError for m or n below 1 and unless 2**(bits - 4) > mn, the bits
+    the 1/(mn) target needs; GuardError when the k-space exceeds
+    scan_budget (the bucket path runs) and MAX_BUCKET_K_SPACE.
     """
     if m < 1 or n < 1:
         raise UsageError("m and n must be positive integers")
+    if (m * n).bit_length() > bits - 4:  # mn < 2**(bits - 4) exactly when this fails
+        raise UsageError(f"bits too small for the requested 1/(mn) target: 2**(bits - 4) "
+                         f"must exceed mn = {m * n}, got bits = {bits}")
     k_space = (m * n) ** r + 1
     if k_space > scan_budget and k_space > MAX_BUCKET_K_SPACE:
         raise GuardError(f"(mn)^r + 1 = {k_space} exceeds the bucket path's guard "
@@ -98,9 +103,7 @@ def pigeonhole_approx(
     if r < 1:
         raise UsageError("need at least one beta")
     mn = m * n
-    k_max = check_k_space(m, n, r, scan_budget)
-    if mn >= 1 << max(bits - 4, 0):  # 2**-(bits-4) >= 1/(mn)
-        raise UsageError("bits too small for the requested 1/(mn) target")
+    k_max = check_k_space(m, n, r, bits, scan_budget)
     bound = Fraction(1, mn)
 
     if k_max <= scan_budget:

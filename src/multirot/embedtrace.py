@@ -12,7 +12,7 @@ by the independence machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, log, log2, prod
 
@@ -23,16 +23,19 @@ from .errors import DomainError, GuardError, NotInAttractorError, UsageError
 from .exact.commensurability import log_rows
 from .exact.linalg import common_denominator, hermite_row_basis, integer_coordinates, rank_rational
 from .exact.symbolic import BasisEntry, BasisTable, SymbolicReal
-from .ifs import (Ball, SimilarIFS, Similitude, attractor_sample, orthogonal_power_period,
-                  scan_cover, sqrt_down, sqrt_up)
+from .ifs import (Ball, CoverScreen, SimilarIFS, Similitude, attractor_sample,
+                  orthogonal_power_period, scan_cover, sqrt_down, sqrt_up)
 from .orbit.generate import Orbit, generate_orbit
 from .orbit.steps import StepSystem, build_step_system
 from .orbit.strategies import ExplicitWord
 
-# Longest s_n trace; it also codes n_max levels of E.  The default pair took
-# 0.7, 1.0, 4.4 and 7-9 s at n_max 24, 128, 512 and 1024 (2-core x86_64).
+# Longest s_n trace; it also codes n_max levels of E.  With the float screen
+# the default pair's trace took 0.02, 0.03, 0.06 and 0.09 s at n_max 24, 128,
+# 512 and 1024 (2-core x86_64, Python 3.11); the same trace with every
+# candidate left to the exact scan (E moved to [2**60, 2**60 + 1]) took 9.5 s.
 MAX_TRACE_N = 1024
-# Most trace_work a trace may estimate.  On that host: the default pair at
+# Most trace_work a trace may estimate.  These are exact-scan costs, which a
+# trace pays where the screen declines; on that host: the default pair at
 # n_max 1024 (4.3e8) 7-9 s, at depth 9 (8.5e8) 17 s; F = {99/100 x, 99/100 x
 # + 1/100} at depth 4, n_max 16 (6.5e8) 7.5 s, n_max 24 (1.5e9) 18 s.
 # Tests and the benchmark trace at most 2e5.
@@ -191,6 +194,8 @@ class SnTrace:
     entries: tuple[SnEntry, ...]
     lower_bound: Fraction
     upper_bound: Fraction
+    # candidates the float screen left to the exact scan_cover; no artifact holds it
+    exact_fallbacks: int = field(default=0, compare=False, repr=False)
 
     def s_values(self) -> list[int]:
         return [e.s_n for e in self.entries]
@@ -232,9 +237,12 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
     is nondecreasing); each candidate k first tries the sufficient
     diameter criterion diam(M psi_1^k(F)) < rho_{i_1..i_{n-1}} delta, then
     the sample containment check against depth-refined cylinder hulls with
-    one cell of slack: one scan_cover of F's sample, built once per trace,
-    with psi_1^k and the cylinder map carried from step to step.  A trace
-    whose trace_work passes MAX_TRACE_WORK raises GuardError first.
+    one cell of slack: F's sample and E's cover are built once per trace,
+    psi_1^k and the cylinder map are carried from step to step, and each
+    candidate's exact map is decided by the float CoverScreen, or by
+    scan_cover where the screen cannot prove the verdict (counted in
+    exact_fallbacks).  A trace whose trace_work passes MAX_TRACE_WORK
+    raises GuardError first.
     """
     if inst.e_ifs.dimension != 1:
         raise UsageError("the s_n trace is implemented for d = 1 instances")
@@ -250,6 +258,8 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
     xs = [x for (x,) in attractor_sample(inst.f_ifs, depth)]
     cover = inst.e_ifs.cover_intervals(depth)
     tol = inst.e_ifs.rho_star**depth * inst.diam_e
+    screen = CoverScreen(xs, cover, tol)
+    fallbacks = 0
 
     m = Fraction(inst.m)
     lower = inst.ratio_lower_bound()
@@ -266,14 +276,19 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
         # the sufficient diameter criterion, else containment with one cell of slack
         while inst.norm_upper * abs(g) * inst.diam_f >= rho_prefix * inst.delta:
             # pull M . psi_1^k into E-coordinates through the cylinder map
-            if scan_cover(m * g / c_w, (m * h + inst.b[0] - d_w) / c_w, xs, cover, tol).contained:
+            slope, intercept = m * g / c_w, (m * h + inst.b[0] - d_w) / c_w
+            contained = screen.contained(slope, intercept)
+            if contained is None:
+                fallbacks += 1
+                contained = scan_cover(slope, intercept, xs, cover, tol).contained
+            if contained:
                 break
             k += 1
             g, h = _then(g, h, inst.psi1)
         ratio = abs(g / c_w)           # gamma_1**s_n / rho_{i_1..i_n}
         entries.append(SnEntry(n=n, i_n=symbol, s_n=k, ratio=ratio,
                                lower_ok=(k == 0) or ratio >= lower, upper_ok=ratio <= upper))
-    return SnTrace(tuple(entries), lower, upper)
+    return SnTrace(tuple(entries), lower, upper, fallbacks)
 
 
 # -- induced orbit -----------------------------------------------------------------

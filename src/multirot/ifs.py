@@ -2,10 +2,16 @@
 
 Dimension 1 is fully exact over the rationals: tight attractor hulls,
 strong-separation certificates, depth samples, and affine containment
-checks all run in Fraction arithmetic.  Dimension 2 supports rotations
-(rational or declared-irrational turns); their matrix entries are
-evaluated once to 60 digits and treated as exact thereafter, with square
-roots bracketed so separation certificates stay one-sided.
+checks all run in Fraction arithmetic.  Depth samples are built as
+integer numerators over one common denominator, and `CoverScreen`
+decides most containment scans in float64 under a proven error bound,
+handing the rest to the exact `scan_cover`.
+
+Dimension 2 supports rotations (rational or declared-irrational turns).
+Their cos and sin are evaluated to 60 digits, floored to multiples of
+2**-192 and then used as if exact.  Square roots are bracketed, but no
+radius absorbs the flooring error, so planar separation certificates and
+containment checks are not yet one-sided.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, log
+from math import isqrt, lcm, log
 from operator import itemgetter
 
 import mpmath
+import numpy as np
 
 from .errors import DomainError, GuardError, UsageError
 
@@ -418,16 +425,43 @@ def attractor_sample(ifs: SimilarIFS, depth: int, x0=None) -> list[tuple[Fractio
     """{phi_w(x0) : |w| = depth}; x0 defaults to the first map's fixed point.
 
     The default x0 lies in the attractor, so every sample is a genuine
-    attractor point; coordinates are exact when inputs are rational.
+    attractor point; coordinates are exact when inputs are rational.  The
+    points come level by level, map-major: level L + 1 lists phi_1 of
+    every level-L point, then phi_2 of every one, and so on.
     """
     guard_power(ifs.ell, depth, MAX_SAMPLE_POINTS, "points")
     if x0 is None:
-        pts = [ifs.maps[0].fixed_point()]
-    else:
-        pts = [tuple(Fraction(c) for c in x0)] if isinstance(x0, (tuple, list)) else [(Fraction(x0),)]
+        x0 = ifs.maps[0].fixed_point()
+    elif not isinstance(x0, (tuple, list)):
+        x0 = (x0,)
+    x0 = tuple(Fraction(c) for c in x0)
+    if ifs.dimension == 1:
+        return _line_sample(ifs.maps, x0[0], depth)
+    pts = [x0]
     for _ in range(depth):
         pts = [mp.apply(x) for mp in ifs.maps for x in pts]
     return pts
+
+
+def _line_sample(maps, x0: Fraction, depth: int) -> list[tuple[Fraction]]:
+    """d=1: attractor_sample on the grid (1/Q) Z, one Fraction per point at the end.
+
+    With B the lcm of the ratios' denominators and D that of the shifts',
+    level L lies on (1/Q_L) Z for Q_L = q0 D B**L, q0 the denominator of x0:
+    phi_i(n / Q_L) = (sign_i a_i (B / b_i) n + c_i (D / d_i) q0 B**(L+1)) / Q_(L+1)
+    for ratio a_i / b_i and shift c_i / d_i.
+    """
+    big_b = lcm(*(mp.ratio.denominator for mp in maps))
+    big_d = lcm(*(mp.shift[0].denominator for mp in maps))
+    slopes = [mp.ortho * mp.ratio.numerator * (big_b // mp.ratio.denominator) for mp in maps]
+    offsets = [mp.shift[0].numerator * (big_d // mp.shift[0].denominator) for mp in maps]
+    unit = x0.denominator                    # Q_L / D
+    nums = [x0.numerator * big_d]
+    for _ in range(depth):
+        unit *= big_b
+        nums = [a * n + t for a, t in zip(slopes, [c * unit for c in offsets]) for n in nums]
+    q = unit * big_d
+    return [(Fraction(n, q),) for n in nums]
 
 
 @dataclass(frozen=True)
@@ -497,3 +531,92 @@ def scan_cover(m: Fraction, b: Fraction, xs, intervals, tol: Fraction) -> Embedd
         if witness is None and dist > tol:
             witness = (y,)
     return EmbeddingCheck(max_dist <= tol, witness, max_dist, tol)
+
+
+# Unit roundoff of float64 (round to nearest), the smallest normal float64,
+# and the range of magnitudes CoverScreen works in: above it a sum could
+# overflow, below it an underflowing product's error would not be negligible.
+_UNIT = 2.0**-53
+_MIN_NORMAL = 2.0**-1022
+_MIN_SCALE, _MAX_SCALE = 2.0**-960, 2.0**1000
+
+
+def _floats(values: list[Fraction]) -> np.ndarray | None:
+    """float64 of each value, each within _UNIT |v|; None when one overflows or is subnormal.
+
+    float(Fraction) is one correctly rounded integer division, so a value in
+    the normal range converts with relative error at most _UNIT.
+    """
+    try:
+        out = np.array([float(v) for v in values], dtype=np.float64)
+    except OverflowError:
+        return None
+    if any(values[i] != 0 for i in np.flatnonzero(np.abs(out) < _MIN_NORMAL)):
+        return None
+    return out
+
+
+class CoverScreen:
+    """d=1: scan_cover's `contained` verdict for many maps of one sample, in float64.
+
+    The sample and the cover are converted once; `contained(m, b)` converts
+    m and b, maps every point with one multiply-add and one searchsorted
+    over the low ends, and takes the two-bracket distance in floats.  It
+    returns True or False only where the exact verdict is proven equal, and
+    None, for the caller to run scan_cover, everywhere else.
+
+    The proof.  Let u = 2**-53 and S the float sum |m| max|x| + |b| +
+    max|cover end| + tol, computed from the converted values; err = 16 u S.
+    Every input converts within u (1 + u) of its own float magnitude (none
+    is subnormal), and S >= 2**-960 keeps an underflowing product's error
+    below 2**-1075 <= 2**-115 S.  Then the computed y = fl(fl(m x) + b)
+    lies within 4.1 u (|m| |x| + |b|) + 2**-1074 of the exact image, and
+    each computed difference fl(y - hi), fl(lo - y) within 5.3 u S + 3 *
+    2**-1075 <= 5.4 u S of the exact one; max and min add nothing, so the
+    float distance is within e = 5.4 u S <= err / 2 of the exact distance
+    whenever the float bracket is the exact one.  The float bracket is the
+    exact one unless y is within e of a low end (its float distance to the
+    nearest low end is at most e); then both distances are at most 2 e,
+    because the exact two-bracket distance is at most the distance to the
+    nearest low end.  With tol > 4 err, fl(tol + err) - e > tol and
+    fl(tol - err) + e < tol, the rounding of tol and of both sums included.
+    So a float maximum above fl(tol + err) belongs to an exactly bracketed
+    point farther than tol (not contained), and one below fl(tol - err)
+    puts every point within tol (contained).  Overflow, a subnormal input,
+    S outside [2**-960, 2**1000] and tol <= 4 err all return None.
+    """
+
+    def __init__(self, xs: list[Fraction], intervals: list[tuple[Fraction, Fraction]],
+                 tol: Fraction):
+        self.xs = _floats(xs)
+        self.los = _floats([lo for lo, _ in intervals])
+        his = _floats([hi for _, hi in intervals])
+        tol_f = _floats([tol])
+        self.ok = (self.xs is not None and self.los is not None and his is not None
+                   and tol_f is not None and tol > 0)
+        if not self.ok:
+            return
+        self.tol = float(tol_f[0])
+        # sentinels: past the last low end and before the first high end
+        self.lo_next = np.append(self.los, np.inf)
+        self.hi_prev = np.insert(his, 0, -np.inf)
+        self.x_max = float(np.abs(self.xs).max())
+        self.fixed = max(float(np.abs(self.los).max()), float(np.abs(his).max())) + self.tol
+
+    def contained(self, m: Fraction, b: Fraction) -> bool | None:
+        map_f = _floats([m, b]) if self.ok else None
+        if map_f is None:
+            return None
+        mf, bf = float(map_f[0]), float(map_f[1])
+        scale = abs(mf) * self.x_max + abs(bf) + self.fixed
+        err = 16 * _UNIT * scale
+        if not (_MIN_SCALE <= scale <= _MAX_SCALE and self.tol > 4 * err):
+            return None
+        y = mf * self.xs + bf
+        i = np.searchsorted(self.los, y, side="right")
+        far = float(np.minimum(np.maximum(y - self.hi_prev[i], 0.0), self.lo_next[i] - y).max())
+        if far > self.tol + err:
+            return False
+        if far < self.tol - err:
+            return True
+        return None

@@ -16,7 +16,7 @@ import numpy as np
 
 from multirot.embedtrace import SnEntry, SnTrace
 from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
-from multirot.ifs import EmbeddingCheck, attractor_sample
+from multirot.ifs import EmbeddingCheck
 from multirot.orbit import steps_from_values
 
 # -- random declared-irrational bases -----------------------------------------
@@ -378,6 +378,21 @@ def pairwise_cell_differences(cells, k: int, block: int = 1024) -> np.ndarray:
 
 # -- the s_n trace, one full embedding check per candidate -------------------------------
 
+def reference_attractor_sample(ifs, depth: int, x0=None) -> list[tuple[Fraction, ...]]:
+    """{phi_w(x0) : |w| = depth} by one Similitude.apply per map and point, level by level.
+
+    This is the loop the integer grid of `ifs.attractor_sample` replaced in
+    d = 1; x0 defaults to the first map's fixed point.
+    """
+    if x0 is None:
+        pts = [ifs.maps[0].fixed_point()]
+    else:
+        pts = [tuple(Fraction(c) for c in x0)] if isinstance(x0, (tuple, list)) else [(Fraction(x0),)]
+    for _ in range(depth):
+        pts = [mp.apply(x) for mp in ifs.maps for x in pts]
+    return pts
+
+
 def reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth: int, tol=None) -> EmbeddingCheck:
     """The d = 1 check with a second scan for the witness, rebuilding sample and cover.
 
@@ -388,7 +403,7 @@ def reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth: int, tol=None
     m_frac, b0 = Fraction(m), Fraction(b)
     if tol is None:
         tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
-    samples = attractor_sample(f_ifs, depth)
+    samples = reference_attractor_sample(f_ifs, depth)
     intervals = sorted(ball.interval() for _, ball in e_ifs.cylinder_balls(depth))
     los = [iv[0] for iv in intervals]
 

@@ -63,6 +63,29 @@ def test_circle_points_match_np_unique(values, repeats, two_d):
     assert np.array_equal(got, want)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+             min_size=1, max_size=40),
+    st.integers(0, 5),
+    st.booleans(),
+)
+def test_rescaled_unit_reals_match_the_fraction_formula(xs, repeats, ints):
+    """floor((x - lo) / span * (2**64 - 1)) per point, by Fraction arithmetic; a
+    single point, or a zero span, is the one value 0."""
+    xs = xs + xs[:repeats]
+    if ints:
+        xs = [x.numerator // x.denominator for x in xs]
+    got = bx.CirclePoints.from_unit_reals(xs, rescale=True).values
+    lo, hi = F(min(xs)), F(max(xs))
+    if lo == hi:
+        want = [0]
+    else:
+        scaled = [(x - lo) / (hi - lo) * (2**64 - 1) for x in xs]
+        want = sorted({v.numerator // v.denominator for v in scaled})
+    assert got.tolist() == want
+
+
 def test_cells_match_np_unique_at_every_scale():
     rng = np.random.default_rng(40)
     raw = rng.integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False)

@@ -815,6 +815,9 @@ def _without(config, key):
     ({"kind": "boxdim", **_without(ORBIT_PART, "n"), "scales": [2, 6]}, 2),
     ({"kind": "boxdim", "ifs": IFS_CANTOR}, 2),
     ({"kind": "diophantine", "params": {"betas": ["sqrt2"]}}, 2),
+    # pigeonhole refuses bits that cannot hold 1/(mn) before the stage exists
+    ({"kind": "diophantine", "n": 4, "bits": 0, "params": {"betas": ["sqrt2"]}}, 2),
+    ({"kind": "diophantine", "n": 16, "bits": 8, "params": {"betas": ["sqrt2"]}}, 2),
     ({"kind": "ifs"}, 2),
     ({"kind": "independence"}, 2),
 ])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_min_k, random_basis, reference_separation
 from multirot import diophantine
-from multirot.diophantine import kxn_separation, norm_dist, pigeonhole_approx
+from multirot.diophantine import check_k_space, kxn_separation, norm_dist, pigeonhole_approx
 from multirot.errors import GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
 from multirot.fixedpoint import fp_from_fraction, pack
@@ -60,6 +60,15 @@ def test_pigeonhole_guards():
         pigeonhole_approx([SQRT2], 1000, 1000, bits=16)
     with pytest.raises(UsageError, match="bits too small"):
         pigeonhole_approx([SQRT2], 1, 4, bits=0)  # used to end in a negative shift count
+
+
+def test_pigeonhole_bits_rule_is_two_to_the_bits_minus_four_above_mn():
+    """One rule, in check_k_space, for the library and the config: 2**(bits - 4) > mn."""
+    assert pigeonhole_approx([SQRT2], 1, 15, bits=8).k >= 1
+    for m, n, bits in ((1, 16, 8), (4, 4, 8), (1, 1, 4), (1, 1, 0), (1, 1, -3)):
+        with pytest.raises(UsageError, match="bits too small"):
+            check_k_space(m, n, 1, bits)
+    assert check_k_space(1, 1, 1, 5) == 2
 
 
 def test_pigeonhole_bucket_path_guard():

@@ -28,7 +28,7 @@ from multirot.embedtrace import (
 )
 from multirot.errors import DomainError, GuardError, NotInAttractorError, UsageError
 from multirot.exact.independence import qplus_independent_mod1
-from multirot.ifs import SimilarIFS
+from multirot.ifs import CoverScreen, SimilarIFS, attractor_sample, scan_cover
 
 F = Fraction
 
@@ -187,6 +187,71 @@ def test_sn_sequence_matches_the_per_step_reference(case):
     want = reference_sn_sequence(inst, n_max, depth)
     assert got == want and repr(got) == repr(want)
     assert got.entries[-1].s_n <= trace_work(inst, n_max, depth)[0] + 1  # logs: off by one
+
+
+# -- the float screen and its exact fallbacks ----------------------------------------
+
+
+def counted_scan_cover(monkeypatch) -> list[int]:
+    """Count the exact scans sn_sequence runs; returns the one-element counter."""
+    import multirot.embedtrace as et
+
+    calls = [0]
+
+    def scan(*args):
+        calls[0] += 1
+        return scan_cover(*args)
+
+    monkeypatch.setattr(et, "scan_cover", scan)
+    return calls
+
+
+def test_default_pair_at_the_longest_trace_needs_no_exact_scan(monkeypatch):
+    calls = counted_scan_cover(monkeypatch)
+    inst = build_instance(MIDDLE_THIRD, NINTH_PAIR, F(1), F(0), coding_len=MAX_TRACE_N)
+    trace = sn_sequence(inst, MAX_TRACE_N, 8)
+    assert trace.s_values() == [ceil(n / 2) for n in range(1, MAX_TRACE_N + 1)]
+    assert trace.exact_fallbacks == 0 and calls == [0]
+
+
+def test_a_distance_exactly_at_tol_takes_the_exact_path(monkeypatch):
+    """F's sample {0, 4/9} maps by 3 x to {0, 4/3}, at distance exactly tol = 1/3
+    from E's depth-1 cover [0, 1/3], [2/3, 1]: the screen cannot tell, the scan
+    says contained."""
+    f_ifs = SimilarIFS.line_maps([(F(1, 3), 0), (F(1, 3), F(4, 9))])
+    xs, cover, tol = [F(0), F(4, 9)], MIDDLE_THIRD.cover_intervals(1), F(1, 3)
+    assert CoverScreen(xs, cover, tol).contained(F(3), F(0)) is None
+    assert scan_cover(F(3), F(0), xs, cover, tol).max_distance == tol
+    calls = counted_scan_cover(monkeypatch)
+    inst = build_instance(MIDDLE_THIRD, f_ifs, F(1), F(0), coding_len=8)
+    trace = sn_sequence(inst, 6, depth=1)
+    assert trace.exact_fallbacks >= 1 and calls == [trace.exact_fallbacks]
+    assert trace.s_values()[0] == 0  # contained at k = 0, scan_cover's verdict
+    assert trace == reference_sn_sequence(inst, 6, 1)
+
+
+def test_a_sample_past_the_float_range_takes_the_exact_path(monkeypatch):
+    """F scaled by 10**310 and M by 10**-310: the same trace, every candidate exact."""
+    big = F(10**310)
+    f_ifs = SimilarIFS.line_maps([(F(1, 9), 0), (F(1, 9), F(8, 9) * big)])
+    assert not CoverScreen([F(0), big], MIDDLE_THIRD.cover_intervals(4), F(1, 81)).ok
+    calls = counted_scan_cover(monkeypatch)
+    trace = sn_sequence(build_instance(MIDDLE_THIRD, f_ifs, 1 / big, F(0), coding_len=8), 8, 4)
+    assert trace == sn_sequence(cantor_pair_instance(8), 8, 4)
+    assert trace.exact_fallbacks == calls[0] > 0
+
+
+def test_a_tol_within_four_float_errors_takes_the_exact_path(monkeypatch):
+    """E shifted to [2**60, 2**60 + 1]: cover ends of 2**60 make the float error
+    about 2**11, far past tol = 3**-4."""
+    s = F(2**60)
+    e_ifs = SimilarIFS.line_maps([(F(1, 3), 2 * s / 3), (F(1, 3), F(2, 3) + 2 * s / 3)])
+    xs = [x for (x,) in attractor_sample(NINTH_PAIR, 4)]
+    assert CoverScreen(xs, e_ifs.cover_intervals(4), F(1, 81)).contained(F(1), s) is None
+    calls = counted_scan_cover(monkeypatch)
+    trace = sn_sequence(build_instance(e_ifs, NINTH_PAIR, F(1), s, coding_len=8), 8, 4)
+    assert trace == sn_sequence(cantor_pair_instance(8), 8, 4)
+    assert trace.exact_fallbacks == calls[0] > 0
 
 
 NEAR_ONE = SimilarIFS.line_maps([(F(99, 100), 0), (F(99, 100), F(1, 100))])

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_check_affine_embedding_1d
+from helpers import reference_attractor_sample, reference_check_affine_embedding_1d
 from multirot import boxdim as bx
 from multirot.errors import DomainError, GuardError, UsageError
 from multirot.ifs import (
+    CoverScreen,
     MAX_CYLINDERS,
     MAX_SAMPLE_POINTS,
     SimilarIFS,
@@ -22,6 +23,7 @@ from multirot.ifs import (
     check_affine_embedding,
     guard_power,
     orthogonal_power_period,
+    scan_cover,
     similarity_dimension,
     ssc_check,
 )
@@ -218,6 +220,44 @@ def test_line_embedding_check_matches_the_two_scan_reference(f_specs, e_specs, m
     got = check_affine_embedding(m, b, f_ifs, e_ifs, depth, tol)
     want = reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth, tol)
     assert got == want and repr(got) == repr(want)
+
+
+# ratio p/q, shift, sign: signs and numerators other than 1 move the grid
+GRID_MAPS = st.lists(
+    st.tuples(st.integers(2, 9).flatmap(lambda q: st.builds(F, st.integers(1, q - 1), st.just(q))),
+              st.builds(F, st.integers(-6, 6), st.integers(1, 7)), st.sampled_from([1, -1])),
+    min_size=1, max_size=3)
+X0 = st.one_of(st.none(), st.builds(F, st.integers(-9, 9), st.integers(1, 8)),
+               st.builds(lambda x: (x,), st.builds(F, st.integers(-9, 9), st.integers(1, 8))))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(specs=GRID_MAPS, depth=st.integers(0, 8), x0=X0)
+def test_line_sample_matches_the_per_map_reference(specs, depth, x0):
+    """The integer grid gives the Similitude.apply loop's points, in its order."""
+    ifs = SimilarIFS.line_maps(specs)
+    got = attractor_sample(ifs, depth, x0)
+    want = reference_attractor_sample(ifs, depth, x0)
+    assert got == want
+    assert all(len(p) == 1 and type(p[0]) is F for p in got)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f_specs=LINE_MAPS, e_specs=LINE_MAPS, m=NONZERO,
+       b=st.builds(F, st.integers(-5, 5), st.integers(1, 5)), depth=st.integers(1, 5),
+       nudge=st.sampled_from([None, (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]))
+def test_cover_screen_verdict_is_the_exact_one_or_none(f_specs, e_specs, m, b, depth, nudge):
+    """Whenever the float screen answers, scan_cover agrees, also with tol at the
+    exact largest distance or 2**-80 from it, or 2**-40 of it."""
+    f_ifs, e_ifs = line_ifs(f_specs), line_ifs(e_specs)
+    xs = [x for (x,) in attractor_sample(f_ifs, depth)]
+    cover = e_ifs.cover_intervals(depth)
+    tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
+    if nudge is not None:
+        far = scan_cover(m, b, xs, cover, tol).max_distance
+        tol = far + F(nudge[0], 2**80) + far * F(nudge[1], 2**40)
+    verdict = CoverScreen(xs, cover, tol).contained(m, b)
+    assert verdict is None or verdict == scan_cover(m, b, xs, cover, tol).contained
 
 
 # -- orthogonal parts -----------------------------------------------------------------
