@@ -206,8 +206,6 @@ class ExperimentConfig:
             if self.strategy is not None:
                 where = "strategy"
                 self.strategy_object()
-                if self.strategy.get("type") == "random" and self.seed is None:
-                    raise ConfigError("random strategy requires a seed")
             for where in ("ifs", "ifs_f"):
                 if getattr(self, where) is not None:
                     parse_ifs(getattr(self, where))
@@ -231,8 +229,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad {where}: {prefix.get(type(exc), '')}{exc}") from None
 
     def _check_recipe(self) -> None:
-        """The recipe's own inputs, the guards that bound two values together, and
-        the fields its handler needs."""
+        """The recipe's own inputs, the guards that bound two values together, the
+        fields its handler needs, and last a random strategy's seed."""
         recipe = self.recipe
         needs = _NEEDS.get(recipe, ())
         if recipe == "rank":
@@ -262,6 +260,8 @@ class ExperimentConfig:
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"{recipe} needs {', '.join(missing)}")
+        if (self.strategy or {}).get("type") == "random" and self.seed is None:
+            raise ConfigError("random strategy requires a seed")
 
     def param(self, name: str):
         """params[name], defaulted, parsed and bounded by its row in RECIPES."""

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import GuardError, UsageError
 from .exact.symbolic import SymbolicReal
 from .fixedpoint import fp_from_fraction
+from .orbit.generate import MAX_ORBIT_BITS
 
 DEFAULT_SCAN_BUDGET = 1 << 23
 # The largest k-space (mn)^r + 1 the bucket path may take.  It keeps one dict
@@ -75,14 +76,17 @@ def check_k_space(m: int, n: int, r: int, bits: int = 128,
     """The k-space (mn)^r + 1 of pigeonhole_approx, refused before any work.
 
     UsageError for m or n below 1 and unless 2**(bits - 4) > mn, the bits
-    the 1/(mn) target needs; GuardError when the k-space exceeds
-    scan_budget (the bucket path runs) and MAX_BUCKET_K_SPACE.
+    the 1/(mn) target needs; GuardError past MAX_ORBIT_BITS bits (the
+    slack 2**(4 - bits) costs time and memory in bits) and when the k-space
+    exceeds scan_budget (the bucket path runs) and MAX_BUCKET_K_SPACE.
     """
     if m < 1 or n < 1:
         raise UsageError("m and n must be positive integers")
     if (m * n).bit_length() > bits - 4:  # mn < 2**(bits - 4) exactly when this fails
         raise UsageError(f"bits too small for the requested 1/(mn) target: 2**(bits - 4) "
                          f"must exceed mn = {m * n}, got bits = {bits}")
+    if bits > MAX_ORBIT_BITS:
+        raise GuardError(f"pigeonhole bits={bits} exceeds the guard of {MAX_ORBIT_BITS}")
     k_space = (m * n) ** r + 1
     if k_space > scan_budget and k_space > MAX_BUCKET_K_SPACE:
         raise GuardError(f"(mn)^r + 1 = {k_space} exceeds the bucket path's guard "

@@ -16,7 +16,7 @@ import numpy as np
 
 from multirot.embedtrace import SnEntry, SnTrace
 from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
-from multirot.ifs import EmbeddingCheck
+from multirot.ifs import Ball, EmbeddingCheck
 from multirot.orbit import steps_from_values
 
 # -- random declared-irrational bases -----------------------------------------
@@ -393,6 +393,23 @@ def reference_attractor_sample(ifs, depth: int, x0=None) -> list[tuple[Fraction,
     return pts
 
 
+def reference_cylinder_balls(ifs, depth: int) -> list[tuple[int, Ball]]:
+    """(first symbol, ball) for each word of the given depth, one composed Similitude a word.
+
+    This is the per-word composition that the level-by-level images of
+    `SimilarIFS.cylinder_balls` replaced: the word's map phi_w is built by
+    `compose`, then its ball is phi_w(hull centre) with radius rho_w times
+    the hull radius.  Words come in lexicographic order, 1-based.
+    """
+    hull = ifs.hull()
+    words = [((), None)]
+    for _ in range(depth):
+        words = [(word + (i + 1,), mp if comp is None else comp.compose(mp))
+                 for word, comp in words for i, mp in enumerate(ifs.maps)]
+    return [(word[0], Ball(comp.apply(hull.center), comp.ratio * hull.radius))
+            for word, comp in words]
+
+
 def reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth: int, tol=None) -> EmbeddingCheck:
     """The d = 1 check with a second scan for the witness, rebuilding sample and cover.
 
@@ -404,7 +421,7 @@ def reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth: int, tol=None
     if tol is None:
         tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
     samples = reference_attractor_sample(f_ifs, depth)
-    intervals = sorted(ball.interval() for _, ball in e_ifs.cylinder_balls(depth))
+    intervals = sorted(ball.interval() for _, ball in reference_cylinder_balls(e_ifs, depth))
     los = [iv[0] for iv in intervals]
 
     def dist_to_cover(y: Fraction) -> Fraction:

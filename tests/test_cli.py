@@ -322,6 +322,16 @@ def test_orbit_length_guard_spares_pigeonhole_n():
         ExperimentConfig(kind="boxdim", n=MAX_ORBIT_N + 1, scales=(2, 6)).validate()
 
 
+def test_missing_fields_are_named_before_the_seed_check():
+    """A random strategy without a seed on a config that also lacks what the
+    recipe needs: the error names the missing fields."""
+    with pytest.raises(ConfigError, match="^boxdim needs steps, n$"):
+        ExperimentConfig(kind="boxdim", scales=(2, 6), strategy={"type": "random"}).validate()
+    with pytest.raises(ConfigError, match="^random strategy requires a seed$"):
+        ExperimentConfig(kind="boxdim", scales=(2, 6), strategy={"type": "random"},
+                         steps=("sqrt2", "sqrt3"), n=10).validate()
+
+
 def test_pigeonhole_bucket_guard_exits_3(tmp_path, capsys):
     """A k-space past the scan budget and the bucket path's guard exits 3 before any work."""
     out = tmp_path / "o"
@@ -820,6 +830,8 @@ def _without(config, key):
     ({"kind": "diophantine", "n": 16, "bits": 8, "params": {"betas": ["sqrt2"]}}, 2),
     ({"kind": "ifs"}, 2),
     ({"kind": "independence"}, 2),
+    # pigeonhole bits past the orbit routes' guard: the 1/(mn) slack costs memory in bits
+    ({"kind": "diophantine", "n": 4, "bits": 10**8, "params": {"betas": ["sqrt2"]}}, 3),
 ])
 def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
     monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)

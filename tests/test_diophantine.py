@@ -17,6 +17,7 @@ from multirot.errors import GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
 from multirot.fixedpoint import fp_from_fraction, pack
 from multirot.orbit import RandomSymbols, generate_orbit, reduced_orbit, steps_from_values
+from multirot.orbit.generate import MAX_ORBIT_BITS
 
 F = Fraction
 TABLE = builtin_table()
@@ -60,6 +61,12 @@ def test_pigeonhole_guards():
         pigeonhole_approx([SQRT2], 1000, 1000, bits=16)
     with pytest.raises(UsageError, match="bits too small"):
         pigeonhole_approx([SQRT2], 1, 4, bits=0)  # used to end in a negative shift count
+    # the slack 2**(4 - bits) grew without bound: 10**9 bits took 4 s and 670 MB
+    with pytest.raises(GuardError, match=f"bits=1000000000 exceeds the guard of {MAX_ORBIT_BITS}"):
+        pigeonhole_approx([SQRT2], 1, 4, bits=10**9)
+    with pytest.raises(GuardError):
+        check_k_space(1, 4, 1, MAX_ORBIT_BITS + 1)
+    assert pigeonhole_approx([SQRT2], 1, 4, bits=MAX_ORBIT_BITS).k >= 1
 
 
 def test_pigeonhole_bits_rule_is_two_to_the_bits_minus_four_above_mn():

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_attractor_sample, reference_check_affine_embedding_1d
+from helpers import (
+    reference_attractor_sample,
+    reference_check_affine_embedding_1d,
+    reference_cylinder_balls,
+)
 from multirot import boxdim as bx
 from multirot.errors import DomainError, GuardError, UsageError
 from multirot.ifs import (
@@ -159,7 +163,9 @@ def test_depth_guards_cap_the_exponent():
     with pytest.raises(GuardError):
         attractor_sample(MIDDLE_THIRD, 10**9)
     with pytest.raises(GuardError):
-        MIDDLE_THIRD.cylinders(10**9)
+        MIDDLE_THIRD.cylinder_balls(10**9)
+    with pytest.raises(UsageError):
+        MIDDLE_THIRD.cylinder_balls(0)  # the empty word has no first symbol
 
 
 def test_sample_box_estimate_near_cantor_dimension():
@@ -240,6 +246,43 @@ def test_line_sample_matches_the_per_map_reference(specs, depth, x0):
     want = reference_attractor_sample(ifs, depth, x0)
     assert got == want
     assert all(len(p) == 1 and type(p[0]) is F for p in got)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(specs=GRID_MAPS, depth=st.integers(1, 6))
+def test_line_cylinders_match_the_per_word_reference(specs, depth):
+    """The images of the hull's centre give the composed maps' balls, in word order."""
+    ifs = SimilarIFS.line_maps(specs)
+    want = reference_cylinder_balls(ifs, depth)
+    assert ifs.cylinder_balls(depth) == want
+    assert ifs.cover_intervals(depth) == sorted(ball.interval() for _, ball in want)
+
+
+IRRATIONAL_TURN = "0.12724225184316786509" + "4" * 40
+PLANAR_PAIRS = [
+    [Similitude.plane(F(1, 4), F(0), (F(0), F(0))),
+     Similitude.plane(F(1, 4), F(1, 4), (F(3, 4), F(0)))],
+    [Similitude.plane(F(1, 3), IRRATIONAL_TURN, (F(0), F(0))),
+     Similitude.plane(F(1, 4), F(1, 4), (F(3, 4), F(1, 5)))],
+    # overlapping hull balls: inconclusive at depths 1 and 3, certified at 5
+    [Similitude.plane(F(1, 2), IRRATIONAL_TURN, (F(0), F(0))),
+     Similitude.plane(F(1, 2), F(1, 3), (F(1, 4), F(0)))],
+]
+
+
+@pytest.mark.parametrize("maps", PLANAR_PAIRS)
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_planar_cylinders_match_the_per_word_reference(maps, depth):
+    """Planar centres move only by cos and sin floored per map, not per composed
+    turn: within 2**-180 of the composed maps', and the SSC verdict holds."""
+    ifs, composed = SimilarIFS(maps), SimilarIFS(maps)
+    want = reference_cylinder_balls(ifs, depth)
+    got = ifs.cylinder_balls(depth)
+    assert [(g, ball.radius) for g, ball in got] == [(g, ball.radius) for g, ball in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert all(abs(x - y) <= F(1, 2**180) for x, y in zip(a.center, b.center))
+    composed.cylinder_balls = lambda d: reference_cylinder_balls(composed, d)
+    assert ssc_check(ifs, depth).certified == ssc_check(composed, depth).certified
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
