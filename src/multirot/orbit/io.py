@@ -5,14 +5,16 @@ u64 n, then n symbol bytes (1..ell), then n+1 points of bits/8 bytes each
 as unsigned fixed-point fractions.  bits must be a multiple of 8 and at
 least 64; `read_orb1` rejects a file whose body is not exactly that long.
 
-Both writers work in chunks of `table.CHUNK_ROWS` rows, and both take the
-points' bytes from the limb array (`fixedpoint.point_bytes`).  The CSV is
-encoded column by column in numpy (`multirot.table`): integer columns
-through a base-10**4 digit table, x_hex through a byte-to-hex table, one
-compress and one write per chunk.  The bytes of both files are the same
-as those of the row-by-row formatting they replace (`str(int(v))` per
-integer cell, `format(x, "0{(bits+3)//4}x")` per point); the tests
-compare against it.
+Both writers work in chunks of at most `table.CHUNK_BYTES` of output
+rows and `table.CHUNK_ROWS` rows (`table.chunk_bounds`), and both take
+the points' bytes from the limb array (`fixedpoint.point_bytes`).  A CSV
+chunk is one call of `table.encode_rows`, the single row encoder, and one
+write; row 0, whose omega cell is blank, is formatted on its own.  So
+the writers' temporaries stay near a megabyte per chunk at any bits
+(the `table.CHUNK_BYTES` comment has the measured peak).  The bytes of
+both files are the same as those of the row-by-row formatting they
+replace (`str(int(v))` per integer cell, `format(x, "0{(bits+3)//4}x")`
+per point); the tests compare against it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def write_orb1(orbit: Orbit, path) -> None:
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, orbit.ell, orbit.steps.r, orbit.bits, orbit.n))
         fh.write(orbit.omega.tobytes())
-        for s, e in table.chunk_bounds(orbit.n + 1):
+        for s, e in table.chunk_bounds(orbit.n + 1, orbit.bits // 8):
             fh.write(fixedpoint.point_bytes(orbit.points[s:e], orbit.bits)[:, ::-1].tobytes())
 
 
@@ -69,22 +71,17 @@ def write_orbit_csv(orbit: Orbit, path) -> None:
         + [f"N_{i+1}" for i in range(orbit.ell)]
         + [f"b_{j+1}" for j in range(orbit.steps.r)]
     )
+    # row 0 has no omega; row k >= 1 carries omega_k = orbit.omega[k - 1]
+    first = ["0", "", format(orbit.point(0), f"0{(orbit.bits + 3) // 4}x")]
+    first += [str(int(v)) for v in (*counts[0], *bvec[0])]
+    # at most 20 characters and a comma per integer cell
+    row_bytes = (orbit.bits + 3) // 4 + 1 + 21 * (2 + orbit.ell + orbit.steps.r)
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        for s, e in table.chunk_bounds(orbit.n + 1):
-            # row k carries omega_k = orbit.omega[k - 1]; row 0 has none.  Built
-            # per chunk: a full-length shifted copy raised peak RSS by 0.8 MB.
-            omega = np.zeros(e - s, dtype=np.uint8)
-            first = max(s, 1)
-            omega[first - s:] = orbit.omega[first - 1:e - 1]
-            omega_cells = table.int_cells(omega)
-            if s == 0:
-                omega_cells[1][0] = False
-            cells = [
-                table.int_cells(np.arange(s, e)),
-                omega_cells,
-                table.hex_cells(fixedpoint.point_bytes(orbit.points[s:e], orbit.bits), orbit.bits),
-            ]
-            cells += [table.int_cells(counts[s:e, i]) for i in range(orbit.ell)]
-            cells += [table.int_cells(bvec[s:e, j]) for j in range(orbit.steps.r)]
-            fh.write(table.join_cells(cells))
+        fh.write((",".join(header) + "\n" + ",".join(first) + "\n").encode("ascii"))
+        for s, e in table.chunk_bounds(orbit.n, row_bytes):
+            rows = slice(s + 1, e + 1)
+            points = fixedpoint.point_bytes(orbit.points[rows], orbit.bits)
+            fh.write(table.encode_rows(
+                [np.arange(s + 1, e + 1), orbit.omega[s:e], (points, orbit.bits),
+                 *counts[rows].T, *bvec[rows].T]
+            ))

@@ -496,7 +496,7 @@ def test_orbit_csv_columns(tmp_path):
 @pytest.mark.parametrize("bits", [64, 65, 72, 128, 256])
 @pytest.mark.parametrize("n", [1, CHUNK - 2, CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK, 50])
 def test_orbit_csv_matches_row_writer(tmp_path, monkeypatch, bits, n):
-    """Rows n + 1 = CHUNK - 1, CHUNK, CHUNK + 1, ... straddle chunk boundaries."""
+    """The rows after row 0 end just before, at and just after chunk boundaries."""
     monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
     orbit = generate_orbit(steps_sqrt23(bits), RandomSymbols(), n, bits, seed=n)
     path = tmp_path / "orbit.csv"
@@ -546,8 +546,7 @@ INT64_EDGES = sorted(
 
 
 def encode_ints(values, dtype=np.int64) -> str:
-    cells = table.int_cells(np.array(values, dtype=dtype))
-    return table.join_cells([cells]).tobytes().decode("ascii")
+    return table.encode_rows([np.array(values, dtype=dtype)]).tobytes().decode("ascii")
 
 
 def test_int_cells_edge_values():
@@ -562,8 +561,7 @@ def test_int_cells_edge_values():
 @given(st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES)),
                 min_size=1, max_size=40))
 def test_int_cells_match_str(values):
-    got = table.join_cells([table.int_cells(np.array(values, dtype=np.int64)),
-                            table.int_cells(np.array(values[::-1], dtype=np.int64))])
+    got = table.encode_rows([np.array(values, dtype=np.int64), np.array(values[::-1], dtype=np.int64)])
     want = "".join(f"{a},{b}\n" for a, b in zip(values, values[::-1]))
     assert got.tobytes().decode("ascii") == want
 
@@ -571,7 +569,82 @@ def test_int_cells_match_str(values):
 @pytest.mark.parametrize("bad", [np.array([1.5]), np.array([[1, 2]]), np.array(["7"])])
 def test_int_cells_reject_non_integer_input(bad):
     with pytest.raises(UsageError):
-        table.int_cells(bad)
+        table.encode_rows([bad])
+
+
+# (dtype, least value, greatest value) of the integer columns below
+INT_KINDS = {
+    "int64": (np.int64, -(2**63), 2**63 - 1),
+    "uint64": (np.uint64, 0, 2**64 - 1),
+    "uint8": (np.uint8, 0, 255),
+    "int16": (np.int16, -(2**15), 2**15 - 1),
+}
+
+
+@st.composite
+def integer_column(draw, rows):
+    """A column of one dtype whose values cluster so that a chunk's cells are
+    often, but not always, of one width."""
+    kind, lo, hi = INT_KINDS[draw(st.sampled_from(sorted(INT_KINDS)))]
+    digits = draw(st.integers(1, len(str(hi))))
+    near = st.integers(max(lo, -(10**digits)), min(hi, 10**digits))
+    edges = st.sampled_from([v for v in INT64_EDGES + [2**64 - 1] if lo <= v <= hi])
+    values = draw(st.lists(st.one_of(near, edges, st.integers(lo, hi)), min_size=rows, max_size=rows))
+    return np.array(values, dtype=kind)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 12), bits=st.sampled_from([None, 64, 65, 66, 67, 72, 128]))
+def test_encode_rows_matches_str_and_format(data, rows, bits):
+    """Every cell of several integer columns, and a hex column, is its str() or format()."""
+    ints = data.draw(st.lists(integer_column(rows), min_size=1, max_size=5))
+    columns = list(ints)
+    texts = [[str(int(v)) for v in col] for col in ints]
+    if bits is not None:
+        values = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=rows, max_size=rows))
+        nbytes = -(-bits // 8)
+        raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "big") for v in values), dtype=np.uint8)
+        at = data.draw(st.integers(0, len(columns)))
+        columns.insert(at, (raw.reshape(rows, nbytes), bits))
+        texts.insert(at, [format(v, f"0{(bits + 3) // 4}x") for v in values])
+    want = "".join(",".join(row) + "\n" for row in zip(*texts))
+    assert table.encode_rows(columns).tobytes().decode("ascii") == want
+
+
+@pytest.mark.parametrize("first", [9_999 - 4_090, 99_999 - 4_090, -10_000 - 5, -2_050, 10**18 - 4_000])
+def test_encode_rows_digit_count_changes_mid_chunk(first):
+    """A cell width that changes inside a chunk, in the first and the last column."""
+    values = np.arange(first, first + table.CHUNK_ROWS, dtype=np.int64)
+    got = table.encode_rows([values, values % 7, values[::-1]]).tobytes().decode("ascii")
+    want = [f"{a},{a % 7},{b}" for a, b in zip(values.tolist(), values[::-1].tolist())]
+    assert got.split("\n") == want + [""]
+
+
+def test_orbit_csv_at_full_chunks_crosses_five_digit_row_numbers(tmp_path):
+    """n = 20000 at the real CHUNK_ROWS: row 10000 sits inside a chunk, where n
+    goes from four digits to five."""
+    orbit = generate_orbit(steps_sqrt23(), RandomSymbols(), 20_000, 128, seed=8)
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(orbit, path)
+    assert path.read_bytes() == reference_orbit_csv(orbit)
+
+
+@pytest.mark.parametrize("row_bytes, rows", [(0, 4096), (159, 4096), (1153, 909), (2**21, 1)])
+def test_chunk_bounds_hold_chunks_to_chunk_bytes(row_bytes, rows):
+    assert (table.CHUNK_ROWS, table.CHUNK_BYTES) == (4096, 2**20)
+    bounds = list(table.chunk_bounds(5000, row_bytes))
+    assert bounds[0] == (0, rows) and bounds[-1][1] == 5000
+    assert all(e - s == rows for s, e in bounds[:-1])
+
+
+def test_wide_orbit_files_in_byte_bounded_chunks(tmp_path):
+    """At 4096 bits a CSV chunk has 894 rows and an ORB1 chunk 2048: both files span chunks."""
+    orbit = generate_orbit(steps_with_negative_b(4096), RandomSymbols(), 2500, 4096, seed=9)
+    write_orbit_csv(orbit, tmp_path / "orbit.csv")
+    assert (tmp_path / "orbit.csv").read_bytes() == reference_orbit_csv(orbit)
+    write_orb1(orbit, tmp_path / "orbit.orb1")
+    back = read_orb1(tmp_path / "orbit.orb1")
+    assert np.array_equal(back["points"], orbit.points) and np.array_equal(back["omega"], orbit.omega)
 
 
 def test_minimum_bits_orbit_and_roundtrip(tmp_path):
