@@ -39,41 +39,38 @@ def accumulate(omega: np.ndarray, step_values, bits: int) -> np.ndarray:
 
     omega holds symbols 1..ell and step_values one B-bit integer per
     symbol; the result is the (n+1, L) limb array.  Every step's `pack`
-    limbs are split into 32-bit sub-limbs, which np.cumsum adds up one
-    chunk of `table.CHUNK_ROWS` rows at a time, starting from the previous
-    chunk's last row.  A chunk's sub-limb sums stay below (CHUNK_ROWS + 1) * 2**32,
-    far from overflow; the carries then go up from the least significant
-    sub-limb, and the carry out of the top one is dropped (mod 2**bits).
+    limbs are split into 32-bit sub-limbs, which np.cumsum adds up in place
+    one chunk of `table.CHUNK_ROWS` rows at a time, starting from the
+    previous chunk's last row.  A chunk's sub-limb sums stay below
+    (CHUNK_ROWS + 1) * 2**32, far from overflow; the carries then go up from
+    the least significant sub-limb, one contiguous row of a transposed copy
+    each, and the carry out of the top one is dropped (mod 2**bits).
     """
     n, L = len(omega), limbs(bits)
     subs = 2 * L
-    packed = pack(step_values, bits)
-    sub_limbs = np.empty((len(packed), subs), dtype=np.uint64)
-    sub_limbs[:, 0::2] = packed >> _THIRTY_TWO
-    sub_limbs[:, 1::2] = packed & _LOW32
+    sub_limbs = pack(step_values, bits).astype(">u8").view(">u4").astype(np.uint64)
     out = np.zeros((n + 1, L), dtype=np.uint64)
-    last = np.zeros(subs, dtype=np.uint64)
+    last = np.zeros((subs, 1), dtype=np.uint64)
     for s, e in table.chunk_bounds(n):
-        acc = np.cumsum(sub_limbs[omega[s:e] - 1], axis=0)
+        acc = sub_limbs[omega[s:e] - 1]
+        np.cumsum(acc, axis=0, out=acc)
+        acc = acc.T.copy()  # (subs, rows): each carry step reads and writes contiguous rows
         acc += last
         for j in range(subs - 1, 0, -1):
-            acc[:, j - 1] += acc[:, j] >> _THIRTY_TWO
-            acc[:, j] &= _LOW32
-        acc[:, 0] &= _LOW32
-        last = acc[-1]
-        out[s + 1:e + 1] = (acc[:, 0::2] << _THIRTY_TWO) | acc[:, 1::2]
+            acc[j - 1] += acc[j] >> _THIRTY_TWO
+            acc[j] &= _LOW32
+        acc[0] &= _LOW32
+        last = acc[:, -1:]
+        out[s + 1:e + 1] = ((acc[0::2] << _THIRTY_TWO) | acc[1::2]).T
     return out
 
 
 def pack(values, bits: int) -> np.ndarray:
-    """The (len(values), L) limb array of a list of B-bit integers."""
+    """The (len(values), L) limb array of a list of B-bit integers, one `bytes` each."""
     L = limbs(bits)
     pad = 64 * L - bits
-    out = np.empty((len(values), L), dtype=np.uint64)
-    for s, e in table.chunk_bounds(len(values)):
-        raw = b"".join((v << pad).to_bytes(8 * L, "big") for v in values[s:e])
-        out[s:e] = np.frombuffer(raw, dtype=">u8").reshape(e - s, L)
-    return out
+    raw = b"".join((v << pad).to_bytes(8 * L, "big") for v in values)
+    return np.frombuffer(raw, dtype=">u8").reshape(len(values), L).astype(np.uint64)
 
 
 def to_int(row: np.ndarray, bits: int) -> int:

@@ -323,23 +323,35 @@ class SimilarIFS:
             radius = max(radius, r)
         return Ball(center, radius)
 
+    def _word_block(self, depth: int) -> int:
+        """ell**(depth - 1): word i of the given depth starts with symbol i // block + 1."""
+        if depth < 1:
+            raise UsageError("depth must be >= 1")  # the empty word has no first symbol
+        guard_power(self.ell, depth, MAX_CYLINDERS, "cylinders")
+        return self.ell ** (depth - 1)
+
     def cylinder_balls(self, depth: int) -> list[tuple[int, Ball]]:
         """(first symbol, phi_w of the hull ball) for each word w of the given depth, in
         attractor_sample's order: centre phi_w(hull centre), radius rho_w * hull radius."""
-        if depth < 1:
-            raise UsageError("depth must be >= 1")
-        guard_power(self.ell, depth, MAX_CYLINDERS, "cylinders")
+        block = self._word_block(depth)
         hull = self.hull()
         radii = [hull.radius]
         for _ in range(depth):
             radii = [mp.ratio * r for mp in self.maps for r in radii]
-        block = self.ell ** (depth - 1)
         centres = _images(self.maps, hull.center, depth)
         return [(i // block + 1, Ball(c, r)) for i, (c, r) in enumerate(zip(centres, radii))]
 
+    def _line_cylinders(self, depth: int) -> list[tuple[Fraction, Fraction, int]]:
+        """d=1: (low end, high end, first symbol) of phi_w(hull) for each word w of the given
+        depth, in attractor_sample's order; phi_w([lo, hi]) lies between phi_w(lo) and phi_w(hi)."""
+        block = self._word_block(depth)
+        lo, hi = self.hull().interval()
+        ends = zip(_images(self.maps, (lo,), depth), _images(self.maps, (hi,), depth))
+        return [(min(a, b), max(a, b), i // block + 1) for i, ((a,), (b,)) in enumerate(ends)]
+
     def cover_intervals(self, depth: int) -> list[tuple[Fraction, Fraction]]:
         """d=1: the depth cylinder covers as intervals, sorted by their low ends."""
-        return sorted(ball.interval() for _, ball in self.cylinder_balls(depth))
+        return sorted((lo, hi) for lo, hi, _ in self._line_cylinders(depth))
 
 
 # -- operations ------------------------------------------------------------------
@@ -387,12 +399,10 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
         raise UsageError("depth must be >= 1")
     if ifs.ell == 1:
         return SSCResult(True, ifs.hull().diameter, depth)
-    balls = ifs.cylinder_balls(depth)
     if ifs.dimension == 1:
-        items = sorted((*b.interval(), g) for g, b in balls)
         best: Fraction | None = None
         last_hi: dict[int, Fraction] = {}
-        for lo, hi, g in items:
+        for lo, hi, g in sorted(ifs._line_cylinders(depth)):
             for other, ohi in last_hi.items():
                 if other != g:
                     gap = lo - ohi
@@ -401,6 +411,7 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
             last_hi[g] = max(last_hi.get(g, hi), hi)
         gap = best if best is not None else Fraction(0)
     else:
+        balls = ifs.cylinder_balls(depth)
         gap = None
         for a in range(len(balls)):
             ga, ba = balls[a]

@@ -4,12 +4,11 @@ Points are B-bit fixed-point fractions: each step adds a pre-rounded step
 image exactly mod 2**B, so the accumulated error after n steps is at most
 n * 2**(-B+2) (stored on the orbit).  Orbits and reduced orbits store their
 points as (n+1, ceil(B/64)) uint64 limb arrays (`multirot.fixedpoint`).
-Word strategies and reduced orbits are summed in numpy by
-`fixedpoint.accumulate`.  The greedy strategy, whose every step depends on
-the last point, runs a per-point loop over Python ints; it tests the
-forbidden interval with one masked compare, scores each candidate with a
-small integer and packs each chunk of points into limbs as it completes
-it.  Completed orbits are immutable and safe to share.
+Every strategy yields a word, which `fixedpoint.accumulate` sums into the
+points in numpy, as it sums the reduced orbit.  The greedy strategy picks
+each symbol from the last point in a Python loop over ints: one masked
+compare tests the forbidden interval, and a small integer scores each
+candidate.  Completed orbits are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -116,16 +115,14 @@ def _forbidden_window(strategy: GreedyAvoid, bits: int) -> tuple[int, int]:
     return lo + 1, (hi - lo - 1) % (1 << bits)
 
 
-def _greedy_avoid(
-    strategy: GreedyAvoid, fp_steps, n: int, bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, points) of the greedy-avoid orbit, one Python step a point.
+def _greedy_symbols(strategy: GreedyAvoid, fp_steps, n: int, bits: int) -> np.ndarray:
+    """The n symbols of the greedy-avoid orbit, one Python step a point.
 
     Each candidate scores 2 * forbidden + new_cell; the lowest score wins,
     the first symbol among equals, so a score of 0 ends the search.  The
     running best starts at 4, above every score, so some symbol is always
-    taken.  Each `table.chunk_bounds` block of points is packed into the
-    limb array as soon as it is complete.
+    taken.  Only the symbols are kept: `fixedpoint.accumulate` sums them
+    into the points, which are the x this loop stepped through.
     """
     mask = (1 << bits) - 1
     lo1, width = _forbidden_window(strategy, bits)
@@ -134,25 +131,20 @@ def _greedy_avoid(
     occupied[0] = 1
     candidates = tuple(enumerate(fp_steps, 1))
     symbols = bytearray(n)
-    points = np.zeros((n + 1, fixedpoint.limbs(bits)), dtype=np.uint64)
     x = 0
-    for s, e in chunk_bounds(n):
-        values = [0] * (e - s)
-        for k in range(e - s):
-            best = 4
-            for sym, step in candidates:
-                c = (x + step) & mask
-                score = 2 * (((c - lo1) & mask) < width) + (not occupied[c >> cell_shift])
-                if score < best:
-                    best, best_sym, best_c = score, sym, c
-                    if not score:
-                        break
-            x = best_c
-            symbols[s + k] = best_sym
-            occupied[x >> cell_shift] = 1
-            values[k] = x
-        points[s + 1:e + 1] = fixedpoint.pack(values, bits)
-    return np.frombuffer(symbols, dtype=np.uint8), points
+    for k in range(n):
+        best = 4
+        for sym, step in candidates:
+            c = (x + step) & mask
+            score = 2 * (((c - lo1) & mask) < width) + (not occupied[c >> cell_shift])
+            if score < best:
+                best, best_sym, best_c = score, sym, c
+                if not score:
+                    break
+        x = best_c
+        symbols[k] = best_sym
+        occupied[x >> cell_shift] = 1
+    return np.frombuffer(symbols, dtype=np.uint8)
 
 
 def generate_orbit(
@@ -173,12 +165,11 @@ def generate_orbit(
     fp_steps = steps.fixed_point_steps(bits)
     rng = np.random.default_rng(seed) if seed is not None else None
 
-    if not strategy.adaptive:
-        omega = strategy.materialize(n, steps.ell, rng)
-        points = fixedpoint.accumulate(omega, fp_steps, bits)
+    if strategy.adaptive:
+        omega = _greedy_symbols(strategy, fp_steps, n, bits)
     else:
-        assert isinstance(strategy, GreedyAvoid)
-        omega, points = _greedy_avoid(strategy, fp_steps, n, bits)
+        omega = strategy.materialize(n, steps.ell, rng)
+    points = fixedpoint.accumulate(omega, fp_steps, bits)
 
     return Orbit(
         steps=steps,

@@ -262,10 +262,11 @@ def reference_word_orbit(omega, step_values, bits: int) -> list[int]:
 def reference_greedy_orbit(strategy, step_values, n: int, bits: int) -> tuple[list[int], list[int]]:
     """(omega, points) of the greedy-avoid orbit, each candidate ranked by a tuple.
 
-    This is the loop the integer-scored, chunk-packing greedy loop of
-    `generate_orbit` replaced: the key (in_forb, new_cell, i) is minimized,
-    with the forbidden test written out for plain (lo <= hi, empty when
-    lo == hi) and wrapped (lo > hi) open intervals.
+    This is the loop the integer-scored greedy loop of `generate_orbit`
+    replaced, and it steps each point itself rather than summing the word
+    with `fixedpoint.accumulate`: the key (in_forb, new_cell, i) is
+    minimized, with the forbidden test written out for plain (lo <= hi,
+    empty when lo == hi) and wrapped (lo > hi) open intervals.
     """
     from multirot.fixedpoint import fp_from_fraction
 

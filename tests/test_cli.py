@@ -342,6 +342,20 @@ def test_pigeonhole_bucket_guard_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell_bits, code, label", [(200, 3, "guard:"), (40, 3, "guard:"),
+                                                     (-1, 2, "error:"), (2.5, 2, "error:")])
+def test_greedy_cell_bits_refused_before_any_output(tmp_path, capsys, cell_bits, code, label):
+    """A cell table past MAX_CELL_BITS exits 3, a negative or non-integer cell_bits 2,
+    both before the 2**cell_bits occupancy bytes are allocated."""
+    out = tmp_path / "o"
+    strategy = {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6", "cell_bits": cell_bits}
+    path = write_config(tmp_path, {**ORBIT_CONFIG, "strategy": strategy, "out_dir": str(out)})
+    assert main(["run", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(label) and "cell_bits" in err
+    assert not out.exists()
+
+
 def test_main_orbit_single_step(tmp_path, capsys):
     """n = 1 leaves no pair for the tau statistics; the run still completes."""
     out = tmp_path / "o"
@@ -920,7 +934,9 @@ FIELDS = {
     "strategy": ({"type": "random"}, st.sampled_from([
         {"type": "word", "word": "1212"}, {"type": "periodic", "word": "12"},
         {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}, {"type": "greedy_avoid"},
-        {"type": "word", "word": "12x"}, {"type": "nope"}, {}, "random"])),
+        {"type": "word", "word": "12x"}, {"type": "nope"}, {}, "random"]) | st.builds(
+        lambda cell_bits: {"type": "greedy_avoid", "cell_bits": cell_bits},
+        st.one_of(st.integers(-1, 26), st.sampled_from([40, 200]), JUNK))),
     "scales": ([2, 6], st.one_of(st.lists(st.integers(-1, 8), max_size=3), JUNK)),
     "ifs": (IFS_CANTOR, st.one_of(st.lists(MAP, max_size=3), JUNK)),
     "ifs_f": (NINTHS, st.one_of(st.lists(MAP, max_size=3), JUNK)),

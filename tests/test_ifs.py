@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log
+from math import lcm, log
 
 import pytest
 from hypothesis import given, settings
@@ -251,11 +251,17 @@ def test_line_sample_matches_the_per_map_reference(specs, depth, x0):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(specs=GRID_MAPS, depth=st.integers(1, 6))
 def test_line_cylinders_match_the_per_word_reference(specs, depth):
-    """The images of the hull's centre give the composed maps' balls, in word order."""
+    """The images of the hull's centre give the composed maps' balls, in word order, and
+    the images of its ends their intervals and the SSC gap between first symbols."""
     ifs = SimilarIFS.line_maps(specs)
     want = reference_cylinder_balls(ifs, depth)
     assert ifs.cylinder_balls(depth) == want
     assert ifs.cover_intervals(depth) == sorted(ball.interval() for _, ball in want)
+    q = lcm(*(x.denominator for _, ball in want for x in ball.interval()))  # integer ends
+    ends = [(g, *(x.numerator * (q // x.denominator) for x in ball.interval())) for g, ball in want]
+    gaps = [max(lo, lo2) - min(hi, hi2) for g, lo, hi in ends for g2, lo2, hi2 in ends if g < g2]
+    if gaps:  # with one map, ssc_check certifies the hull's diameter
+        assert ssc_check(ifs, depth).delta == (F(min(gaps), q) if min(gaps) > 0 else None)
 
 
 IRRATIONAL_TURN = "0.12724225184316786509" + "4" * 40

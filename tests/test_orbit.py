@@ -379,12 +379,13 @@ GREEDY_SYSTEMS = {
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), bits=st.sampled_from([64, 72, 128, 256]),
+@given(data=st.data(), bits=st.sampled_from([64, 72, 128, 256, 1000]),
        system=st.sampled_from(sorted(GREEDY_SYSTEMS)), cell_bits=st.sampled_from([1, 4, 12, 20]),
        interval=st.sampled_from(["empty", "plain", "wrapped", "degenerate"]),
        n=st.integers(1, 6 * CHUNK))
 def test_greedy_matches_the_tuple_ranked_loop(data, bits, system, cell_bits, interval, n):
-    """Every symbol and every limb of the greedy orbit, across chunk edges of 7 rows."""
+    """Every symbol and every limb of the greedy orbit, across chunk edges of 7 rows;
+    1000 bits sums 32 sub-limb columns, so the carries cross many limbs."""
     ends = st.fractions(0, 1, max_denominator=16).filter(lambda f: f < 1)
     a, b = sorted([data.draw(ends), data.draw(ends)])
     lo, hi = {"empty": (None, None), "plain": (a, b), "wrapped": (b, a), "degenerate": (a, a)}[interval]
