@@ -123,9 +123,20 @@ class CoveringProfile:
         return float(np.polyfit(ks, self.log2_counts(), 1)[0])
 
 
-def covering_profile(points: CirclePoints, k_min: int, k_max: int) -> CoveringProfile:
+def check_scale_range(k_min: int, k_max: int) -> None:
+    """UsageError unless 0 <= k_min <= k_max <= BITS - 2, the scales covering_profile counts."""
     if k_min < 0 or k_max > BITS - 2 or k_min > k_max:
         raise UsageError("bad scale range")
+
+
+def check_estimate_scales(k_min: int, k_max: int) -> None:
+    """UsageError unless k_min..k_max holds the 4 scales box_dim_estimate needs."""
+    if k_max - k_min < 3:
+        raise UsageError("box_dim_estimate needs at least 4 scales")
+
+
+def covering_profile(points: CirclePoints, k_min: int, k_max: int) -> CoveringProfile:
+    check_scale_range(k_min, k_max)
     counts = {k: covering_count(points, k) for k in range(k_min, k_max + 1)}
     return CoveringProfile(counts, k_min, k_max, len(points))
 
@@ -140,8 +151,7 @@ class BoxDimEstimate:
 
 
 def box_dim_estimate(profile: CoveringProfile) -> BoxDimEstimate:
-    if profile.k_max - profile.k_min < 3:
-        raise UsageError("box_dim_estimate needs at least 4 scales")
+    check_estimate_scales(profile.k_min, profile.k_max)
     local = profile.slopes_local()
     return BoxDimEstimate(
         lower_est=min(local),

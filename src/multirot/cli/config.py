@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..boxdim import COVER_BITS, DIFF_CELL_K_MAX
+from ..boxdim import COVER_BITS, DIFF_CELL_K_MAX, check_estimate_scales, check_scale_range
 from ..diophantine import check_k_space
 from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
@@ -24,54 +25,66 @@ from ..orbit.generate import guard_orbit_size
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
 
-# Every recipe, by kind, with its parameters: name -> (default, least,
-# largest).  A value below least is a config error (exit 2); one above
-# largest trips a guard (exit 3).  A largest of None leaves the bound to
-# the ell**depth guards of validate or to the library.
+
+@dataclass(frozen=True)
+class Recipe:
+    """One recipe: its handler's name in runner, its params, the config fields it
+    needs that nothing defaults (an orbit route also needs steps, strategy and n),
+    and the values with_defaults fills in; None for a recipe that builds no orbit."""
+    handler: str
+    params: dict = field(default_factory=dict)
+    needs: tuple[str, ...] = ()
+    fills: dict | None = None
+
+
+# Each recipe's params: name -> (default, least, largest).  A value below
+# least is a config error (exit 2); one above largest trips a guard (exit
+# 3).  A largest of None leaves the bound to the ell**depth guards of
+# validate or to the library.
 _TRACE = {
     "n_max": (24, 1, MAX_TRACE_N),  # the trace's cost grows faster than its length
     "depth": (8, 1, None),          # ell**depth cylinders of E and sample points of F
 }
+# The orbit fields the verify recipes fill when a config leaves them out.
+VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
+# Every recipe by kind, and by theorem or op where a kind has several.
 RECIPES = {
-    "rank": {"rank": {}},
-    "independence": {"independence": {}},
-    "orbit": {"orbit": {}},
-    "boxdim": {"boxdim": {"depth": (10, 0, None)}},  # the ifs route's sample depth
+    "rank": {"rank": Recipe("_run_rank")},
+    "independence": {"independence": Recipe("_run_independence", needs=("steps",))},
+    "orbit": {"orbit": Recipe("_run_orbit", fills={})},
+    # depth is the ifs route's sample depth; without ifs, boxdim builds an orbit
+    "boxdim": {"boxdim": Recipe("_run_boxdim", {"depth": (10, 0, None)}, ("scales",), {})},
     "diophantine": {
-        "pigeonhole": {"m": (1, 1, None)},  # check_k_space guards (mn)**r
-        "separation": {
+        "pigeonhole": Recipe("_run_pigeonhole", {"m": (1, 1, None)}, ("n",)),  # (mn)**r: check_k_space
+        "separation": Recipe("_run_separation", {
             "k_min": (1, 1, None),
             "k_max": (100, 1, 4096),  # each k is one pass over the orbit's points
-        },
+        }, fills={}),
     },
-    "ifs": {"ifs": {
+    "ifs": {"ifs": Recipe("_run_ifs", {
         "depth": (6, 1, None),            # the SSC certificate's cylinders
         "sample_depth": (None, 0, None),  # None: min(depth + 4, 12)
-    }},
-    "embed": {"embed": _TRACE},
+    }, ("ifs",))},
+    "embed": {"embed": Recipe("_run_embed", _TRACE)},
     "verify-theorem": {
-        "scaled-covering": {
+        "scaled-covering": Recipe("_verify_scaled_covering", {
             "trials": (1000, 1, 10**5),       # about 12 ms a trial at the default sizes
             "max_points": (256, 1, 1 << 16),  # a trial's set size is drawn from 1..max_points
             "p_max": (16, 1, 1024),           # a trial makes up to k_max * p_max checks
             "k_max": (12, 1, None),           # at most COVER_BITS, the covers' precision
-        },
-        "difference-dense": {"k": (12, 0, DIFF_CELL_K_MAX)},  # a 2**k-cell bitmap
-        "orbit-box-lower": {"tolerance": (0.1, None, None)},
-        "trace-ratio-bounds": _TRACE,
-        "dimension-threshold": {
+        }),
+        "difference-dense": Recipe("_verify_difference_dense",
+                                   {"k": (12, 0, DIFF_CELL_K_MAX)},  # a 2**k-cell bitmap
+                                   fills=VERIFY_ORBIT),
+        "orbit-box-lower": Recipe("_verify_orbit_box_lower", {"tolerance": (0.1, None, None)},
+                                  fills={**VERIFY_ORBIT, "scales": (6, 14)}),
+        "trace-ratio-bounds": Recipe("_verify_trace_ratio_bounds", _TRACE),
+        "dimension-threshold": Recipe("_verify_dimension_threshold", {
             "ell_max": (6, 2, 256),  # the table has (ell_max - 1) * lam_max rows
             "lam_max": (5, 1, 256),
-        },
+        }),
     },
 }
-# The recipes that build an orbit (boxdim without ifs): values for the orbit fields left out.
-VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
-ORBIT_FILLS = {"orbit": {}, "boxdim": {}, "separation": {},
-               "difference-dense": VERIFY_ORBIT, "orbit-box-lower": VERIFY_ORBIT}
-# The config fields a recipe's handler reads that nothing defaults; an orbit route
-# also reads steps, strategy and n.
-_NEEDS = {"independence": ("steps",), "boxdim": ("scales",), "pigeonhole": ("n",), "ifs": ("ifs",)}
 # The params key that picks the recipe of a kind with several, and its default.
 _SELECTORS = {"verify-theorem": ("theorem", None), "diophantine": ("op", "pigeonhole")}
 
@@ -174,9 +187,14 @@ class ExperimentConfig:
         key, default = _SELECTORS[self.kind]
         return self.params.get(key, default)
 
+    @property
+    def record(self) -> Recipe | None:
+        """The RECIPES record of what the config runs; None if there is none."""
+        return RECIPES.get(self.kind, {}).get(self.recipe) if isinstance(self.recipe, str) else None
+
     def with_defaults(self) -> "ExperimentConfig":
-        """This config with its recipe's ORBIT_FILLS in the orbit fields it leaves out."""
-        fill = ORBIT_FILLS.get(self.recipe, {}) if isinstance(self.recipe, str) else {}
+        """This config with its recipe's fills in the fields it leaves out."""
+        fill = (self.record and self.record.fills) or {}
         return dataclasses.replace(self, **{k: v for k, v in fill.items() if getattr(self, k) is None})
 
     def validate(self) -> None:
@@ -192,7 +210,7 @@ class ExperimentConfig:
         try:
             if self.kind not in RECIPES:
                 raise ConfigError(f"unknown kind {self.kind!r}")
-            if self.recipe not in RECIPES[self.kind]:
+            if self.record is None:
                 key = _SELECTORS[self.kind][0]
                 raise ConfigError(f"params.{key} = {self.recipe!r} is not one of "
                                   f"{', '.join(RECIPES[self.kind])}")
@@ -211,15 +229,19 @@ class ExperimentConfig:
                     parse_ifs(getattr(self, where))
             where = "affine"
             self.affine_map()
+            where = "scales"
             if self.scales is not None and not (
                 len(self.scales) == 2 and all(type(k) is int for k in self.scales)
                 and self.scales[0] <= self.scales[1]
             ):
                 raise ConfigError("scales must be [k_min, k_max], integers with k_min <= k_max")
+            if self.scales is not None and self.recipe in ("boxdim", "orbit-box-lower"):
+                check_scale_range(*self.scales)  # the handler's covering_profile
+                check_estimate_scales(*self.scales)  # and box_dim_estimate
             if self.kind == "orbit" and self.bits % 8:
                 raise ConfigError(f"orbit export needs bits to be a multiple of 8, got {self.bits}")
             where = "params"
-            for name in RECIPES[self.kind][self.recipe]:
+            for name in self.record.params:
                 self.param(name)
             self._check_recipe()
         except ConfigError:
@@ -232,7 +254,7 @@ class ExperimentConfig:
         """The recipe's own inputs, the guards that bound two values together, the
         fields its handler needs, and last a random strategy's seed."""
         recipe = self.recipe
-        needs = _NEEDS.get(recipe, ())
+        needs = self.record.needs
         if recipe == "rank":
             self.reals("values", self.steps)
         if recipe == "pigeonhole":
@@ -242,7 +264,7 @@ class ExperimentConfig:
         if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")
-        if recipe in ORBIT_FILLS and not (recipe == "boxdim" and self.ifs is not None):
+        if self.record.fills is not None and not (recipe == "boxdim" and self.ifs is not None):
             needs += ("steps", "strategy", "n")
             if self.n is not None:
                 guard_orbit_size(self.n, self.bits)
@@ -264,17 +286,22 @@ class ExperimentConfig:
             raise ConfigError("random strategy requires a seed")
 
     def param(self, name: str):
-        """params[name], defaulted, parsed and bounded by its row in RECIPES."""
-        rows = RECIPES[self.kind][self.recipe]
+        """params[name], defaulted, parsed and bounded by its row in the recipe's record."""
+        rows = self.record.params
         default, least, largest = rows[name]
         raw = self.params.get(name, default)
         if raw is None and default is None:
             return None
-        convert = float if isinstance(default, float) else int
+        floating = isinstance(default, float)
         try:
-            value = convert(raw)
+            value = float(raw) if floating else int(raw)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"params.{name} = {raw!r} is not a valid {convert.__name__}") from None
+            value = None
+        # int() would read true as 1 and cut 2.9 to 2; float() would read "nan" and "inf"
+        if value is None or isinstance(raw, bool) or (isinstance(raw, float) and not floating) \
+                or (floating and not math.isfinite(value)):
+            want = "a finite number" if floating else "an integer"
+            raise ConfigError(f"params.{name} = {raw!r} is not {want}")
         if least is not None and value < least:
             floors = " and ".join(f"{n} >= {row[1]}" for n, row in rows.items() if row[1] is not None)
             raise ConfigError(f"{self.recipe} needs {floors}, got {name}={value}")

@@ -140,7 +140,7 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
         cfg = cfg.with_defaults()
         cfg.validate()
         stage = _make_stage(out)
-        summary, staged = _HANDLERS[cfg.recipe](cfg, stage)
+        summary, staged = globals()[cfg.record.handler](cfg, stage)
         summary = _jsonable(summary)
         staged.append(write_summary(stage, summary))
         os.makedirs(out, exist_ok=True)
@@ -397,11 +397,10 @@ def _verify_difference_dense(cfg, out):
 
 
 def _verify_orbit_box_lower(cfg, out):
-    scales = cfg.scales or (6, 14)
     tolerance = cfg.param("tolerance")
     steps, orbit = _orbit(cfg)
     pts = bx.CirclePoints.from_orbit(orbit)
-    profile = bx.covering_profile(pts, scales[0], scales[1])
+    profile = bx.covering_profile(pts, *cfg.scales)
     est = bx.box_dim_estimate(profile)
     bound = Fraction(1) if steps.r == 1 else Fraction(1, steps.r + 1)
     ok = est.lower_est >= float(bound) - tolerance
@@ -449,21 +448,3 @@ def _verify_dimension_threshold(cfg, out):
         "cells": len(rows), "pass": ok,
     }
     return summary, [csv]
-
-
-# One handler per recipe: each kind, and each theorem and op of config.RECIPES.
-_HANDLERS = {
-    "rank": _run_rank,
-    "independence": _run_independence,
-    "orbit": _run_orbit,
-    "boxdim": _run_boxdim,
-    "pigeonhole": _run_pigeonhole,
-    "separation": _run_separation,
-    "ifs": _run_ifs,
-    "embed": _run_embed,
-    "scaled-covering": _verify_scaled_covering,
-    "difference-dense": _verify_difference_dense,
-    "orbit-box-lower": _verify_orbit_box_lower,
-    "trace-ratio-bounds": _verify_trace_ratio_bounds,
-    "dimension-threshold": _verify_dimension_threshold,
-}

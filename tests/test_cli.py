@@ -229,6 +229,12 @@ def test_verify_orbit_box_lower_small(tmp_path):
     assert result.exit_code == 0
     assert result.summary["bound"] == "1/3"
     assert result.summary["pass"] is True
+    tables = {}
+    for scales in (None, (6, 14)):  # left out, the recipe's scales are 6..14
+        out = tmp_path / str(scales)
+        assert run_config(dataclasses.replace(cfg, scales=scales), str(out)).exit_code == 0
+        tables[scales] = (out / "results.csv").read_bytes()
+    assert tables[None] == tables[(6, 14)]
 
 
 def test_verify_difference_dense_small(tmp_path):
@@ -554,6 +560,10 @@ ORBIT_PART = {"seed": 1, "steps": ["sqrt2", "sqrt3"], "strategy": {"type": "rand
     {"kind": "boxdim", "ifs": IFS_CANTOR, "scales": [2, 6], "params": {"depth": {}}},
     {"kind": "diophantine", **ORBIT_PART, "params": {"op": "separation", "k_max": "x"}},
     {"kind": "diophantine", "n": 10, "params": {"betas": ["sqrt2"], "m": "x"}},
+    {"kind": "verify-theorem", "params": {"theorem": "dimension-threshold", "lam_max": 2.9}},
+    {"kind": "verify-theorem", "params": {"theorem": "dimension-threshold", "ell_max": True}},
+    *({"kind": "verify-theorem", **ORBIT_PART, "scales": [2, 6],
+       "params": {"theorem": "orbit-box-lower", "tolerance": t}} for t in ("nan", "inf", "-inf")),
 ])
 def test_non_integer_recipe_params_exit_2(tmp_path, capsys, config):
     out = tmp_path / "o"
@@ -601,7 +611,7 @@ def test_failed_run_leaves_no_partial_artifact(tmp_path, monkeypatch):
         write_csv(out, "results.csv", ["x"], [[1]])
         raise UsageError("failed after writing")
 
-    monkeypatch.setitem(runner._HANDLERS, "rank", write_then_fail)
+    monkeypatch.setattr(runner, "_run_rank", write_then_fail)
     out = tmp_path / "new" / "o"
     assert run_config(ExperimentConfig(kind="rank", out_dir=str(out))).exit_code == 2
     assert os.listdir(tmp_path) == []
@@ -846,6 +856,10 @@ def _without(config, key):
     ({"kind": "independence"}, 2),
     # pigeonhole bits past the orbit routes' guard: the 1/(mn) slack costs memory in bits
     ({"kind": "diophantine", "n": 4, "bits": 10**8, "params": {"betas": ["sqrt2"]}}, 3),
+    # scales that covering_profile or box_dim_estimate would refuse after the points are built
+    *(({"kind": "boxdim", **route, "scales": scales}, 2)
+      for route in (ORBIT_PART, {"ifs": IFS_CANTOR}) for scales in ([6, 7], [-1, 6], [4, 63])),
+    ({**_verify("orbit-box-lower"), "scales": [6, 8]}, 2),
 ])
 def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
     monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
@@ -893,14 +907,16 @@ def test_degenerate_embedding_exits_2(tmp_path, capsys, argv, message):
 
 
 def test_every_recipe_has_one_handler():
-    assert set(runner._HANDLERS) == {recipe for recipes in RECIPES.values() for recipe in recipes}
+    handlers = [record.handler for recipes in RECIPES.values() for record in recipes.values()]
+    assert len(set(handlers)) == len(handlers)
+    assert all(callable(getattr(runner, name, None)) for name in handlers)
 
 
 def test_readme_states_each_recipe_parameter_as_the_table_does():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     for recipes in RECIPES.values():
-        for recipe, rows in recipes.items():
-            for name, row in rows.items():
+        for recipe, record in recipes.items():
+            for name, row in record.params.items():
                 cells = " | ".join("-" if v is None else str(v) for v in row)
                 line = f"| `{recipe}` | `{name}` | {cells} |"
                 assert line in readme, line
@@ -955,7 +971,8 @@ def configs(draw):
     if kind in ("verify-theorem", "diophantine"):
         recipe = draw(mostly(st.sampled_from(list(RECIPES[kind])), st.just("nope")))
         params = {"theorem" if kind == "verify-theorem" else "op": recipe}
-    for name in RECIPES.get(kind, {}).get(recipe, {}):  # every size given, so none defaults
+    record = RECIPES.get(kind, {}).get(recipe)
+    for name in record.params if record else ():  # every size given, so none defaults
         params[name] = draw(SIZE)
     for name in ("values", "betas"):
         params[name] = draw(mostly(st.just(["sqrt2", "1/3"]), st.one_of(BAD_EXPRS, JUNK)))
@@ -1009,7 +1026,8 @@ def argvs(draw):
     argv = [command]
     if command == "verify":
         theorem = draw(mostly(st.sampled_from(list(RECIPES["verify-theorem"])), st.just("nope")))
-        rows = RECIPES["verify-theorem"].get(theorem, {})
+        record = RECIPES["verify-theorem"].get(theorem)
+        rows = record.params if record else {}
         params = json.dumps({name: draw(SIZE) for name in rows})
         argv += [theorem, "--params", draw(mostly(st.just(params), st.sampled_from(["[1]", "{"])))]
     for flag in given_flags + draw(st.lists(st.sampled_from(optional), unique=True)):
