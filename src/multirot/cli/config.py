@@ -76,7 +76,8 @@ RECIPES = {
         "difference-dense": Recipe("_verify_difference_dense",
                                    {"k": (12, 0, DIFF_CELL_K_MAX)},  # a 2**k-cell bitmap
                                    fills=VERIFY_ORBIT),
-        "orbit-box-lower": Recipe("_verify_orbit_box_lower", {"tolerance": (0.1, None, None)},
+        # tolerance below box_lower_bound(r) too (exit 2): at or above it any orbit passes
+        "orbit-box-lower": Recipe("_verify_orbit_box_lower", {"tolerance": (0.1, 0.0, None)},
                                   fills={**VERIFY_ORBIT, "scales": (6, 14)}),
         "trace-ratio-bounds": Recipe("_verify_trace_ratio_bounds", _TRACE),
         "dimension-threshold": Recipe("_verify_dimension_threshold", {
@@ -85,6 +86,13 @@ RECIPES = {
         }),
     },
 }
+
+
+def box_lower_bound(r: int) -> Fraction:
+    """The lower box dimension orbit-box-lower checks an orbit of rank r against."""
+    return Fraction(1) if r == 1 else Fraction(1, r + 1)
+
+
 # The params key that picks the recipe of a kind with several, and its default.
 _SELECTORS = {"verify-theorem": ("theorem", None), "diophantine": ("op", "pigeonhole")}
 
@@ -261,6 +269,11 @@ class ExperimentConfig:
             betas = self.reals("betas")[1]
             if self.n is not None:
                 check_k_space(self.param("m"), self.n, len(betas), self.bits)
+        if recipe == "orbit-box-lower" and self.steps is not None:
+            tolerance, bound = self.param("tolerance"), box_lower_bound(self.step_system().r)
+            if tolerance >= bound:
+                raise ConfigError(f"params.tolerance = {tolerance} must be below the bound "
+                                  f"{bound} it loosens")
         if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")

@@ -31,7 +31,7 @@ from ..ifs import attractor_sample, similarity_dimension, ssc_check
 from ..orbit.generate import generate_orbit, reduced_orbit, tau_discrepancy
 from ..orbit.io import write_orb1, write_orbit_csv
 from ..svgplot import loglog_svg
-from .config import ExperimentConfig, parse_ifs
+from .config import ExperimentConfig, box_lower_bound, parse_ifs
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -402,7 +402,7 @@ def _verify_orbit_box_lower(cfg, out):
     pts = bx.CirclePoints.from_orbit(orbit)
     profile = bx.covering_profile(pts, *cfg.scales)
     est = bx.box_dim_estimate(profile)
-    bound = Fraction(1) if steps.r == 1 else Fraction(1, steps.r + 1)
+    bound = box_lower_bound(steps.r)
     ok = est.lower_est >= float(bound) - tolerance
     summary = {
         "kind": "verify-theorem", "theorem": "orbit-box-lower",

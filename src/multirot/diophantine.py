@@ -1,20 +1,20 @@
 """Pigeonhole simultaneous approximation and the orbit separation diagnostic.
 
-pigeonhole_approx finds, for reals beta_1..beta_r, the smallest k with
-||k beta_j|| <= 1/(mn) for every j; existence inside [1, (mn)^r + 1] is
-the pigeonhole argument on the (mn)^r subcubes of [0,1]^r.  The scan path
-screens candidates with exact 64-bit fixed-point arithmetic and then
-adjudicates each candidate with exact rational arithmetic, so the
-returned k is truly minimal.  When the scan budget is exceeded, the
-subcube-collision construction runs instead: it returns |k' - k|, which
-satisfies the bound but need not be minimal (the result says which path
-ran); past MAX_BUCKET_K_SPACE it is refused with GuardError.
+pigeonhole_approx finds, for reals beta_1..beta_r, the least k in [1, (mn)^r + 1]
+(pigeonhole on the (mn)^r subcubes of [0,1]^r) with ||k beta_j|| <= 1/(mn) for all j.
+The scan path walks only the returns of one beta's 64-bit rotation near 0
+(three-gap theorem), screens them with the other betas and settles each survivor
+exactly, so k is truly minimal.  Past the scan budget, subcube collision returns
+|k' - k|, which meets the bound but need not be minimal (the result says which
+path ran); past MAX_BUCKET_K_SPACE it is refused with GuardError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 import numpy as np
 
@@ -23,12 +23,19 @@ from .exact.symbolic import SymbolicReal
 from .fixedpoint import fp_from_fraction
 from .orbit.generate import MAX_ORBIT_BITS
 
+# The largest k-space (mn)^r + 1 the scan path takes.  Just under it, each case in
+# a process of its own (2-core x86_64, Python 3.11, numpy 2.4): a full walk with no k
+# in range (r = 3, mn = 203) took 0.03 s; the largest k of a random search,
+# 0.67 k_max at r = 3 and 0.85 k_max at r = 2, took 0.02 s and 0.003 s; r = 1
+# (k = k_max - 2 at beta = 1/mn + 10**-40) and a rational first beta (0, 1/2)
+# took under 1 ms.  Peak RSS was 35 MB, 1 MB above the imports alone.
 DEFAULT_SCAN_BUDGET = 1 << 23
-# The largest k-space (mn)^r + 1 the bucket path may take.  It keeps one dict
-# entry per k until two subcubes collide, so k-space entries at worst: with
-# beta = 1/n + 10**-40, m = 1, n = 4 * 10**6 (every subcube distinct until
-# k = n) it took 8.8 s at 622 MB peak RSS on 2-core x86_64, Python 3.11, and
-# [sqrt2] at n = 10**7 took 15.6 s at 1113 MB.
+RETURN_BLOCK = 256  # the returns of one beta that the others screen at once
+_MOD = 1 << 64
+# The largest k-space (mn)^r + 1 the bucket path may take: one dict entry per k
+# until two subcubes collide.  beta = 1/n + 10**-40, m = 1, n = 4 * 10**6 (every
+# subcube distinct until k = n) took 8.8 s at 622 MB peak RSS on 2-core x86_64,
+# Python 3.11, and [sqrt2] at n = 10**7 took 15.6 s at 1113 MB.
 MAX_BUCKET_K_SPACE = 1 << 22
 # kxn_separation's block: values of k by points, 1 MB of uint64 in all.
 # At 10**6 points and k = 1..100 (2-core x86_64, numpy 2.4) it took 0.11-0.13 s
@@ -39,18 +46,8 @@ SEPARATION_ROWS = 4096
 
 def norm_dist(x):
     """Distance from x to the nearest integer, in [0, 1/2]; exact on rationals."""
-    if isinstance(x, Fraction):
-        frac = x - (x.numerator // x.denominator)
-        return min(frac, 1 - frac)
-    xf = float(x)
-    frac = xf % 1.0
-    return min(frac, 1.0 - frac)
-
-
-def _as_fraction(beta) -> Fraction:
-    if isinstance(beta, SymbolicReal):
-        return beta.value()
-    return Fraction(beta)
+    frac = x - (x.numerator // x.denominator) if isinstance(x, Fraction) else float(x) % 1.0
+    return min(frac, 1 - frac)
 
 
 @dataclass(frozen=True)
@@ -73,13 +70,9 @@ class ApproxResult:
 
 def check_k_space(m: int, n: int, r: int, bits: int = 128,
                   scan_budget: int = DEFAULT_SCAN_BUDGET) -> int:
-    """The k-space (mn)^r + 1 of pigeonhole_approx, refused before any work.
-
-    UsageError for m or n below 1 and unless 2**(bits - 4) > mn, the bits
-    the 1/(mn) target needs; GuardError past MAX_ORBIT_BITS bits (the
-    slack 2**(4 - bits) costs time and memory in bits) and when the k-space
-    exceeds scan_budget (the bucket path runs) and MAX_BUCKET_K_SPACE.
-    """
+    """The k-space (mn)^r + 1 of pigeonhole_approx, refused before any work: UsageError for
+    m or n below 1 and unless 2**(bits - 4) > mn; GuardError past MAX_ORBIT_BITS bits (the
+    2**(4 - bits) slack costs time and memory) and past scan_budget and MAX_BUCKET_K_SPACE."""
     if m < 1 or n < 1:
         raise UsageError("m and n must be positive integers")
     if (m * n).bit_length() > bits - 4:  # mn < 2**(bits - 4) exactly when this fails
@@ -89,34 +82,22 @@ def check_k_space(m: int, n: int, r: int, bits: int = 128,
         raise GuardError(f"pigeonhole bits={bits} exceeds the guard of {MAX_ORBIT_BITS}")
     k_space = (m * n) ** r + 1
     if k_space > scan_budget and k_space > MAX_BUCKET_K_SPACE:
-        raise GuardError(f"(mn)^r + 1 = {k_space} exceeds the bucket path's guard "
-                         f"of {MAX_BUCKET_K_SPACE}")
+        raise GuardError(f"(mn)^r + 1 = {k_space} exceeds the bucket path's guard of {MAX_BUCKET_K_SPACE}")
     return k_space
 
 
-def pigeonhole_approx(
-    betas,
-    m: int,
-    n: int,
-    bits: int = 128,
-    scan_budget: int = DEFAULT_SCAN_BUDGET,
-) -> ApproxResult:
+def pigeonhole_approx(betas, m: int, n: int, bits: int = 128,
+                      scan_budget: int = DEFAULT_SCAN_BUDGET) -> ApproxResult:
     """Smallest k in [1, (mn)^r + 1] with ||k beta_j|| <= 1/(mn) for all j."""
-    fracs = [_as_fraction(b) for b in betas]
-    r = len(fracs)
-    if r < 1:
+    fracs = [b.value() if isinstance(b, SymbolicReal) else Fraction(b) for b in betas]
+    if (r := len(fracs)) < 1:
         raise UsageError("need at least one beta")
-    mn = m * n
     k_max = check_k_space(m, n, r, bits, scan_budget)
-    bound = Fraction(1, mn)
-
+    bound = Fraction(1, m * n)
     if k_max <= scan_budget:
-        k = _scan_minimal(fracs, bound, k_max)
-        path, minimal = "scan", True
+        k, path, minimal = _scan_minimal(fracs, bound, k_max), "scan", True
     else:
-        k = _bucket_collision(fracs, mn, r, k_max, bits)
-        path, minimal = "bucket", False
-
+        k, path, minimal = _bucket_collision(fracs, m * n, r, k_max, bits), "bucket", False
     achieved = tuple(norm_dist(k * b) for b in fracs)
     slack = Fraction(1, 1 << (bits - 4))
     assert all(a <= bound + slack for a in achieved), "pigeonhole bound violated"
@@ -124,48 +105,81 @@ def pigeonhole_approx(
 
 
 def _scan_minimal(fracs: list[Fraction], bound: Fraction, k_max: int) -> int:
-    """Linear scan with exact adjudication; screens in 64-bit fixed point.
+    """The least k <= k_max with ||k beta|| <= bound for every beta.
 
-    The screen threshold is inflated by the worst-case truncation drift
-    k * 2**-64, so no true solution is screened out; every screened-in
-    candidate is verified exactly in increasing order.
+    k is a candidate when k f mod 2**64 is in [-thr, thr] for the 64-bit floor f
+    of every beta; thr, bound 2**64 inflated by the drift bound k_max, screens out
+    no solution.  _returns walks one beta's candidates in increasing order, the k
+    a screen of every k keeps, on the beta whose smaller (then larger) return step
+    is largest: a short period such as 0 or 1/2 is walked only if every beta has
+    one.  The others screen blocks of RETURN_BLOCK; norm_dist settles survivors.
     """
-    fp = np.array([fp_from_fraction(b, 64) for b in fracs], dtype=np.uint64)
-    thr_exact = (bound.numerator << 64) // bound.denominator + 1 + k_max
-    thr = np.uint64(min(thr_exact, 1 << 63))  # 2**63 accepts everything
-    block = 1 << 18
-    for start in range(1, k_max + 1, block):
-        stop = min(start + block, k_max + 1)
-        ks = np.arange(start, stop, dtype=np.uint64)
-        # screen on the first beta, then test only the survivors
-        v = ks * fp[0]  # uint64 wrap-around: exact mod 1 at 64 bits
-        cand = ks[np.minimum(v, np.uint64(0) - v) <= thr]
-        for f in fp[1:]:
-            if cand.size == 0:
-                break
-            v = cand * f
+    fps = [fp_from_fraction(b, 64) for b in fracs]
+    thr = (bound.numerator << 64) // bound.denominator + 1 + k_max
+    if thr >= 1 << 63:  # mn <= 2: every k is a candidate, and k = 1 qualifies
+        ks, rest = iter(range(1, k_max + 1)), []
+    else:
+        j = max(range(len(fps)), key=lambda i: sorted(_return_steps(fps[i], 2 * thr + 1)))
+        ks, rest = _returns(fps[j], thr, k_max), np.array(fps[:j] + fps[j + 1:], dtype=np.uint64)
+    while (cand := np.fromiter(islice(ks, RETURN_BLOCK), np.uint64)).size:
+        for f in rest:
+            v = cand * f  # uint64 wrap-around: exact mod 1 at 64 bits
             cand = cand[np.minimum(v, np.uint64(0) - v) <= thr]
-        for k in cand:
-            k = int(k)
+        for k in cand.tolist():
             if all(norm_dist(k * b) <= bound for b in fracs):
                 return k
     raise AssertionError("pigeonhole existence violated within (mn)^r + 1")
 
 
-def _bucket_collision(fracs, mn: int, r: int, k_max: int, bits: int) -> int:
-    """Subcube bucketing: first repeated cube index yields k = |k' - k''|.
+def _first_in(f: int, lo: int, hi: int, mod: int) -> int | None:
+    """The least x >= 0 with f x mod `mod` in [lo, hi], or None; 0 <= f < mod, 1 <= lo <= hi < mod.
+    Euclid: when no multiple of f lies in [lo, hi], f x - mod y in [lo, hi]
+    asks for the least y with (mod % f) y mod f in [f - hi % f, f - lo % f]."""
+    if f == 0:
+        return None
+    if (x := -(-lo // f)) * f <= hi:
+        return x
+    y = _first_in(mod % f, f - hi % f, f - lo % f, f)
+    return None if y is None else -(-(lo + mod * y) // f)
 
-    Runs at bits+48 working precision so the returned k meets the bound
-    within the documented evaluation slack.
-    """
-    w = bits + 48
-    mod = 1 << w
+
+def _return_steps(f: int, width: int) -> tuple[int, int]:
+    """The least j >= 1 with j f mod 2**64 in [0, width), and with -j f; the period if none."""
+    return tuple(_first_in(g, 1, width - 1, _MOD) or _MOD // gcd(f, _MOD) for g in (f, -f % _MOD))
+
+
+def _returns(f: int, thr: int, k_max: int):
+    """The k in [1, k_max] with k f mod 2**64 in [-thr, thr], increasing; 1 <= thr < 2**63.
+
+    u = k f + thr mod 2**64 walks the returns to [0, L), L = 2 thr + 1, from
+    u = thr at k = 0.  With return steps a and b, e_a = a f and e_b = -b f
+    mod 2**64, the next return is a on if u + e_a < L, else b if u >= e_b,
+    else a + b (the three-gap theorem: Slater; Sos)."""
+    width = 2 * thr + 1
+    a, b = _return_steps(f, width)
+    e_a, e_b = a * f % _MOD, -b * f % _MOD
+    k, u = 0, thr
+    while True:
+        if u + e_a < width:
+            k, u = k + a, u + e_a
+        elif u >= e_b:
+            k, u = k + b, u - e_b
+        else:
+            k, u = k + a + b, u + e_a - e_b
+        if k > k_max:
+            return
+        yield k
+
+
+def _bucket_collision(fracs, mn: int, r: int, k_max: int, bits: int) -> int:
+    """Subcube bucketing: the first repeated cube index yields k = |k' - k''|.  It runs at
+    bits + 48 bits so the returned k meets the bound within the documented slack."""
+    w, mod = bits + 48, 1 << (bits + 48)
     fps = [fp_from_fraction(b, w) for b in fracs]
     state = [0] * r
-    seen: dict[tuple, int] = {tuple(0 for _ in range(r)): 0}
+    seen: dict[tuple, int] = {tuple(state): 0}
     for k in range(1, k_max + 1):
-        for j in range(r):
-            state[j] = (state[j] + fps[j]) % mod
+        state = [(s + f) % mod for s, f in zip(state, fps)]
         idx = tuple((s * mn) >> w for s in state)
         if idx in seen:
             return k - seen[idx]
@@ -193,19 +207,13 @@ class SeparationReport:
 
 
 def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
-    """For each k, max_n ||k x~_n|| over the available sequence.
+    """For each k, max_n ||k x~_n|| over top, the sequence as 64-bit points (uint64).
 
-    top is the sequence at 64-bit resolution, a uint64 array such as
-    `ReducedOrbit.top64()`.  A finite-n maximum can only understate the
-    true supremum, so entries below 1/5 are flagged as diagnostics, never
-    as refutations.
-
-    The scan folds over blocks of at most SEPARATION_KS values of k by
-    SEPARATION_ROWS points in one reused uint64 buffer (1 MB): k x mod
-    2**64 is formed in place, and the absolute value of its int64 view is
-    min(v, 2**64 - v) exactly, 2**63 included.  A block's maximum replaces
-    the running one only when strictly larger, so n_argmax is the first
-    index of the maximum.
+    A finite-n maximum only understates the supremum, so entries below 1/5 are
+    diagnostics, never refutations.  Blocks of SEPARATION_KS values of k by
+    SEPARATION_ROWS points share one 1 MB uint64 buffer; the absolute int64 view
+    of k x mod 2**64 is min(v, 2**64 - v) exactly, and a block's maximum replaces
+    the running one only when strictly larger (n_argmax is the first index).
     """
     top = np.asarray(top)
     if top.dtype != np.uint64 or top.ndim != 1:
@@ -215,7 +223,6 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
     if k_min < 1 or k_min > k_max:
         raise UsageError("bad k range")
     rows = []
-    scale = float(1 << 64)
     buf = np.empty((SEPARATION_KS, min(SEPARATION_ROWS, top.size)), dtype=np.uint64)
     for k0 in range(k_min, k_max + 1, SEPARATION_KS):
         ks = np.arange(k0, min(k0 + SEPARATION_KS, k_max + 1), dtype=np.uint64)
@@ -226,14 +233,13 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
             block = top[s:s + SEPARATION_ROWS]
             v = buf[:ks.size, :block.size]
             np.multiply(ks[:, None], block, out=v)  # exact mod 2**64
-            signed = v.view(np.int64)
-            np.abs(signed, out=signed)
+            np.abs(v.view(np.int64), out=v.view(np.int64))
             arg = v.argmax(axis=1)
             top_v = v[which, arg]
             better = top_v > best
             best[better] = top_v[better]
             best_arg[better] = arg[better] + s
         for k, norm, arg in zip(range(k0, k0 + ks.size), best, best_arg):
-            sup = float(norm) / scale
+            sup = float(norm) / 2**64
             rows.append(SeparationRow(k, sup, int(arg), sup < 0.2))
     return SeparationReport(tuple(rows), int(top.size))

@@ -16,6 +16,7 @@ import numpy as np
 
 from multirot.embedtrace import SnEntry, SnTrace
 from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
+from multirot.fixedpoint import fp_from_fraction
 from multirot.ifs import Ball, EmbeddingCheck
 from multirot.orbit import steps_from_values
 
@@ -226,6 +227,41 @@ def brute_force_min_k(betas: list[Fraction], bound: Fraction, k_max: int) -> int
 def _norm_exact(x: Fraction) -> Fraction:
     frac = x - (x.numerator // x.denominator)
     return min(frac, 1 - frac)
+
+
+def reference_returns(f: int, thr: int, k_max: int) -> list[int]:
+    """The k in [1, k_max] with min(k f, -k f) mod 2**64 <= thr: a screen of every k."""
+    ks = np.arange(1, k_max + 1, dtype=np.uint64)
+    v = ks * np.uint64(f)  # uint64 wrap-around: exact mod 2**64
+    return ks[np.minimum(v, np.uint64(0) - v) <= np.uint64(thr)].tolist()
+
+
+def reference_scan_minimal(fracs: list[Fraction], bound: Fraction, k_max: int) -> int:
+    """The least k <= k_max with ||k beta|| <= bound for every beta, by a linear scan.
+
+    Every k is screened in 64-bit fixed point on the first beta, the
+    survivors on the others, with the threshold inflated by the drift
+    bound k_max; each candidate is then settled exactly, in increasing order.
+    """
+    fp = np.array([fp_from_fraction(b, 64) for b in fracs], dtype=np.uint64)
+    thr_exact = (bound.numerator << 64) // bound.denominator + 1 + k_max
+    thr = np.uint64(min(thr_exact, 1 << 63))  # 2**63 accepts everything
+    block = 1 << 18
+    for start in range(1, k_max + 1, block):
+        stop = min(start + block, k_max + 1)
+        ks = np.arange(start, stop, dtype=np.uint64)
+        v = ks * fp[0]
+        cand = ks[np.minimum(v, np.uint64(0) - v) <= thr]
+        for f in fp[1:]:
+            if cand.size == 0:
+                break
+            v = cand * f
+            cand = cand[np.minimum(v, np.uint64(0) - v) <= thr]
+        for k in cand:
+            k = int(k)
+            if all(_norm_exact(k * b) <= bound for b in fracs):
+                return k
+    raise AssertionError("no k within the pigeonhole range")
 
 
 # -- orbits ---------------------------------------------------------------------------

@@ -860,6 +860,11 @@ def _without(config, key):
     *(({"kind": "boxdim", **route, "scales": scales}, 2)
       for route in (ORBIT_PART, {"ifs": IFS_CANTOR}) for scales in ([6, 7], [-1, 6], [4, 63])),
     ({**_verify("orbit-box-lower"), "scales": [6, 8]}, 2),
+    # orbit-box-lower's tolerance lies in [0, bound): 1/3 for the default r = 2, 1 for r = 1
+    (_verify("orbit-box-lower", tolerance=2.9), 2),
+    (_verify("orbit-box-lower", tolerance=0.34), 2),
+    (_verify("orbit-box-lower", tolerance=-0.1), 2),
+    ({**_verify("orbit-box-lower", tolerance=1), "steps": ["sqrt2"]}, 2),
 ])
 def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
     monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
@@ -867,6 +872,15 @@ def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, co
     assert main(["run", path]) == code
     assert capsys.readouterr().err.startswith("guard:" if code == 3 else "error:")
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("steps, tolerance", [
+    (("sqrt2", "sqrt3"), 0.0), (("sqrt2", "sqrt3"), 0.333), (("sqrt2",), 0.999),
+])
+def test_orbit_box_lower_takes_a_tolerance_below_its_bound(steps, tolerance):
+    cfg = ExperimentConfig(kind="verify-theorem", steps=steps,
+                           params={"theorem": "orbit-box-lower", "tolerance": tolerance})
+    cfg.with_defaults().validate()
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_min_k, random_basis, reference_separation
+from helpers import (
+    brute_force_min_k,
+    random_basis,
+    reference_returns,
+    reference_scan_minimal,
+    reference_separation,
+)
 from multirot import diophantine
 from multirot.diophantine import check_k_space, kxn_separation, norm_dist, pigeonhole_approx
 from multirot.errors import GuardError, UsageError
@@ -116,6 +122,88 @@ def test_pigeonhole_bucket_path():
     assert res.path == "bucket" and not res.minimal
     assert res.k <= res.k_space()
     assert all(a <= res.bound() + F(1, 1 << 124) for a in res.achieved)
+
+
+# -- the return walk of the scan path ------------------------------------------
+
+@pytest.mark.parametrize("mod", range(1, 25))
+def test_first_in_matches_brute_force(mod):
+    """Every f < mod and every range [lo, hi] in [1, mod): the least x, or None."""
+    for f in range(mod):
+        hits = [f * x % mod for x in range(mod + 1)]
+        for lo in range(1, mod):
+            for hi in range(lo, mod):
+                want = next((x for x, h in enumerate(hits) if lo <= h <= hi), None)
+                assert diophantine._first_in(f, lo, hi, mod) == want
+
+
+STEP_EDGES = [0, 1, 2, 3, 2**63, 2**63 - 1, 2**63 + 1, 2**64 - 1, 2**64 - 2, 3 << 62, 5 << 60]
+steps_64 = st.one_of(
+    st.sampled_from(STEP_EDGES),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 1000),                                   # near 0
+    st.integers(2**64 - 1000, 2**64 - 1),                   # near 2**64
+    st.builds(lambda odd, z: (odd << z) % 2**64,            # many trailing zero bits
+              st.integers(1, 2**20).map(lambda x: 2 * x + 1), st.integers(40, 63)),
+)
+thresholds = st.one_of(
+    st.integers(1, 2**63 - 1),
+    st.integers(1, 2**40),
+    st.sampled_from([1, 2, 2**62, 2**62 + 1, 2**63 - 2, 2**63 - 1]),
+    st.integers(2, 64).map(lambda d: 2**64 // d // 2),      # about 1/(2d) of the circle
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=steps_64, thr=thresholds, k_max=st.integers(1, 20_000))
+def test_return_walk_matches_the_linear_screen(f, thr, k_max):
+    """The walk yields exactly the screen's survivors, in increasing order."""
+    assert list(diophantine._returns(f, thr, k_max)) == reference_returns(f, thr, k_max)
+
+
+def rational_betas(mn):
+    """0, 1/2 and p/q with q <= mn, p of either sign."""
+    return st.one_of(
+        st.sampled_from([F(0), F(1, 2), F(-1, 2), F(1)]),
+        st.integers(1, mn).flatmap(lambda q: st.integers(-2 * q, 2 * q).map(lambda p: F(p, q))),
+    )
+
+
+@st.composite
+def pigeonhole_cases(draw):
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    n = draw(st.one_of(st.integers(1, 2), st.integers(1, 40 if r < 3 else 12)))
+    declared = st.integers(0, 10**55 - 1).map(lambda num: F(num, 10**55))
+    betas = [draw(st.one_of(declared, rational_betas(m * n))) for _ in range(r)]
+    return betas, m, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pigeonhole_cases())
+def test_pigeonhole_k_matches_the_linear_scan(case):
+    """Declared and rational betas in every position, mn <= 2 included: the least k
+    equals the linear scan's and the brute-force minimum."""
+    betas, m, n = case
+    res = pigeonhole_approx(betas, m, n)
+    assert res.path == "scan" and res.minimal
+    assert res.k == reference_scan_minimal(betas, res.bound(), res.k_space())
+    assert res.k == brute_force_min_k(betas, res.bound(), res.k_space())
+
+
+@pytest.mark.parametrize("first, other", [
+    (F(0), SQRT2), (F(1, 2), SQRT2), (F(0), F(3, 2000) + F(1, 10**40)),
+])
+def test_the_walk_skips_a_short_period(monkeypatch, first, other):
+    """0 or 1/2 ahead of a beta with longer return steps: the walk takes the other
+    beta (for 3/2000 + 10**-40 both smaller steps are 1 and the larger decides), and
+    k is the linear scan's."""
+    walked = []
+    walk = diophantine._returns
+    monkeypatch.setattr(diophantine, "_returns", lambda f, *args: walked.append(f) or walk(f, *args))
+    res = pigeonhole_approx([first, other], 1, 1000)
+    assert walked == [fp_from_fraction(other, 64)]
+    assert res.k == reference_scan_minimal([first, other], res.bound(), res.k_space())
 
 
 def test_separation_zero_sequence():
