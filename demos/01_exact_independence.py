@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Exact arithmetic walkthrough: declared bases, ranks, mod-1 independence.
 
-Everything printed here is decided in exact rational arithmetic; the only
-numeric step is the optional PSLQ scan at the end, which is advisory.
+Everything printed here is decided in exact rational arithmetic.
 """
 
 from fractions import Fraction as F
@@ -10,7 +9,6 @@ from fractions import Fraction as F
 from multirot.exact import (
     builtin_table,
     commensurability_witness,
-    integer_relation_heuristic,
     q_independent_mod1,
     qplus_independent_mod1,
     rank_span,
@@ -58,7 +56,3 @@ for rhos, gammas in [
     else:
         print(f"rho={rhos} gamma={gammas}: no witness (infeasible)")
 
-print()
-print("== PSLQ-style scan (heuristic, advisory only) ==")
-rel = integer_relation_heuristic([2**0.5, 8**0.5])
-print("candidate relation for (sqrt8, sqrt2):", rel, " -- verify exactly before use")

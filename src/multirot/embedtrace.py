@@ -13,10 +13,9 @@ by the independence machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import floor, log, log2, prod
-
-import mpmath
 
 from .boxdim import CirclePoints, box_dim_estimate, covering_profile
 from .errors import DomainError, GuardError, NotInAttractorError, UsageError
@@ -84,19 +83,16 @@ def coding_of_point(e_ifs: SimilarIFS, y, n: int) -> tuple[int, ...]:
     for depth in range(1, n + 1):
         # one refinement cell: a child cell of the depth-level cylinder
         slack = e_ifs.rho_star ** (depth + 1) * hull.diameter
-        best = None
-        best_dist = None
-        best_comp = None
-        for i, mp in enumerate(e_ifs.maps):
+        near = []
+        for i, mp in enumerate(e_ifs.maps, 1):
             cand = mp if comp is None else comp.compose(mp)
-            ball = Ball(cand.apply(hull.center), cand.ratio * hull.radius)
-            dist = ball.distance(point)
-            if dist <= slack and (best_dist is None or dist < best_dist):
-                best, best_dist, best_comp = i + 1, dist, cand
-        if best is None:
+            dist = Ball(cand.apply(hull.center), cand.ratio * hull.radius).distance(point)
+            if dist <= slack:
+                near.append((dist, i, cand))
+        if not near:
             raise NotInAttractorError(depth)
+        _, best, comp = min(near, key=lambda c: c[:2])
         word.append(best)
-        comp = best_comp
     return tuple(word)
 
 
@@ -293,16 +289,29 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
 
 # -- induced orbit -----------------------------------------------------------------
 
-def log_real_value(key: tuple, tables: dict) -> mpmath.mpf:
-    if key == ("1",):
-        return mpmath.mpf(1)
-    if key[0] == "p":
-        return mpmath.log(key[1])
-    if key[0] == "b":
-        table = tables[key[1]]
-        v = table.value(key[1])
-        return mpmath.mpf(v.numerator) / v.denominator
+# Working digits of the induced betas, and the significant digits written.
+LOG_PRECISION = 70
+BETA_DIGITS = 60
+
+
+def log_real_value(key: tuple, tables: dict) -> Decimal:
+    """The real number a log coordinate stands for, to LOG_PRECISION digits."""
+    with localcontext(Context(prec=LOG_PRECISION)):
+        if key == ("1",):
+            return Decimal(1)
+        if key[0] == "p":
+            return Decimal(key[1]).ln()
+        if key[0] == "b":
+            v = tables[key[1]].value(key[1])
+            return Decimal(v.numerator) / v.denominator
     raise AssertionError(f"unknown log coordinate {key}")
+
+
+def beta_string(x: Decimal) -> str:
+    """x rounded to BETA_DIGITS significant digits, trailing zeros kept, in plain
+    decimal notation."""
+    x = Context(prec=BETA_DIGITS).plus(x)
+    return format(x, f".{max(0, BETA_DIGITS - 1 - x.adjusted())}f")
 
 
 def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
@@ -311,9 +320,10 @@ def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
     In log space every rational relation among 1, alpha_1..alpha_ell is a
     linear relation among the exponent vectors of gamma_1, rho_1..rho_ell,
     so the basis selection and all rank data are computed exactly; the
-    beta values themselves are evaluated to 60 digits for the numeric
-    lane.  (Division of two negative logarithms makes the alphas positive;
-    gamma_1 = prod rho_i**t_i with t >= 0 nonzero is exactly the statement
+    beta values themselves are evaluated to LOG_PRECISION digits and
+    written with BETA_DIGITS for the numeric lane.  (Division of two
+    negative logarithms makes the alphas positive; gamma_1 = prod
+    rho_i**t_i with t >= 0 nonzero is exactly the statement
     sum t_i alpha_i = 1.)
     """
     tables = {}
@@ -324,35 +334,23 @@ def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
     keys, (v0, *vs) = log_rows([gamma1, *rhos])
     lead = next(i for i, c in enumerate(v0) if c != 0)
 
-    qs = []
-    ws = []
-    for v in vs:
-        q = v[lead] / v0[lead]
-        qs.append(q)
-        ws.append([c - q * c0 for c, c0 in zip(v, v0)])
+    qs = [v[lead] / v0[lead] for v in vs]
+    ws = [[c - q * c0 for c, c0 in zip(v, v0)] for q, v in zip(qs, vs)]
 
     denom, int_rows = common_denominator(ws)
     hermite = hermite_row_basis(int_rows)
 
-    with mpmath.workdps(70):
+    with localcontext(Context(prec=LOG_PRECISION)):
         key_reals = {k: log_real_value(k, tables) for k in keys}
-        log_gamma = mpmath.fsum(
-            (mpmath.mpf(c.numerator) / c.denominator) * key_reals[k]
-            for c, k in zip(v0, keys)
-            if c != 0
-        )
+        log_gamma = sum(Decimal(c.numerator) / c.denominator * key_reals[k]
+                        for c, k in zip(v0, keys) if c)
         # orient each basis row so the associated beta is positive
-        oriented = []
         beta_strs = []
-        for row in hermite:
-            val = mpmath.fsum(c * key_reals[k] for c, k in zip(row, keys) if c) / denom
-            beta = val / log_gamma
+        for j, row in enumerate(hermite):
+            beta = sum(c * key_reals[k] for c, k in zip(row, keys) if c) / denom / log_gamma
             if beta < 0:
-                row = [-x for x in row]
-                beta = -beta
-            oriented.append(row)
-            beta_strs.append(mpmath.nstr(beta, 60, strip_zeros=False))
-        hermite = oriented
+                hermite[j], beta = [-x for x in row], -beta
+            beta_strs.append(beta_string(beta))
 
     labels = [f"beta{j+1}" for j in range(len(hermite))]
     table = BasisTable(BasisEntry(l, s, True) for l, s in zip(labels, beta_strs))

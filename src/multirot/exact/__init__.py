@@ -14,7 +14,6 @@ from .independence import (
     witness_combination,
 )
 from .primes import exponent_vector, factorize
-from .relations import integer_relation_heuristic
 from .symbolic import BUILTIN_VALUES, BasisEntry, BasisTable, SymbolicReal, builtin_table
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "log_vector",
     "factorize",
     "exponent_vector",
-    "integer_relation_heuristic",
 ]

@@ -8,10 +8,12 @@ covers share one routine on integer numerators over one denominator, and
 error bound, handing the rest to the exact `scan_cover`.
 
 Dimension 2 supports rotations (rational or declared-irrational turns).
-Their cos and sin are evaluated to 60 digits, floored to multiples of
-2**-192 and then used as if exact.  Square roots are bracketed, but no
-radius absorbs the flooring error, so planar separation certificates and
-containment checks are not yet one-sided.
+Their cos and sin are the exact floors to multiples of 2**-192, from
+integer brackets (a Machin pi and a Taylor series with its remainder)
+widened until the floor is decided, and are then used as if exact.
+Square roots are bracketed, but no radius absorbs the flooring error, so
+planar separation certificates and containment checks are not yet
+one-sided.
 """
 
 from __future__ import annotations
@@ -20,18 +22,19 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt, lcm, log
 from operator import itemgetter
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, GuardError, UsageError
+from .exact.linalg import solve
 
 SQRT_PREC_BITS = 96
 # ell**depth guard of cylinder covers.  At the guard (middle thirds, depth 16),
-# each in a process of its own, ssc_check took 1.8 s and cover_intervals 1.6 s,
-# both at 78 MB peak RSS (2-core x86_64, Python 3.11).
+# each in a process of its own, ssc_check took 0.10 s at 39 MB peak RSS and
+# cover_intervals 0.25 s at 56 MB (2-core x86_64, Python 3.11).
 MAX_CYLINDERS = 1 << 16
 MAX_SAMPLE_POINTS = 1 << 24   # ell**depth guard of attractor samples
 
@@ -46,22 +49,18 @@ def guard_power(ell: int, depth: int, limit: int, what: str) -> None:
         raise GuardError(f"{ell}**{depth} {what} exceed 2**{limit.bit_length() - 1}")
 
 
-def sqrt_up(q: Fraction) -> Fraction:
-    """Upper bound for sqrt(q), within 2**-40 or so."""
-    if q < 0:
-        raise DomainError("sqrt of a negative value")
-    scaled = (q.numerator << (2 * SQRT_PREC_BITS)) // q.denominator
-    s = isqrt(scaled)
-    if s * s < scaled:
-        s += 1
-    return Fraction(s, 1 << SQRT_PREC_BITS)
-
-
 def sqrt_down(q: Fraction) -> Fraction:
+    """floor(sqrt(q) 2**SQRT_PREC_BITS) / 2**SQRT_PREC_BITS."""
     if q < 0:
         raise DomainError("sqrt of a negative value")
-    scaled = (q.numerator << (2 * SQRT_PREC_BITS)) // q.denominator
-    return Fraction(isqrt(scaled), 1 << SQRT_PREC_BITS)
+    return Fraction(isqrt((q.numerator << (2 * SQRT_PREC_BITS)) // q.denominator),
+                    1 << SQRT_PREC_BITS)
+
+
+def sqrt_up(q: Fraction) -> Fraction:
+    """Upper bound for sqrt(q): sqrt_down(q), or one step of 2**-SQRT_PREC_BITS above it."""
+    down = sqrt_down(q)
+    return down if down * down == q else down + Fraction(1, 1 << SQRT_PREC_BITS)
 
 
 # -- orthogonal parts ---------------------------------------------------------
@@ -104,19 +103,68 @@ class Turn:
         return v % 1
 
     def cos_sin(self) -> tuple[Fraction, Fraction]:
-        return _turn_cos_sin(self.value())
+        """floor(cos(2 pi v) 2**192) / 2**192 and the same for sin, v = self.value()."""
+        v = self.value()
+        return _cos_floor(v), _cos_floor((Fraction(1, 4) - v) % 1)
+
+
+# cos(2 pi t) at the t in [0, 1/2] where it is rational (Niven): these floors
+# lie on the grid, so no bracket decides them
+_RATIONAL_COS = {Fraction(0): 1, Fraction(1, 6): Fraction(1, 2), Fraction(1, 4): 0,
+                 Fraction(1, 3): Fraction(-1, 2), Fraction(1, 2): -1}
 
 
 @lru_cache(maxsize=1024)
-def _turn_cos_sin(turns: Fraction) -> tuple[Fraction, Fraction]:
-    with mpmath.workdps(60):
-        ang = 2 * mpmath.pi * mpmath.mpf(turns.numerator) / turns.denominator
-        c, s = mpmath.cos(ang), mpmath.sin(ang)
-        scale = 1 << 192
-        return (
-            Fraction(int(mpmath.floor(c * scale)), scale),
-            Fraction(int(mpmath.floor(s * scale)), scale),
-        )
+def _cos_floor(turns: Fraction) -> Fraction:
+    """floor(cos(2 pi turns) 2**192) / 2**192 for turns in [0, 1), from brackets
+    twice as fine until both ends have the same floor."""
+    t = min(turns, 1 - turns)
+    if t in _RATIONAL_COS:
+        return Fraction(_RATIONAL_COS[t])
+    w = 256
+    while True:
+        lo, hi = (v >> (w - 192) for v in cos_bracket(t, w))
+        if lo == hi:
+            return Fraction(lo, 1 << 192)
+        w *= 2
+
+
+def pi_bracket(w: int) -> tuple[int, int]:
+    """(lo, hi) around pi 2**w, from Machin's pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each floored atan term is within 1 of the exact one, and once
+    2**w / m**(2k+1) < 1 the alternating tail is below 1.
+    """
+    total = err = 0
+    for coeff, m in ((16, 5), (-4, 239)):
+        power, k = (1 << w) // m, 0
+        while power:
+            total += (-coeff if k % 2 else coeff) * (power // (2 * k + 1))
+            power, k = power // (m * m), k + 1
+        err += abs(coeff) * (k + 1)
+    return total - err, total + err
+
+
+def cos_bracket(t: Fraction, w: int) -> tuple[int, int]:
+    """(lo, hi) around cos(2 pi t) 2**w for t in [0, 1/2].
+
+    Brackets of x = 2 pi t and x**2 give each Taylor term x**(2k) / (2k)!
+    from the last, floored below and ceiled above.  The sum stops at the
+    first term bounded by k units; Lagrange's remainder, at most that term,
+    widens both ends.
+    """
+    x_lo, x_hi = (2 * t.numerator * p for p in pi_bracket(w))
+    x_lo, x_hi = x_lo // t.denominator, -(-x_hi // t.denominator)
+    sq_lo, sq_hi = x_lo * x_lo >> w, -(-x_hi * x_hi >> w)
+    a = b = lo = hi = 1 << w
+    k = 1
+    while True:
+        div = (2 * k - 1) * 2 * k << w
+        a, b = a * sq_lo // div, -(-b * sq_hi // div)
+        if b <= k:
+            return lo - b, hi + b
+        lo, hi = (lo - b, hi - a) if k % 2 else (lo + a, hi + b)
+        k += 1
 
 
 # -- similitudes ---------------------------------------------------------------
@@ -264,53 +312,28 @@ class SimilarIFS:
         return self._hull
 
     def _tight_interval(self) -> Ball:
-        """Exact attractor hull [min E, max E] by attainment-pattern search.
+        """Exact attractor hull [m, M] = [min E, max E] by attainment-pattern search.
 
-        The hull endpoints satisfy m = min_i phi_i(m or M), M = max_i ...,
-        a piecewise-linear fixed point; each attainment pattern is a 2x2
-        linear system, so all patterns are tried and verified.
+        m is the least low end and M the greatest high end of the images
+        phi_i([m, M]).  Each choice of the two maps attaining them is a 2x2
+        linear system in (m, M); the first solution with m <= M that every
+        map keeps inside [m, M] is the hull, the unique interval so fixed.
         """
-        maps = self.maps
+        def ends(mp):
+            # ((a, b), (c, d)): phi([m, M]) = [a m + b M, c m + d M] + shift
+            r, zero = mp.ratio, Fraction(0)
+            return ((r, zero), (zero, r)) if mp.ortho > 0 else ((zero, -r), (-r, zero))
 
-        def lo_expr(mp):
-            # returns (coef_m, coef_M, const) of the image minimum
-            r = mp.ratio * mp.ortho
-            return (r, Fraction(0), mp.shift[0]) if mp.ortho > 0 else (Fraction(0), r, mp.shift[0])
-
-        def hi_expr(mp):
-            r = mp.ratio * mp.ortho
-            return (Fraction(0), r, mp.shift[0]) if mp.ortho > 0 else (r, Fraction(0), mp.shift[0])
-
-        from .exact.linalg import solve
-
-        for i in range(len(maps)):
-            for j in range(len(maps)):
-                am, aM, ac = lo_expr(maps[i])
-                bm, bM, bc = hi_expr(maps[j])
-                sol = solve(
-                    [[1 - am, -aM], [-bm, 1 - bM]],
-                    [ac, bc],
-                )
-                if sol is None:
-                    continue
-                m, M = sol
-                if m > M:
-                    continue
-                los = []
-                his = []
-                ok = True
-                for mp in maps:
-                    cm, cM, cc = lo_expr(mp)
-                    dm, dM, dc = hi_expr(mp)
-                    lo = cm * m + cM * M + cc
-                    hi = dm * m + dM * M + dc
-                    if lo < m or hi > M:
-                        ok = False
-                        break
-                    los.append(lo)
-                    his.append(hi)
-                if ok and min(los) == m and max(his) == M:
-                    return Ball(((m + M) / 2,), (M - m) / 2)
+        for lo_map, hi_map in product(self.maps, repeat=2):
+            (a, b), _ = ends(lo_map)
+            _, (c, d) = ends(hi_map)
+            sol = solve([[1 - a, -b], [-c, 1 - d]], [lo_map.shift[0], hi_map.shift[0]])
+            if sol is None:
+                continue
+            m, big_m = sol
+            if m <= big_m and all(m <= mp.apply((x,))[0] <= big_m
+                                  for mp in self.maps for x in (m, big_m)):
+                return Ball(((m + big_m) / 2,), (big_m - m) / 2)
         raise AssertionError("tight hull pattern search failed")
 
     def _invariant_ball(self) -> Ball:
@@ -341,17 +364,22 @@ class SimilarIFS:
         centres = _images(self.maps, hull.center, depth)
         return [(i // block + 1, Ball(c, r)) for i, (c, r) in enumerate(zip(centres, radii))]
 
-    def _line_cylinders(self, depth: int) -> list[tuple[Fraction, Fraction, int]]:
-        """d=1: (low end, high end, first symbol) of phi_w(hull) for each word w of the given
-        depth, in attractor_sample's order; phi_w([lo, hi]) lies between phi_w(lo) and phi_w(hi)."""
+    def _line_cylinders(self, depth: int) -> tuple[list[tuple[int, int, int]], int]:
+        """d=1: ((low, high, first symbol) of phi_w(hull) = [low / q, high / q] for each word
+        w of the given depth, sorted; q); phi_w([lo, hi]) lies between phi_w(lo) and
+        phi_w(hi), and both run on one grid (1/q) Z, so the sort compares integers."""
         block = self._word_block(depth)
         lo, hi = self.hull().interval()
-        ends = zip(_images(self.maps, (lo,), depth), _images(self.maps, (hi,), depth))
-        return [(min(a, b), max(a, b), i // block + 1) for i, ((a,), (b,)) in enumerate(ends)]
+        den = lcm(lo.denominator, hi.denominator)
+        los, q = _line_numerators(self.maps, lo.numerator * (den // lo.denominator), den, depth)
+        his, _ = _line_numerators(self.maps, hi.numerator * (den // hi.denominator), den, depth)
+        return sorted((min(a, b), max(a, b), i // block + 1)
+                      for i, (a, b) in enumerate(zip(los, his))), q
 
     def cover_intervals(self, depth: int) -> list[tuple[Fraction, Fraction]]:
         """d=1: the depth cylinder covers as intervals, sorted by their low ends."""
-        return sorted((lo, hi) for lo, hi, _ in self._line_cylinders(depth))
+        ends, q = self._line_cylinders(depth)
+        return [(Fraction(lo, q), Fraction(hi, q)) for lo, hi, _ in ends]
 
 
 # -- operations ------------------------------------------------------------------
@@ -399,20 +427,18 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
         raise UsageError("depth must be >= 1")
     if ifs.ell == 1:
         return SSCResult(True, ifs.hull().diameter, depth)
+    gap = None
     if ifs.dimension == 1:
-        best: Fraction | None = None
-        last_hi: dict[int, Fraction] = {}
-        for lo, hi, g in sorted(ifs._line_cylinders(depth)):
+        ends, q = ifs._line_cylinders(depth)
+        last_hi: dict[int, int] = {}
+        for lo, hi, g in ends:
             for other, ohi in last_hi.items():
-                if other != g:
+                if other != g and (gap is None or lo - ohi < gap):
                     gap = lo - ohi
-                    if best is None or gap < best:
-                        best = gap
             last_hi[g] = max(last_hi.get(g, hi), hi)
-        gap = best if best is not None else Fraction(0)
+        gap = None if gap is None else Fraction(gap, q)
     else:
         balls = ifs.cylinder_balls(depth)
-        gap = None
         for a in range(len(balls)):
             ga, ba = balls[a]
             for b in range(a + 1, len(balls)):
@@ -423,8 +449,7 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
                 cand = sqrt_down(d2) - ba.radius - bb.radius
                 if gap is None or cand < gap:
                     gap = cand
-        gap = gap if gap is not None else Fraction(0)
-    if gap > 0:
+    if gap is not None and gap > 0:
         return SSCResult(True, gap, depth)
     return SSCResult(False, None, depth)
 
@@ -460,17 +485,22 @@ def _images(maps, x0: tuple[Fraction, ...], depth: int) -> list[tuple[Fraction, 
         for _ in range(depth):
             pts = [mp.apply(x) for mp in maps for x in pts]
         return pts
+    nums, q = _line_numerators(maps, x0[0].numerator, x0[0].denominator, depth)
+    return [(Fraction(n, q),) for n in nums]
+
+
+def _line_numerators(maps, num: int, den: int, depth: int) -> tuple[list[int], int]:
+    """d=1: (ns, q) with n / q for n in ns the points _images lists from x0 = num / den."""
     big_b = lcm(*(mp.ratio.denominator for mp in maps))
     big_d = lcm(*(mp.shift[0].denominator for mp in maps))
     slopes = [mp.ortho * mp.ratio.numerator * (big_b // mp.ratio.denominator) for mp in maps]
     offsets = [mp.shift[0].numerator * (big_d // mp.shift[0].denominator) for mp in maps]
-    unit = x0[0].denominator                 # Q_L / D
-    nums = [x0[0].numerator * big_d]
+    unit = den                               # Q_L / D
+    nums = [num * big_d]
     for _ in range(depth):
         unit *= big_b
         nums = [a * n + t for a, t in zip(slopes, [c * unit for c in offsets]) for n in nums]
-    q = unit * big_d
-    return [(Fraction(n, q),) for n in nums]
+    return nums, unit * big_d
 
 
 @dataclass(frozen=True)

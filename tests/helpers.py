@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import bisect
 import random
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, log
+from math import ceil, isqrt, log
 
 import numpy as np
 
@@ -411,6 +412,71 @@ def pairwise_cell_differences(cells, k: int, block: int = 1024) -> np.ndarray:
     for start in range(0, cells.size, block):
         seen[(cells[None, :] - cells[start:start + block, None]) % (1 << k)] = True
     return np.flatnonzero(seen)
+
+
+# -- cos and sin of rational turns ----------------------------------------------------
+
+# pi to 250 digits, truncated, from the standard tables
+PI_250 = ("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
+          "86280348253421170679821480865132823066470938446095505822317253594081284811174502"
+          "84102701938521105559644622948954930381964428810975665933446128475648233786783165"
+          "27120190914")
+REF_DIGITS = 240
+
+
+def reference_cos_sin(turns: Fraction) -> tuple[Decimal, Decimal]:
+    """cos and sin of 2 pi turns, turns in [0, 1), by their Taylor series at REF_DIGITS.
+
+    The series run in x = 2 pi turns itself, with no range reduction, until a
+    term drops below 10**-(REF_DIGITS + 5); the largest term is below 100.
+    """
+    with localcontext(Context(prec=REF_DIGITS + 10)):
+        x = 2 * Decimal(PI_250) * turns.numerator / turns.denominator
+        sums, term, k = [Decimal(0)] * 4, Decimal(1), 0
+        while k < 8 or abs(term) > Decimal(10) ** -(REF_DIGITS + 5):
+            sums[k % 4] += term
+            k += 1
+            term = term * x / k
+        return +(sums[0] - sums[2]), +(sums[1] - sums[3])
+
+
+def decimal_floor(x: Decimal, bits: int) -> int:
+    with localcontext(Context(prec=REF_DIGITS + 10)):
+        return int((x * 2**bits).to_integral_value(ROUND_FLOOR))
+
+
+# 2 cos(2 pi k / n) = sign * sqrt(radicand) for n = 8 and n = 12
+_TWICE_COS = {8: [(1, 4), (1, 2), (0, 0), (-1, 2), (-1, 4), (-1, 2), (0, 0), (1, 2)],
+              12: [(1, 4), (1, 3), (1, 1), (0, 0), (-1, 1), (-1, 3), (-1, 4), (-1, 3),
+                   (-1, 1), (0, 0), (1, 1), (1, 3)]}
+
+
+def exact_cos_sin_floor(k: int, n: int, bits: int = 192) -> tuple[int, int]:
+    """floor(cos(2 pi k / n) 2**bits) and the same for sin, n = 8 or 12, from isqrt."""
+    def floor_half_root(j):
+        sign, radicand = _TWICE_COS[n][j % n]
+        root = isqrt(radicand << (2 * bits - 2))   # floor(sqrt(radicand) 2**(bits - 1))
+        exact = root * root == radicand << (2 * bits - 2)
+        return root if sign >= 0 else -root - (not exact)
+    return floor_half_root(k), floor_half_root(k - n // 4)
+
+
+def turn_near_cos_grid(t: Fraction, offset: Fraction, bits: int = 192) -> Fraction:
+    """A turn near t whose cos(2 pi .) 2**bits lies offset above an integer.
+
+    One Newton step from t, rounded to a multiple of 2**-(3 bits + 64).  The
+    step leaves about 2**-bits / sin(2 pi t)**2 units of error and the
+    rounding far less, so with sin(2 pi t) away from 0 an offset of 2**-100
+    or more decides the floor.
+    """
+    c, s = reference_cos_sin(t)
+    with localcontext(Context(prec=REF_DIGITS + 10)):
+        v = c * 2**bits
+        target = v.to_integral_value() + Decimal(offset.numerator) / offset.denominator
+        slope = 2**bits * 2 * Decimal(PI_250) * s      # -d/dt of cos(2 pi t) 2**bits
+        near = Decimal(t.numerator) / t.denominator + (v - target) / slope
+        scale = 2 ** (3 * bits + 64)
+        return Fraction(int((near * scale).to_integral_value()), scale)
 
 
 # -- the s_n trace, one full embedding check per candidate -------------------------------

@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +400,20 @@ def test_main_embed_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "all_within_bounds = True" in out
+
+
+def test_embed_run_loads_numpy_only(tmp_path):
+    """An embed run, induced betas included, in a fresh interpreter: mpmath stays unloaded."""
+    code = ("import sys\n"
+            "from multirot.cli.main import main\n"
+            f"assert main(['embed', '--n-max', '10', '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+            "assert 'mpmath' not in sys.modules\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, *(p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "induced_r" in json.loads((tmp_path / "o" / "summary.json").read_text())
 
 
 def test_main_boxdim_subcommand(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Larger derived scenarios: long-orbit measurements and heuristic helpers."""
+"""Larger derived scenarios: long-orbit measurements and small CLI runs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
 from multirot.diophantine import kxn_separation
 from multirot.embedtrace import induced_step_system
-from multirot.exact.relations import integer_relation_heuristic
 from multirot.exact.symbolic import builtin_table
 from multirot.ifs import similarity_dimension
 from multirot.orbit import (
@@ -79,16 +78,6 @@ def test_synthetic_incommensurable_chain_check():
     )
     dim_e = similarity_dimension([F(1, 2), F(1, 2)])  # = 1
     assert dim_e >= est.upper_est / 2 - 0.1
-
-
-def test_integer_relation_heuristic_is_advisory():
-    """PSLQ-style detector: finds the planted relation, abstains otherwise."""
-    rel = integer_relation_heuristic(["1.4142135623730951", "0.7071067811865476"])
-    assert rel == [1, -2] or rel == [-1, 2]
-    none_found = integer_relation_heuristic(
-        ["1.4142135623730951", "1.7320508075688772"], max_coeff=50
-    )
-    assert none_found is None
 
 
 def test_cli_rank_one_and_sqrt2(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, log
 
@@ -15,6 +16,7 @@ from multirot.cli.runner import run_config
 from multirot.embedtrace import (
     MAX_TRACE_N,
     MAX_TRACE_WORK,
+    beta_string,
     build_instance,
     coding_of_point,
     dimension_chain_report,
@@ -28,6 +30,7 @@ from multirot.embedtrace import (
 )
 from multirot.errors import DomainError, GuardError, NotInAttractorError, UsageError
 from multirot.exact.independence import qplus_independent_mod1
+from multirot.exact.symbolic import BasisEntry, BasisTable
 from multirot.ifs import CoverScreen, SimilarIFS, attractor_sample, scan_cover
 
 F = Fraction
@@ -334,6 +337,63 @@ def test_induced_lambda_matches_exponent_rank():
     for rhos in cases:
         steps = induced_step_system(rhos, F(1, 5))
         assert steps.lam == induced_rank(rhos)
+
+
+# The induced basis strings, 60 significant digits of log rho / log gamma_1 with
+# trailing zeros kept, as the mpmath evaluation wrote them.  They are the values
+# of the induced orbit's steps, so they must not move.
+PINNED_BETAS = [
+    (([F(1, 2), F(1, 3)], F(1, 5)),
+     ["0.430676558073393050670106568763965632069791932079760449321976",
+      "0.682606194485985295134566359271052253024669399873167209660057"]),
+    (([F(1, 2), F(1, 2)], F(1, 3)),
+     ["0.630929753571457437099527114342760854299585640131880427870655"]),
+    (([F(1, 3), F(1, 5), F(1, 7)], F(1, 11)),
+     ["0.458156909991326222482218233892752618924619385624817328662319",
+      "0.671187741471239638139900637318996823484985702413007869596910",
+      "0.811507562957248939667950592940541238093980797952915838373300"]),
+    (([F(2, 3), F(1, 13)], F(1, 2)),
+     ["1.58496250072115618145373894394781650875981440769248106045575",
+      "3.70043971814109216039681265425669473362843640179103736953846"]),
+    (([F(4, 9), F(5, 7), F(1, 11)], F(3, 13)),
+     ["2.55303124600375908715389464526186290160442095641581291887934",
+      "0.229464455193837891825041809430073125797955074695429111733498",
+      "1.63529608834855043134077646129805592836044493730897878459632"]),
+    (([F(1, 6), F(1, 10), F(1, 14), F(1, 22), F(1, 26)], F(1, 13)),
+     ["0.270238154427319741294108003450642294398644202313681149402782",
+      "0.199156222043908670637595314902953841179735196635859259317765",
+      "0.131180849883995643043961882965785889122285650065537413683402",
+      "0.176216003028759635692996512823851466905445674490949415403962",
+      "0.934870415988058630365328088613555774114097449576030705404950"]),
+]
+LOG_BASIS = BasisTable([
+    BasisEntry("b0", "0.318309886183790671537767526745028724068919291480912897495335")])
+
+
+@pytest.mark.parametrize("case, want", PINNED_BETAS, ids=str)
+def test_induced_beta_strings_are_pinned(case, want):
+    assert [e.value for e in induced_step_system(*case).alphas[0].table.entries] == want
+
+
+def test_induced_beta_strings_with_a_declared_log_basis():
+    """A ratio given by its declared log, -b0, next to a prime and on its own."""
+    steps = induced_step_system([LOG_BASIS.symbol("b0", -1), F(1, 3)], F(1, 2))
+    assert [e.value for e in steps.alphas[0].table.entries] == [
+        "0.459224094263285171244098751297601485493909355593943302409449",
+        "1.58496250072115618145373894394781650875981440769248106045575"]
+    steps = induced_step_system([LOG_BASIS.real(F(-1, 7), {"b0": F(-2, 3)})], F(1, 5))
+    assert [e.value for e in steps.alphas[0].table.entries] == [
+        "0.220613501709638013320203415741210348456898002944237898299667"]
+
+
+@pytest.mark.parametrize("x, want", [
+    ("0.5", "0.500000000000000000000000000000000000000000000000000000000000"),
+    ("2.5", "2.50000000000000000000000000000000000000000000000000000000000"),
+    ("1.234e-5", "0.0000123400000000000000000000000000000000000000000000000000000000"),
+    ("123456.5", "123456.500000000000000000000000000000000000000000000000000000"),
+])
+def test_beta_string_keeps_sixty_significant_digits(x, want):
+    assert beta_string(Decimal(x)) == want
 
 
 # -- threshold --------------------------------------------------------------------

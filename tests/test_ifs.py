@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import lcm, log
 
@@ -10,9 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PI_250,
+    REF_DIGITS,
+    decimal_floor,
+    exact_cos_sin_floor,
     reference_attractor_sample,
     reference_check_affine_embedding_1d,
+    reference_cos_sin,
     reference_cylinder_balls,
+    turn_near_cos_grid,
 )
 from multirot import boxdim as bx
 from multirot.errors import DomainError, GuardError, UsageError
@@ -25,10 +32,14 @@ from multirot.ifs import (
     Turn,
     attractor_sample,
     check_affine_embedding,
+    cos_bracket,
     guard_power,
     orthogonal_power_period,
+    pi_bracket,
     scan_cover,
     similarity_dimension,
+    sqrt_down,
+    sqrt_up,
     ssc_check,
 )
 
@@ -326,6 +337,83 @@ def test_period_rational_turns():
 def test_period_irrational_turn():
     irr = "0.12724225184316786509" + "4" * 40
     assert orthogonal_power_period(Turn.of(irr)) == 1
+
+
+# -- cos and sin floors ----------------------------------------------------------------
+
+ULP = F(1, 1 << 192)
+TURNS = st.fractions(0, 1, max_denominator=10**40).filter(lambda t: t < 1)
+
+
+def reference_floors(t):
+    return tuple(decimal_floor(v, 192) * ULP for v in reference_cos_sin(t % 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=TURNS)
+def test_cos_sin_floors_match_the_decimal_reference(t):
+    if (12 * t).denominator == 1:   # on the grid: only the exact values decide
+        c, s = exact_cos_sin_floor(int(12 * t), 12)
+        assert Turn.of(t).cos_sin() == (c * ULP, s * ULP)
+    else:
+        assert Turn.of(t).cos_sin() == reference_floors(t)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_cos_sin_floors_are_exact_at_eighth_and_twelfth_turns(n):
+    """The rational values (Niven) and the square roots, from isqrt, on every lap."""
+    for k in range(-n, 2 * n):
+        c, s = exact_cos_sin_floor(k, n)
+        assert Turn.of(F(k, n)).cos_sin() == (c * ULP, s * ULP), (k, n)
+
+
+@pytest.mark.parametrize("t", [F(1, 7), F(3, 11), F(5, 9), F(7, 10)])
+@pytest.mark.parametrize("offset", [F(1, 2**100), -F(1, 2**100), F(1, 2**180), -F(1, 2**180)])
+def test_cos_sin_floors_just_off_the_grid(t, offset):
+    """cos 2**192 within 2**-180 of an integer on either side, which the first
+    bracket cannot decide, and sin at the mirrored turn."""
+    near = turn_near_cos_grid(t, offset)
+    want = reference_floors(near)[0]
+    assert Turn.of(near).cos_sin()[0] == want
+    assert Turn.of(F(1, 4) - near).cos_sin()[1] == want
+
+
+NEXT_TO_RATIONAL = [base + sign * F(1, 2**k) for base in (F(0), F(1, 6), F(1, 4), F(1, 2))
+                    for sign in (1, -1) for k in (3, 40, 100, 200)]
+
+
+@pytest.mark.parametrize("t", NEXT_TO_RATIONAL, ids=str)
+def test_cos_sin_floors_next_to_the_rational_values(t):
+    """Near a rational value the Taylor remainder is most of the bracket."""
+    assert Turn.of(t).cos_sin() == reference_floors(t)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(t=TURNS, w=st.sampled_from([64, 100, 256, 512]))
+def test_cos_and_pi_brackets_hold_the_reference(t, w):
+    t = min(t, 1 - t)
+    lo, hi = cos_bracket(t, w)
+    pi_lo, pi_hi = pi_bracket(w)
+    with localcontext(Context(prec=REF_DIGITS + 10)):
+        assert lo <= reference_cos_sin(t)[0] * 2**w <= hi and hi - lo < 2**15
+        assert pi_lo <= Decimal(PI_250) * 2**w <= pi_hi and pi_hi - pi_lo < 2**13
+
+
+def test_sqrt_brackets_are_one_sided():
+    """floor(q 2**192) a perfect square with q above it: the upper bound still holds."""
+    q = 4 + F(1, 2**193)
+    assert sqrt_down(q) == 2 and sqrt_up(q) ** 2 >= q
+    assert sqrt_down(F(9, 4)) == sqrt_up(F(9, 4)) == F(3, 2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(specs=GRID_MAPS)
+def test_line_hull_is_the_interval_the_maps_fix(specs):
+    """[m, M] = [min, max] of the maps' images of m and M, which only the hull satisfies."""
+    ifs = SimilarIFS.line_maps(specs)
+    m, big_m = ifs.hull().interval()
+    images = [mp.apply((x,))[0] for mp in ifs.maps for x in (m, big_m)]
+    assert (min(images), max(images)) == (m, big_m)
 
 
 def test_planar_similitude_roundtrip():
