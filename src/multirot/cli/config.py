@@ -154,11 +154,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - set(_KEY_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        known_keys(raw, tuple(_KEY_TYPES), "config")
         if "kind" not in raw:
             raise ConfigError("missing config key: 'kind'")
         for key, value in raw.items():
@@ -265,6 +261,9 @@ class ExperimentConfig:
         needs = self.record.needs
         if recipe == "rank":
             self.reals("values", self.steps)
+            include_one = self.params.get("include_one", False)
+            if not isinstance(include_one, bool):
+                raise ConfigError(f"params.include_one must be true or false, got {include_one!r}")
         if recipe == "pigeonhole":
             betas = self.reals("betas")[1]
             if self.n is not None:
@@ -336,9 +335,10 @@ class ExperimentConfig:
         return parse_ifs(self.ifs), parse_ifs(self.ifs_f)
 
     def affine_map(self) -> tuple[Fraction, Fraction]:
-        """(m, b) of the embedding x -> m x + b; 1 and 0 where affine leaves them out."""
-        affine = self.affine or {}
-        return Fraction(affine.get("m", "1")), Fraction(affine.get("b", "0"))
+        """(m, b) of the embedding x -> m x + b, read as parse_ifs reads a ratio; 1 and 0
+        where affine leaves them out."""
+        affine = known_keys(self.affine or {}, ("m", "b"), "affine")
+        return Fraction(str(affine.get("m", "1"))), Fraction(str(affine.get("b", "0")))
 
     # -- materialization ----------------------------------------------------
 
@@ -432,14 +432,31 @@ def parse_step_expression(expr: str, table: BasisTable) -> SymbolicReal:
 
 # -- IFS specs -----------------------------------------------------------------
 
+def known_keys(entry, keys: tuple[str, ...], what: str) -> dict:
+    """entry, an object whose keys all lie in keys; ConfigError naming any other."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{what} must be an object, got {type(entry).__name__}")
+    unknown = set(entry) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return entry
+
+
 def parse_ifs(specs) -> SimilarIFS:
-    """d=1 IFS from [{"ratio": "1/3", "shift": "0", "sign": 1}, ...]."""
+    """d=1 IFS from [{"ratio": "1/3", "shift": "0", "sign": 1}, ...].
+
+    A ratio or shift is read from its decimal form, so 0.1 is 1/10 and a
+    boolean is refused; a sign is 1 or -1, an integer or a string of one.
+    """
     maps = []
     for entry in specs:
+        known_keys(entry, ("ratio", "shift", "sign"), "IFS map")
         ratio = Fraction(str(entry["ratio"]))
         shift = Fraction(str(entry.get("shift", "0")))
-        sign = int(entry.get("sign", 1))
-        maps.append(Similitude.line(ratio, shift, sign))
+        sign = entry.get("sign", 1)
+        if type(sign) not in (int, str) or sign not in (1, -1, "1", "-1"):
+            raise ConfigError(f"an IFS map's sign must be 1 or -1, got {sign!r}")
+        maps.append(Similitude.line(ratio, shift, int(sign)))
     return SimilarIFS(maps)
 
 

@@ -161,7 +161,7 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
 
 def _run_rank(cfg, out):
     exprs, reals = cfg.reals("values", cfg.steps)
-    include_one = bool(cfg.params.get("include_one", False))
+    include_one = cfg.params.get("include_one", False)
     rank = rank_span(reals, include_one)
     rows = [[i, e] for i, e in enumerate(exprs)]
     csv = write_csv(out, "results.csv", ["index", "expression"], rows)

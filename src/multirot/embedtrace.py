@@ -22,21 +22,21 @@ from .errors import DomainError, GuardError, NotInAttractorError, UsageError
 from .exact.commensurability import log_rows
 from .exact.linalg import common_denominator, hermite_row_basis, integer_coordinates, rank_rational
 from .exact.symbolic import BasisEntry, BasisTable, SymbolicReal
-from .ifs import (Ball, CoverScreen, SimilarIFS, Similitude, attractor_sample,
-                  orthogonal_power_period, scan_cover, sqrt_down, sqrt_up)
+from .ifs import (Ball, CoverScreen, SimilarIFS, Similitude, orthogonal_power_period,
+                  scan_cover, sqrt_down, sqrt_up)
 from .orbit.generate import Orbit, generate_orbit
 from .orbit.steps import StepSystem, build_step_system
 from .orbit.strategies import ExplicitWord
 
 # Longest s_n trace; it also codes n_max levels of E.  With the float screen
-# the default pair's trace took 0.02, 0.03, 0.06 and 0.09 s at n_max 24, 128,
-# 512 and 1024 (2-core x86_64, Python 3.11); the same trace with every
-# candidate left to the exact scan (E moved to [2**60, 2**60 + 1]) took 9.5 s.
+# the default pair's trace took 0.005, 0.01, 0.03-0.06 and 0.07 s at n_max 24,
+# 128, 512 and 1024 (2-core x86_64, Python 3.11); the same trace with every
+# candidate left to the exact scan (E moved to [2**60, 2**60 + 1]) took 1.1 s.
 MAX_TRACE_N = 1024
-# Most trace_work a trace may estimate.  These are exact-scan costs, which a
-# trace pays where the screen declines; on that host: the default pair at
-# n_max 1024 (4.3e8) 7-9 s, at depth 9 (8.5e8) 17 s; F = {99/100 x, 99/100 x
-# + 1/100} at depth 4, n_max 16 (6.5e8) 7.5 s, n_max 24 (1.5e9) 18 s.
+# Most trace_work a trace may estimate.  These are exact-scan costs, timed on
+# that host with the screen declining every candidate: the default pair at
+# n_max 1024 (4.3e8) 1.0 s, at depth 9 (8.5e8) 1.8 s; F = {99/100 x, 99/100 x
+# + 1/100} at depth 4, n_max 16 (6.5e8) 0.9 s, n_max 24 (1.5e9) 1.7 s.
 # Tests and the benchmark trace at most 2e5.
 MAX_TRACE_WORK = 10**9
 
@@ -251,15 +251,13 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
         raise GuardError(f"trace work: s_{n_max} <= {steps} steps over {inst.f_ifs.ell}**{depth} "
                          f"points of F come to {work:.3g} bit operations, past the guard of "
                          f"{MAX_TRACE_WORK:.0e}")
-    xs = [x for (x,) in attractor_sample(inst.f_ifs, depth)]
-    cover = inst.e_ifs.cover_intervals(depth)
+    sample, cover = inst.f_ifs.line_sample(depth), inst.e_ifs.line_cover(depth)
     tol = inst.e_ifs.rho_star**depth * inst.diam_e
-    screen = CoverScreen(xs, cover, tol)
+    screen = CoverScreen(sample, cover, tol)
     fallbacks = 0
 
     m = Fraction(inst.m)
-    lower = inst.ratio_lower_bound()
-    upper = inst.ratio_upper_bound()
+    lower, upper = inst.ratio_lower_bound(), inst.ratio_upper_bound()
     entries = []
     g, h = Fraction(1), Fraction(0)    # psi_1^k(x) = g x + h
     c_w, d_w = Fraction(1), Fraction(0)  # phi_{i_1..i_n}(x) = c_w x + d_w
@@ -276,7 +274,7 @@ def sn_sequence(inst: EmbeddingInstance, n_max: int, depth: int = 8) -> SnTrace:
             contained = screen.contained(slope, intercept)
             if contained is None:
                 fallbacks += 1
-                contained = scan_cover(slope, intercept, xs, cover, tol).contained
+                contained = scan_cover(slope, intercept, sample, cover, tol).contained
             if contained:
                 break
             k += 1

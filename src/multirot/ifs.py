@@ -1,11 +1,11 @@
 """Self-similar iterated function systems in dimension 1 and 2.
 
-Dimension 1 is fully exact over the rationals: tight attractor hulls,
-strong-separation certificates, depth samples, and affine containment
-checks all run in Fraction arithmetic.  Depth samples and cylinder
-covers share one routine on integer numerators over one denominator, and
-`CoverScreen` decides most containment scans in float64 under a proven
-error bound, handing the rest to the exact `scan_cover`.
+Dimension 1 is fully exact over the rationals.  Depth samples and cylinder
+covers are integer numerators over one denominator, from one routine;
+strong-separation certificates and affine containment scans compare those
+integers and make a Fraction only for a result.  `CoverScreen` decides most
+containment scans in float64 under a proven error bound, handing the rest
+to the exact `scan_cover`.
 
 Dimension 2 supports rotations (rational or declared-irrational turns).
 Their cos and sin are the exact floors to multiples of 2**-192, from
@@ -33,8 +33,8 @@ from .exact.linalg import solve
 
 SQRT_PREC_BITS = 96
 # ell**depth guard of cylinder covers.  At the guard (middle thirds, depth 16),
-# each in a process of its own, ssc_check took 0.10 s at 39 MB peak RSS and
-# cover_intervals 0.25 s at 56 MB (2-core x86_64, Python 3.11).
+# each in a process of its own, ssc_check took 0.10-0.12 s and line_cover
+# 0.06-0.10 s, both at 40 MB peak RSS (2-core x86_64, Python 3.11).
 MAX_CYLINDERS = 1 << 16
 MAX_SAMPLE_POINTS = 1 << 24   # ell**depth guard of attractor samples
 
@@ -364,7 +364,7 @@ class SimilarIFS:
         centres = _images(self.maps, hull.center, depth)
         return [(i // block + 1, Ball(c, r)) for i, (c, r) in enumerate(zip(centres, radii))]
 
-    def _line_cylinders(self, depth: int) -> tuple[list[tuple[int, int, int]], int]:
+    def line_cover(self, depth: int) -> tuple[list[tuple[int, int, int]], int]:
         """d=1: ((low, high, first symbol) of phi_w(hull) = [low / q, high / q] for each word
         w of the given depth, sorted; q); phi_w([lo, hi]) lies between phi_w(lo) and
         phi_w(hi), and both run on one grid (1/q) Z, so the sort compares integers."""
@@ -376,10 +376,11 @@ class SimilarIFS:
         return sorted((min(a, b), max(a, b), i // block + 1)
                       for i, (a, b) in enumerate(zip(los, his))), q
 
-    def cover_intervals(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """d=1: the depth cylinder covers as intervals, sorted by their low ends."""
-        ends, q = self._line_cylinders(depth)
-        return [(Fraction(lo, q), Fraction(hi, q)) for lo, hi, _ in ends]
+    def line_sample(self, depth: int) -> tuple[list[int], int]:
+        """d=1: (xs, p) with x / p for x in xs the points attractor_sample(self, depth) lists."""
+        guard_power(self.ell, depth, MAX_SAMPLE_POINTS, "points")
+        (x0,) = self.maps[0].fixed_point()
+        return _line_numerators(self.maps, x0.numerator, x0.denominator, depth)
 
 
 # -- operations ------------------------------------------------------------------
@@ -429,7 +430,7 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
         return SSCResult(True, ifs.hull().diameter, depth)
     gap = None
     if ifs.dimension == 1:
-        ends, q = ifs._line_cylinders(depth)
+        ends, q = ifs.line_cover(depth)
         last_hi: dict[int, int] = {}
         for lo, hi, g in ends:
             for other, ohi in last_hi.items():
@@ -471,15 +472,8 @@ def attractor_sample(ifs: SimilarIFS, depth: int, x0=None) -> list[tuple[Fractio
 
 
 def _images(maps, x0: tuple[Fraction, ...], depth: int) -> list[tuple[Fraction, ...]]:
-    """{phi_w(x0) : |w| = depth}, level by level and map-major, as attractor_sample lists them.
-
-    d=2 applies each map to each point.  d=1 runs on the grid (1/Q) Z and
-    makes one Fraction per point at the end.  With B the lcm of the ratios'
-    denominators and D that of the shifts', level L lies on (1/Q_L) Z for
-    Q_L = q0 D B**L, q0 the denominator of x0:
-    phi_i(n / Q_L) = (sign_i a_i (B / b_i) n + c_i (D / d_i) q0 B**(L+1)) / Q_(L+1)
-    for ratio a_i / b_i and shift c_i / d_i.
-    """
+    """{phi_w(x0) : |w| = depth}, level by level and map-major, as attractor_sample lists them:
+    d=2 applies each map to each point, d=1 makes one Fraction per point of _line_numerators."""
     if maps[0].dimension == 2:
         pts = [x0]
         for _ in range(depth):
@@ -490,7 +484,13 @@ def _images(maps, x0: tuple[Fraction, ...], depth: int) -> list[tuple[Fraction, 
 
 
 def _line_numerators(maps, num: int, den: int, depth: int) -> tuple[list[int], int]:
-    """d=1: (ns, q) with n / q for n in ns the points _images lists from x0 = num / den."""
+    """d=1: (ns, q) with n / q for n in ns the points _images lists from x0 = num / den.
+
+    With B the lcm of the ratios' denominators and D that of the shifts',
+    level L lies on the grid (1/Q_L) Z for Q_L = den D B**L:
+    phi_i(n / Q_L) = (sign_i a_i (B / b_i) n + c_i (D / d_i) den B**(L+1)) / Q_(L+1)
+    for ratio a_i / b_i and shift c_i / d_i.
+    """
     big_b = lcm(*(mp.ratio.denominator for mp in maps))
     big_d = lcm(*(mp.shift[0].denominator for mp in maps))
     slopes = [mp.ortho * mp.ratio.numerator * (big_b // mp.ratio.denominator) for mp in maps]
@@ -537,10 +537,10 @@ def check_affine_embedding(m, b, f_ifs: SimilarIFS, e_ifs: SimilarIFS,
 
     if tol is None:
         tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
-    samples = attractor_sample(f_ifs, depth)
     if d == 1:
-        return scan_cover(m, b, [x for (x,) in samples], e_ifs.cover_intervals(depth), tol)
+        return scan_cover(m, b, f_ifs.line_sample(depth), e_ifs.line_cover(depth), tol)
 
+    samples = attractor_sample(f_ifs, depth)
     covers = e_ifs.cylinder_balls(depth)
     max_dist = Fraction(0)
     witness = None
@@ -552,24 +552,27 @@ def check_affine_embedding(m, b, f_ifs: SimilarIFS, e_ifs: SimilarIFS,
     return EmbeddingCheck(max_dist <= tol, witness if max_dist > tol else None, max_dist, tol)
 
 
-def scan_cover(m: Fraction, b: Fraction, xs, intervals, tol: Fraction) -> EmbeddingCheck:
-    """d=1: each x of xs mapped by m x + b and measured against the cover.
+def scan_cover(m: Fraction, b: Fraction, sample, cover, tol: Fraction) -> EmbeddingCheck:
+    """d=1: each point x / p of sample = (xs, p) mapped by m x + b and measured against
+    the two intervals of cover = (ends, q), [lo / q, hi / q] for (lo, hi, _) in sorted
+    ends, whose low ends bracket it.  The witness is the first point farther than tol.
 
-    intervals are sorted by their low ends; a point is measured against the
-    two whose low ends bracket it.  The witness is the first point farther
-    than tol from the cover.
+    On the grid 1/(q t), t = p times the denominators of m and b, an image is
+    a x + c and a low end lo t, and lo t <= a x + c exactly when lo <= (a x + c) // t.
     """
-    max_dist = Fraction(0)
-    witness = None
+    (xs, p), (ends, q) = sample, cover
+    t = p * m.denominator * b.denominator
+    a, c = q * m.numerator * b.denominator, q * b.numerator * m.denominator * p
+    bound = tol.numerator * q * t // tol.denominator  # dist / (q t) > tol iff dist > bound
+    far, witness = 0, None
     for x in xs:
-        y = m * x + b
-        i = bisect_right(intervals, y, key=itemgetter(0))
-        dist = min(max(Fraction(0), lo - y, y - hi) for lo, hi in intervals[max(i - 1, 0):i + 1])
-        if dist > max_dist:
-            max_dist = dist
-        if witness is None and dist > tol:
-            witness = (y,)
-    return EmbeddingCheck(max_dist <= tol, witness, max_dist, tol)
+        y = a * x + c
+        i = bisect_right(ends, y // t, key=itemgetter(0))
+        dist = min(max(0, lo * t - y, y - hi * t) for lo, hi, _ in ends[max(i - 1, 0):i + 1])
+        far = max(far, dist)
+        if witness is None and dist > bound:
+            witness = (Fraction(y, q * t),)
+    return EmbeddingCheck(far <= bound, witness, Fraction(far, q * t), tol)
 
 
 # Unit roundoff of float64 (round to nearest), the smallest normal float64,
@@ -580,17 +583,14 @@ _MIN_NORMAL = 2.0**-1022
 _MIN_SCALE, _MAX_SCALE = 2.0**-960, 2.0**1000
 
 
-def _floats(values: list[Fraction]) -> np.ndarray | None:
-    """float64 of each value, each within _UNIT |v|; None when one overflows or is subnormal.
-
-    float(Fraction) is one correctly rounded integer division, so a value in
-    the normal range converts with relative error at most _UNIT.
-    """
+def _floats(nums: list[int], den: int) -> np.ndarray | None:
+    """float64 of each n / den, each within _UNIT |n / den| (int / int is one correctly
+    rounded division); None when one overflows or is subnormal."""
     try:
-        out = np.array([float(v) for v in values], dtype=np.float64)
+        out = np.array([n / den for n in nums], dtype=np.float64)
     except OverflowError:
         return None
-    if any(values[i] != 0 for i in np.flatnonzero(np.abs(out) < _MIN_NORMAL)):
+    if any(nums[i] != 0 for i in np.flatnonzero(np.abs(out) < _MIN_NORMAL)):
         return None
     return out
 
@@ -598,11 +598,11 @@ def _floats(values: list[Fraction]) -> np.ndarray | None:
 class CoverScreen:
     """d=1: scan_cover's `contained` verdict for many maps of one sample, in float64.
 
-    The sample and the cover are converted once; `contained(m, b)` converts
-    m and b, maps every point with one multiply-add and one searchsorted
-    over the low ends, and takes the two-bracket distance in floats.  It
-    returns True or False only where the exact verdict is proven equal, and
-    None, for the caller to run scan_cover, everywhere else.
+    The sample and the cover, as scan_cover takes them, are converted once;
+    `contained(m, b)` converts m and b, maps every point with one multiply-add
+    and one searchsorted over the low ends, and takes the two-bracket distance
+    in floats.  It returns True or False only where the exact verdict is
+    proven equal, and None, for the caller to run scan_cover, everywhere else.
 
     The proof.  Let u = 2**-53 and S the float sum |m| max|x| + |b| +
     max|cover end| + tol, computed from the converted values; err = 16 u S.
@@ -625,12 +625,12 @@ class CoverScreen:
     S outside [2**-960, 2**1000] and tol <= 4 err all return None.
     """
 
-    def __init__(self, xs: list[Fraction], intervals: list[tuple[Fraction, Fraction]],
-                 tol: Fraction):
-        self.xs = _floats(xs)
-        self.los = _floats([lo for lo, _ in intervals])
-        his = _floats([hi for _, hi in intervals])
-        tol_f = _floats([tol])
+    def __init__(self, sample, cover, tol: Fraction):
+        ends, q = cover
+        self.xs = _floats(*sample)
+        self.los = _floats([lo for lo, _, _ in ends], q)
+        his = _floats([hi for _, hi, _ in ends], q)
+        tol_f = _floats([tol.numerator], tol.denominator)
         self.ok = (self.xs is not None and self.los is not None and his is not None
                    and tol_f is not None and tol > 0)
         if not self.ok:
@@ -643,7 +643,8 @@ class CoverScreen:
         self.fixed = max(float(np.abs(self.los).max()), float(np.abs(his).max())) + self.tol
 
     def contained(self, m: Fraction, b: Fraction) -> bool | None:
-        map_f = _floats([m, b]) if self.ok else None
+        map_f = _floats([m.numerator * b.denominator, b.numerator * m.denominator],
+                        m.denominator * b.denominator) if self.ok else None
         if map_f is None:
             return None
         mf, bf = float(map_f[0]), float(map_f[1])

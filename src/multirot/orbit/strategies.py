@@ -103,9 +103,19 @@ class GreedyAvoid(Strategy):
         return f"greedy-avoid:({self.forbidden_lo},{self.forbidden_hi})"
 
 
+# The keys each strategy type reads besides "type".
+STRATEGY_KEYS = {"word": {"word"}, "periodic": {"word"}, "random": set(),
+                 "greedy_avoid": {"lo", "hi", "cell_bits"}}
+
+
 def parse_strategy(spec: dict) -> Strategy:
-    """Strategy from its config-dict form (see the cli module schema)."""
+    """Strategy from its config-dict form (see the cli module schema); a key its type
+    does not read is refused."""
     kind = spec.get("type")
+    if isinstance(kind, str) and kind in STRATEGY_KEYS:
+        unknown = set(spec) - STRATEGY_KEYS[kind] - {"type"}
+        if unknown:
+            raise UsageError(f"unknown {kind} strategy keys: {sorted(unknown)}")
     if kind == "word":
         return ExplicitWord(tuple(int(c) for c in str(spec["word"])))
     if kind == "periodic":

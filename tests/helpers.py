@@ -12,6 +12,7 @@ from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, isqrt, log
+from operator import itemgetter
 
 import numpy as np
 
@@ -554,6 +555,33 @@ def reference_check_affine_embedding_1d(m, b, f_ifs, e_ifs, depth: int, tol=None
                 break
         return EmbeddingCheck(False, witness, max_dist, tol)
     return EmbeddingCheck(True, None, max_dist, tol)
+
+
+def reference_scan_cover(m, b, xs, intervals, tol) -> EmbeddingCheck:
+    """d = 1: each x of xs mapped by m x + b and measured in Fraction arithmetic against
+    the two intervals, sorted by their low ends, whose low ends bracket it.
+
+    This is the scan that the integer grid of `ifs.scan_cover` replaced; the
+    witness is the first point farther than tol from the cover.
+    """
+    max_dist = Fraction(0)
+    witness = None
+    for x in xs:
+        y = m * x + b
+        i = bisect.bisect_right(intervals, y, key=itemgetter(0))
+        dist = min(max(Fraction(0), lo - y, y - hi) for lo, hi in intervals[max(i - 1, 0):i + 1])
+        if dist > max_dist:
+            max_dist = dist
+        if witness is None and dist > tol:
+            witness = (y,)
+    return EmbeddingCheck(max_dist <= tol, witness, max_dist, tol)
+
+
+def grid_fractions(sample, cover) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
+    """The points of a grid sample (xs, p) and the intervals of a grid cover (ends, q), as
+    reference_scan_cover takes them."""
+    (xs, p), (ends, q) = sample, cover
+    return [Fraction(x, p) for x in xs], [(Fraction(lo, q), Fraction(hi, q)) for lo, hi, _ in ends]
 
 
 def reference_sn_sequence(inst, n_max: int, depth: int) -> SnTrace:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multirot.cli.config import RECIPES, ExperimentConfig, parse_step_expression
+from multirot.cli.config import RECIPES, ExperimentConfig, parse_ifs, parse_step_expression
 from multirot.cli.main import main
 from multirot.cli import runner
 from multirot.cli.runner import run_config, write_csv
@@ -890,6 +890,49 @@ def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, co
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+GREEDY = {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}
+
+
+@pytest.mark.parametrize("config, message", [
+    # a misspelt key of a nested object, once dropped so that its value defaulted
+    ({"kind": "ifs", "ifs": [{"ratio": "1/3", "shfit": "2/3"}, IFS_CANTOR[1]]},
+     "unknown IFS map keys: ['shfit']"),
+    ({**ORBIT_CONFIG, "strategy": {**GREEDY, "cellbits": 4}},
+     "unknown greedy_avoid strategy keys: ['cellbits']"),
+    ({**ORBIT_CONFIG, "strategy": {"type": "random", "word": "12"}},
+     "unknown random strategy keys: ['word']"),
+    ({"kind": "embed", "affine": {"m": "1", "B": "2/3"}}, "unknown affine keys: ['B']"),
+    ({"kind": "ifs", "ifs": ["1/3:0", IFS_CANTOR[1]]}, "IFS map must be an object, got str"),
+    # a leaf of another JSON type, once coerced: "false" to True, -1.7 to -1, true to 1
+    ({"kind": "rank", "params": {"values": ["sqrt2"], "include_one": "false"}},
+     "params.include_one must be true or false, got 'false'"),
+    ({"kind": "ifs", "ifs": [IFS_CANTOR[0], {**IFS_CANTOR[1], "sign": -1.7}]},
+     "an IFS map's sign must be 1 or -1, got -1.7"),
+    ({"kind": "ifs", "ifs": [IFS_CANTOR[0], {**IFS_CANTOR[1], "sign": True}]},
+     "an IFS map's sign must be 1 or -1, got True"),
+    ({"kind": "embed", "affine": {"m": True}}, "bad affine: Invalid literal for Fraction: 'True'"),
+    ({"kind": "embed", "affine": {"b": False}},
+     "bad affine: Invalid literal for Fraction: 'False'"),
+])
+def test_nested_config_keys_and_leaves_are_read_not_coerced(tmp_path, capsys, monkeypatch,
+                                                             config, message):
+    monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
+    path = write_config(tmp_path, {**config, "out_dir": str(tmp_path / "o")})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_affine_and_ifs_numbers_are_read_by_their_decimal_form():
+    """0.1 is 1/10, not the binary double next to it; a sign may be the inline form's string."""
+    cfg = ExperimentConfig(kind="embed", affine={"m": 0.1, "b": 0.25})
+    assert cfg.affine_map() == (F(1, 10), F(1, 4))
+    maps = parse_ifs([{"ratio": 0.1}, {"ratio": "1/3", "shift": 0.5, "sign": "-1"}]).maps
+    assert [(mp.ratio, mp.shift[0], mp.ortho) for mp in maps] == [(F(1, 10), 0, 1),
+                                                                (F(1, 3), F(1, 2), -1)]
+
+
 @pytest.mark.parametrize("steps, tolerance", [
     (("sqrt2", "sqrt3"), 0.0), (("sqrt2", "sqrt3"), 0.333), (("sqrt2",), 0.999),
 ])
@@ -968,7 +1011,8 @@ BAD_EXPRS = st.lists(st.sampled_from(["sqrt2", "1/0", "x", "", 5]), max_size=2)
 MAP = st.fixed_dictionaries(
     {"ratio": st.sampled_from(["1/3", "1/9", "1/2", "2", "0", "x"]),
      "shift": st.sampled_from(["0", "2/3", "8/9", "x"])},
-    optional={"sign": st.sampled_from([1, -1, 2, "x"])},
+    optional={"sign": st.sampled_from([1, -1, 2, "x", "-1", -1.7, True]),
+              "shfit": st.just("2/3")},
 )
 NINTHS = [{"ratio": "1/9", "shift": "0"}, {"ratio": "1/9", "shift": "8/9"}]
 # each field: its value in a run that works, and the values that may replace it
@@ -980,15 +1024,16 @@ FIELDS = {
     "strategy": ({"type": "random"}, st.sampled_from([
         {"type": "word", "word": "1212"}, {"type": "periodic", "word": "12"},
         {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}, {"type": "greedy_avoid"},
-        {"type": "word", "word": "12x"}, {"type": "nope"}, {}, "random"]) | st.builds(
+        {"type": "word", "word": "12x"}, {"type": "nope"}, {}, "random",
+        {"type": "greedy_avoid", "cellbits": 4}, {"type": "random", "word": "12"}]) | st.builds(
         lambda cell_bits: {"type": "greedy_avoid", "cell_bits": cell_bits},
         st.one_of(st.integers(-1, 26), st.sampled_from([40, 200]), JUNK))),
     "scales": ([2, 6], st.one_of(st.lists(st.integers(-1, 8), max_size=3), JUNK)),
     "ifs": (IFS_CANTOR, st.one_of(st.lists(MAP, max_size=3), JUNK)),
     "ifs_f": (NINTHS, st.one_of(st.lists(MAP, max_size=3), JUNK)),
     "affine": (None, st.one_of(st.fixed_dictionaries({}, optional={
-        "m": st.sampled_from(["1", "1/3", "0", "x", None]),
-        "b": st.sampled_from(["0", "2/3", "1/2", "x"])}), JUNK)),
+        "m": st.sampled_from(["1", "1/3", "0", "x", None, 0.1, True]),
+        "b": st.sampled_from(["0", "2/3", "1/2", "x", False]), "B": st.just("2/3")}), JUNK)),
     # always given: the verify recipes' own orbit has 10**6 points
     "n": (50, st.one_of(st.integers(-1, 200), JUNK)),
 }
@@ -1006,6 +1051,7 @@ def configs(draw):
         params[name] = draw(SIZE)
     for name in ("values", "betas"):
         params[name] = draw(mostly(st.just(["sqrt2", "1/3"]), st.one_of(BAD_EXPRS, JUNK)))
+    params["include_one"] = draw(mostly(st.booleans(), st.sampled_from(["false", 1, None])))
     raw = {"kind": kind, "params": params}
     for key, (good, other) in FIELDS.items():
         pick = draw(st.integers(0, 7))  # keep, drop or replace

@@ -31,7 +31,7 @@ from multirot.embedtrace import (
 from multirot.errors import DomainError, GuardError, NotInAttractorError, UsageError
 from multirot.exact.independence import qplus_independent_mod1
 from multirot.exact.symbolic import BasisEntry, BasisTable
-from multirot.ifs import CoverScreen, SimilarIFS, attractor_sample, scan_cover
+from multirot.ifs import CoverScreen, SimilarIFS, scan_cover
 
 F = Fraction
 
@@ -192,6 +192,18 @@ def test_sn_sequence_matches_the_per_step_reference(case):
     assert got.entries[-1].s_n <= trace_work(inst, n_max, depth)[0] + 1  # logs: off by one
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=trace_instances())
+def test_sn_sequence_on_the_exact_scan_alone_matches_the_per_step_reference(case):
+    """With the float screen declining every candidate, the integer scan decides them all."""
+    inst, n_max, depth = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CoverScreen, "contained", lambda self, m, b: None)
+        got = sn_sequence(inst, n_max, depth)
+    want = reference_sn_sequence(inst, n_max, depth)
+    assert got == want and repr(got) == repr(want)
+
+
 # -- the float screen and its exact fallbacks ----------------------------------------
 
 
@@ -222,9 +234,9 @@ def test_a_distance_exactly_at_tol_takes_the_exact_path(monkeypatch):
     from E's depth-1 cover [0, 1/3], [2/3, 1]: the screen cannot tell, the scan
     says contained."""
     f_ifs = SimilarIFS.line_maps([(F(1, 3), 0), (F(1, 3), F(4, 9))])
-    xs, cover, tol = [F(0), F(4, 9)], MIDDLE_THIRD.cover_intervals(1), F(1, 3)
-    assert CoverScreen(xs, cover, tol).contained(F(3), F(0)) is None
-    assert scan_cover(F(3), F(0), xs, cover, tol).max_distance == tol
+    sample, cover, tol = ([0, 4], 9), MIDDLE_THIRD.line_cover(1), F(1, 3)
+    assert CoverScreen(sample, cover, tol).contained(F(3), F(0)) is None
+    assert scan_cover(F(3), F(0), sample, cover, tol).max_distance == tol
     calls = counted_scan_cover(monkeypatch)
     inst = build_instance(MIDDLE_THIRD, f_ifs, F(1), F(0), coding_len=8)
     trace = sn_sequence(inst, 6, depth=1)
@@ -237,7 +249,7 @@ def test_a_sample_past_the_float_range_takes_the_exact_path(monkeypatch):
     """F scaled by 10**310 and M by 10**-310: the same trace, every candidate exact."""
     big = F(10**310)
     f_ifs = SimilarIFS.line_maps([(F(1, 9), 0), (F(1, 9), F(8, 9) * big)])
-    assert not CoverScreen([F(0), big], MIDDLE_THIRD.cover_intervals(4), F(1, 81)).ok
+    assert not CoverScreen(([0, 10**310], 1), MIDDLE_THIRD.line_cover(4), F(1, 81)).ok
     calls = counted_scan_cover(monkeypatch)
     trace = sn_sequence(build_instance(MIDDLE_THIRD, f_ifs, 1 / big, F(0), coding_len=8), 8, 4)
     assert trace == sn_sequence(cantor_pair_instance(8), 8, 4)
@@ -249,8 +261,8 @@ def test_a_tol_within_four_float_errors_takes_the_exact_path(monkeypatch):
     about 2**11, far past tol = 3**-4."""
     s = F(2**60)
     e_ifs = SimilarIFS.line_maps([(F(1, 3), 2 * s / 3), (F(1, 3), F(2, 3) + 2 * s / 3)])
-    xs = [x for (x,) in attractor_sample(NINTH_PAIR, 4)]
-    assert CoverScreen(xs, e_ifs.cover_intervals(4), F(1, 81)).contained(F(1), s) is None
+    screen = CoverScreen(NINTH_PAIR.line_sample(4), e_ifs.line_cover(4), F(1, 81))
+    assert screen.contained(F(1), s) is None
     calls = counted_scan_cover(monkeypatch)
     trace = sn_sequence(build_instance(e_ifs, NINTH_PAIR, F(1), s, coding_len=8), 8, 4)
     assert trace == sn_sequence(cantor_pair_instance(8), 8, 4)
@@ -262,9 +274,7 @@ NEAR_ONE = SimilarIFS.line_maps([(F(99, 100), 0), (F(99, 100), F(1, 100))])
 
 def test_trace_work_guard_refuses_a_near_one_gamma_before_any_step(monkeypatch):
     """gamma_1 = 99/100 needs about 109 steps per level of E's middle thirds."""
-    import multirot.embedtrace as et
-
-    monkeypatch.setattr(et, "attractor_sample", None)  # the guard trips before the sample
+    monkeypatch.setattr(SimilarIFS, "line_sample", None)  # the guard trips before the sample
     inst = build_instance(MIDDLE_THIRD, NEAR_ONE, F(1), F(0), coding_len=24)
     steps, work = trace_work(inst, 24, 4)
     assert steps == 2624 and work > MAX_TRACE_WORK

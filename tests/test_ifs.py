@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import lcm, log
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -15,10 +15,12 @@ from helpers import (
     REF_DIGITS,
     decimal_floor,
     exact_cos_sin_floor,
+    grid_fractions,
     reference_attractor_sample,
     reference_check_affine_embedding_1d,
     reference_cos_sin,
     reference_cylinder_balls,
+    reference_scan_cover,
     turn_near_cos_grid,
 )
 from multirot import boxdim as bx
@@ -257,6 +259,9 @@ def test_line_sample_matches_the_per_map_reference(specs, depth, x0):
     want = reference_attractor_sample(ifs, depth, x0)
     assert got == want
     assert all(len(p) == 1 and type(p[0]) is F for p in got)
+    if x0 is None:  # the grid form of the same points
+        xs, p = ifs.line_sample(depth)
+        assert [(F(x, p),) for x in xs] == want
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -267,7 +272,8 @@ def test_line_cylinders_match_the_per_word_reference(specs, depth):
     ifs = SimilarIFS.line_maps(specs)
     want = reference_cylinder_balls(ifs, depth)
     assert ifs.cylinder_balls(depth) == want
-    assert ifs.cover_intervals(depth) == sorted(ball.interval() for _, ball in want)
+    grid, den = ifs.line_cover(depth)
+    assert [(F(lo, den), F(hi, den)) for lo, hi, _ in grid] == sorted(b.interval() for _, b in want)
     q = lcm(*(x.denominator for _, ball in want for x in ball.interval()))  # integer ends
     ends = [(g, *(x.numerator * (q // x.denominator) for x in ball.interval())) for g, ball in want]
     gaps = [max(lo, lo2) - min(hi, hi2) for g, lo, hi in ends for g2, lo2, hi2 in ends if g < g2]
@@ -310,14 +316,41 @@ def test_cover_screen_verdict_is_the_exact_one_or_none(f_specs, e_specs, m, b, d
     """Whenever the float screen answers, scan_cover agrees, also with tol at the
     exact largest distance or 2**-80 from it, or 2**-40 of it."""
     f_ifs, e_ifs = line_ifs(f_specs), line_ifs(e_specs)
-    xs = [x for (x,) in attractor_sample(f_ifs, depth)]
-    cover = e_ifs.cover_intervals(depth)
+    sample, cover = f_ifs.line_sample(depth), e_ifs.line_cover(depth)
     tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
     if nudge is not None:
-        far = scan_cover(m, b, xs, cover, tol).max_distance
+        far = scan_cover(m, b, sample, cover, tol).max_distance
         tol = far + F(nudge[0], 2**80) + far * F(nudge[1], 2**40)
-    verdict = CoverScreen(xs, cover, tol).contained(m, b)
-    assert verdict is None or verdict == scan_cover(m, b, xs, cover, tol).contained
+    verdict = CoverScreen(sample, cover, tol).contained(m, b)
+    assert verdict is None or verdict == scan_cover(m, b, sample, cover, tol).contained
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(f_specs=LINE_MAPS, e_specs=LINE_MAPS, m=NONZERO,
+       b=st.builds(F, st.integers(-5, 5), st.integers(1, 5)), depth=st.integers(1, 4),
+       k=st.integers(0, 200), moves=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       nudge=st.sampled_from([None, 0, 1, -1]))
+@example(f_specs=[(9, 0, 1, 1), (9, 8, 9, 1)], e_specs=[(3, 0, 1, 1), (3, 2, 3, 1)], m=F(1),
+         b=F(0), depth=4, k=200, moves=(-1, 1), nudge=None)   # contained
+@example(f_specs=[(9, 0, 1, 1), (9, 8, 9, 1)], e_specs=[(3, 0, 1, 1), (3, 2, 3, 1)], m=F(1),
+         b=F(1, 2), depth=4, k=200, moves=(-1, 1), nudge=None)  # not contained
+@example(f_specs=[(9, 0, 1, 1), (9, 8, 9, 1)], e_specs=[(3, 0, 1, 1), (3, 2, 3, 1)], m=F(1),
+         b=F(1, 2), depth=4, k=200, moves=(-1, 1), nudge=0)   # the same, tol at its distance
+def test_grid_scan_matches_the_fraction_scan(f_specs, e_specs, m, b, depth, k, moves, nudge):
+    """The integer grid gives the Fraction scan's verdict, witness and largest distance
+    for maps with denominators up to 9**200, also with tol at the exact largest
+    distance or 2**-80 from it."""
+    f_ifs, e_ifs = line_ifs(f_specs), line_ifs(e_specs)
+    m, b = m + F(moves[0], 9**k), b + F(moves[1], 9**k)
+    assume(m != 0)
+    sample, cover = f_ifs.line_sample(depth), e_ifs.line_cover(depth)
+    xs, intervals = grid_fractions(sample, cover)
+    tol = e_ifs.rho_star**depth * e_ifs.hull().diameter
+    if nudge is not None:
+        tol = reference_scan_cover(m, b, xs, intervals, tol).max_distance + F(nudge, 2**80)
+    got = scan_cover(m, b, sample, cover, tol)
+    want = reference_scan_cover(m, b, xs, intervals, tol)
+    assert got == want and repr(got) == repr(want)
 
 
 # -- orthogonal parts -----------------------------------------------------------------
