@@ -30,11 +30,13 @@ from ..orbit.strategies import Strategy, parse_strategy
 class Recipe:
     """One recipe: its handler's name in runner, its params, the config fields it
     needs that nothing defaults (an orbit route also needs steps, strategy and n),
-    and the values with_defaults fills in; None for a recipe that builds no orbit."""
+    the values with_defaults fills in (None for a recipe that builds no orbit),
+    and the params keys it reads besides the sized ones."""
     handler: str
     params: dict = field(default_factory=dict)
     needs: tuple[str, ...] = ()
     fills: dict | None = None
+    reads: tuple[str, ...] = ()
 
 
 # Each recipe's params: name -> (default, least, largest).  A value below
@@ -49,16 +51,17 @@ _TRACE = {
 VERIFY_ORBIT = {"steps": ("sqrt2", "sqrt3"), "strategy": {"type": "random"}, "n": 10**6, "seed": 0}
 # Every recipe by kind, and by theorem or op where a kind has several.
 RECIPES = {
-    "rank": {"rank": Recipe("_run_rank")},
+    "rank": {"rank": Recipe("_run_rank", reads=("values", "include_one"))},
     "independence": {"independence": Recipe("_run_independence", needs=("steps",))},
     "orbit": {"orbit": Recipe("_run_orbit", fills={})},
     # depth is the ifs route's sample depth; without ifs, boxdim builds an orbit
     "boxdim": {"boxdim": Recipe("_run_boxdim", {"depth": (10, 0, None)}, ("scales",), {})},
     "diophantine": {
-        "pigeonhole": Recipe("_run_pigeonhole", {"m": (1, 1, None)}, ("n",)),  # (mn)**r: check_k_space
+        "pigeonhole": Recipe("_run_pigeonhole", {"m": (1, 1, None)}, ("n",),  # (mn)**r: check_k_space
+                             reads=("betas",)),
         "separation": Recipe("_run_separation", {
             "k_min": (1, 1, None),
-            "k_max": (100, 1, 4096),  # each k is one pass over the orbit's points
+            "k_max": (100, 1, 4096),  # each k is 2k binary searches in the sorted points
         }, fills={}),
     },
     "ifs": {"ifs": Recipe("_run_ifs", {
@@ -218,6 +221,9 @@ class ExperimentConfig:
                 key = _SELECTORS[self.kind][0]
                 raise ConfigError(f"params.{key} = {self.recipe!r} is not one of "
                                   f"{', '.join(RECIPES[self.kind])}")
+            selector = (_SELECTORS[self.kind][0],) if self.kind in _SELECTORS else ()
+            known_keys(self.params, (*self.record.params, *self.record.reads, *selector),
+                       f"{self.recipe} params")
             if self.seed is not None and self.seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {self.seed}")
             where = "basis"

@@ -22,6 +22,7 @@ from .errors import GuardError, UsageError
 from .exact.symbolic import SymbolicReal
 from .fixedpoint import fp_from_fraction
 from .orbit.generate import MAX_ORBIT_BITS
+from .table import chunk_bounds
 
 # The largest k-space (mn)^r + 1 the scan path takes.  Just under it, each case in
 # a process of its own (2-core x86_64, Python 3.11, numpy 2.4): a full walk with no k
@@ -37,11 +38,6 @@ _MOD = 1 << 64
 # subcube distinct until k = n) took 8.8 s at 622 MB peak RSS on 2-core x86_64,
 # Python 3.11, and [sqrt2] at n = 10**7 took 15.6 s at 1113 MB.
 MAX_BUCKET_K_SPACE = 1 << 22
-# kxn_separation's block: values of k by points, 1 MB of uint64 in all.
-# At 10**6 points and k = 1..100 (2-core x86_64, numpy 2.4) it took 0.11-0.13 s
-# against 0.15 s for all k in one block and 0.44 s for full-length arrays.
-SEPARATION_KS = 32
-SEPARATION_ROWS = 4096
 
 
 def norm_dist(x):
@@ -206,14 +202,21 @@ class SeparationReport:
         return [row.k for row in self.rows if row.below_one_fifth]
 
 
+# At the k_max guard, 4096, on 10**7 random uint64 points, kxn_separation took 3.7 s
+# and raised peak RSS from 112 to 192 MB, its sorted copy (own process, 2-core x86_64,
+# Python 3.11, numpy 2.4); the whole separation recipe at n = 10**7 took 7.3 s at
+# 667 MB, most of it the orbit and the reduced orbit.
 def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
     """For each k, max_n ||k x~_n|| over top, the sequence as 64-bit points (uint64).
 
     A finite-n maximum only understates the supremum, so entries below 1/5 are
-    diagnostics, never refutations.  Blocks of SEPARATION_KS values of k by
-    SEPARATION_ROWS points share one 1 MB uint64 buffer; the absolute int64 view
-    of k x mod 2**64 is min(v, 2**64 - v) exactly, and a block's maximum replaces
-    the running one only when strictly larger (n_argmax is the first index).
+    diagnostics, never refutations.  For integer x, min(v, 2**64 - v) with
+    v = k x mod 2**64 peaks at the targets t_j = (2**63 + j 2**64) / k and falls
+    at slope k on either side, so its maximum over the points is taken at a
+    nearest point below or above some target.  One sorted copy of top yields
+    those neighbours by binary search on the exact floors of the targets; each
+    k's n_argmax is the first index of top holding one of its winning values,
+    and one pass over top finds the first index of every winning value.
     """
     top = np.asarray(top)
     if top.dtype != np.uint64 or top.ndim != 1:
@@ -222,24 +225,35 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
         raise UsageError("empty sequence")
     if k_min < 1 or k_min > k_max:
         raise UsageError("bad k range")
+    ordered = np.sort(top)
+    last = ordered.size - 1
+    maxima = []
+    for k in range(k_min, k_max + 1):
+        # floor(2**63 m / k) for odd m < 2k is q m + (r m) // k: no product passes 2**64
+        q, r = divmod(1 << 63, k)
+        odd = np.arange(1, 2 * k, 2, dtype=np.uint64)
+        floors = odd * np.uint64(q) + odd * np.uint64(r) // np.uint64(k)
+        above = np.searchsorted(ordered, floors, side="right")
+        near = ordered[np.concatenate((np.maximum(above - 1, 0), np.minimum(above, last)))]
+        v = near * np.uint64(k)  # exact mod 2**64
+        norms = np.minimum(v, 0 - v)
+        best = norms.max()
+        maxima.append((k, best, np.unique(near[norms == best])))
+    winners = np.unique(np.concatenate([values for _, _, values in maxima]))
+    first = np.full(winners.size, top.size, dtype=np.int64)
+    # only a point whose top 16 bits are some winner's is looked up among them
+    prefixes = np.zeros(1 << 16, dtype=bool)
+    prefixes[winners >> np.uint64(48)] = True
+    for start, stop in chunk_bounds(top.size):
+        block = top[start:stop]
+        maybe = np.flatnonzero(prefixes[block >> np.uint64(48)])
+        at = np.minimum(np.searchsorted(winners, block[maybe]), winners.size - 1)
+        hit = winners[at] == block[maybe]
+        which, once = np.unique(at[hit], return_index=True)
+        first[which] = np.minimum(first[which], maybe[hit][once] + start)
     rows = []
-    buf = np.empty((SEPARATION_KS, min(SEPARATION_ROWS, top.size)), dtype=np.uint64)
-    for k0 in range(k_min, k_max + 1, SEPARATION_KS):
-        ks = np.arange(k0, min(k0 + SEPARATION_KS, k_max + 1), dtype=np.uint64)
-        which = np.arange(ks.size)
-        best = np.zeros(ks.size, dtype=np.uint64)
-        best_arg = np.zeros(ks.size, dtype=np.int64)
-        for s in range(0, top.size, SEPARATION_ROWS):
-            block = top[s:s + SEPARATION_ROWS]
-            v = buf[:ks.size, :block.size]
-            np.multiply(ks[:, None], block, out=v)  # exact mod 2**64
-            np.abs(v.view(np.int64), out=v.view(np.int64))
-            arg = v.argmax(axis=1)
-            top_v = v[which, arg]
-            better = top_v > best
-            best[better] = top_v[better]
-            best_arg[better] = arg[better] + s
-        for k, norm, arg in zip(range(k0, k0 + ks.size), best, best_arg):
-            sup = float(norm) / 2**64
-            rows.append(SeparationRow(k, sup, int(arg), sup < 0.2))
+    for k, best, values in maxima:
+        sup = float(best) / 2**64
+        arg = first[np.searchsorted(winners, values)].min()
+        rows.append(SeparationRow(k, sup, int(arg), sup < 0.2))
     return SeparationReport(tuple(rows), int(top.size))

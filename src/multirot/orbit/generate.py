@@ -6,9 +6,10 @@ n * 2**(-B+2) (stored on the orbit).  Orbits and reduced orbits store their
 points as (n+1, ceil(B/64)) uint64 limb arrays (`multirot.fixedpoint`).
 Every strategy yields a word, which `fixedpoint.accumulate` sums into the
 points in numpy, as it sums the reduced orbit.  The greedy strategy picks
-each symbol from the last point in a Python loop over ints: one masked
-compare tests the forbidden interval, and a small integer scores each
-candidate.  Completed orbits are immutable and safe to share.
+each symbol from the last point in a Python loop over ints: one byte per
+dyadic cell scores each candidate, and only in a cell that an end of the
+forbidden interval cuts does a masked compare test the candidate itself.
+Completed orbits are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Orbit:
 
 
 def _forbidden_window(strategy: GreedyAvoid, bits: int) -> tuple[int, int]:
-    """(lo + 1, width): c is forbidden iff (c - lo - 1) mod 2**bits < width.
+    """((lo + 1) mod 2**bits, width): c is forbidden iff (c - lo - 1) mod 2**bits < width.
 
     The open interval (lo, hi) wraps past 0 when lo > hi; lo == hi, like no
     interval at all, forbids nothing, so its width is 0.
@@ -112,38 +113,66 @@ def _forbidden_window(strategy: GreedyAvoid, bits: int) -> tuple[int, int]:
     hi = fp_from_fraction(strategy.forbidden_hi, bits)
     if lo == hi:
         return 0, 0
-    return lo + 1, (hi - lo - 1) % (1 << bits)
+    return (lo + 1) % (1 << bits), (hi - lo - 1) % (1 << bits)
+
+
+def _score_table(strategy: GreedyAvoid, bits: int, lo1: int, width: int) -> bytearray:
+    """One score byte per 2**-cell_bits cell: bit 0 while the cell is not yet
+    occupied, bit 1 if the cell lies wholly inside the forbidden window, bit 2
+    if a window end cuts it.
+
+    Cell 0 holds x_0 = 0, so it starts occupied.  The window [lo1, lo1 + width)
+    mod 2**bits is shorter than the circle, so its wholly covered cells, from
+    the first cell edge at or past lo1 to the last at or before its end, are
+    fewer than all of them; an end off a cell edge cuts the cell it lies in.
+    """
+    ncells = 1 << strategy.cell_bits
+    size = 1 << (bits - strategy.cell_bits)
+    tab = bytearray(b"\x01") * ncells
+    tab[0] = 0
+    view = np.frombuffer(tab, dtype=np.uint8)
+    first, stop = -(-lo1 // size), (lo1 + width) // size
+    view[first:stop] |= 2
+    view[max(first - ncells, 0):max(stop - ncells, 0)] |= 2  # the cells past 2**bits, wrapped
+    for end in (lo1, lo1 + width):
+        if end % size:
+            view[end // size % ncells] |= 4
+    return tab
 
 
 def _greedy_symbols(strategy: GreedyAvoid, fp_steps, n: int, bits: int) -> np.ndarray:
     """The n symbols of the greedy-avoid orbit, one Python step a point.
 
     Each candidate scores 2 * forbidden + new_cell; the lowest score wins,
-    the first symbol among equals, so a score of 0 ends the search.  The
-    running best starts at 4, above every score, so some symbol is always
-    taken.  Only the symbols are kept: `fixedpoint.accumulate` sums them
-    into the points, which are the x this loop stepped through.
+    the first symbol among equals, so a score of 0 ends the search.  A
+    candidate's score is its cell's byte in `_score_table`, unless a window
+    end cuts the cell (bit 2): then one masked compare tests the candidate
+    itself.  The running best starts at 4, above every score, so some symbol
+    is always taken.  Only the symbols are kept: `fixedpoint.accumulate`
+    sums them into the points, which are the x this loop stepped through.
     """
     mask = (1 << bits) - 1
     lo1, width = _forbidden_window(strategy, bits)
-    cell_shift = bits - strategy.cell_bits
-    occupied = bytearray(1 << strategy.cell_bits)
-    occupied[0] = 1
+    tab = _score_table(strategy, bits, lo1, width)
+    shift, cmask = bits - strategy.cell_bits, (1 << strategy.cell_bits) - 1
     candidates = tuple(enumerate(fp_steps, 1))
     symbols = bytearray(n)
     x = 0
     for k in range(n):
         best = 4
         for sym, step in candidates:
-            c = (x + step) & mask
-            score = 2 * (((c - lo1) & mask) < width) + (not occupied[c >> cell_shift])
+            c = x + step
+            score = tab[(c >> shift) & cmask]
+            if score > 3:
+                score = 2 * (((c - lo1) & mask) < width) + (score & 1)
             if score < best:
                 best, best_sym, best_c = score, sym, c
                 if not score:
                     break
-        x = best_c
+        x = best_c & mask
         symbols[k] = best_sym
-        occupied[x >> cell_shift] = 1
+        if best:  # a score of 0 is an occupied cell already
+            tab[x >> shift] &= 6
     return np.frombuffer(symbols, dtype=np.uint8)
 
 

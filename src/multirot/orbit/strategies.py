@@ -14,9 +14,10 @@ import numpy as np
 
 from ..errors import GuardError, UsageError
 
-# Greedy cells get one byte each; 2**24 already outnumber an orbit's 10**7
-# points.  At the cap a greedy orbit of 10**7 points at 128 bits took 8.8 s
-# and 196 MB peak RSS (own process, 2-core x86_64, Python 3.11).
+# Greedy cells get one score byte each; 2**24 already outnumber an orbit's 10**7
+# points.  At the cap a greedy orbit of 10**7 points at 128 bits, forbidden
+# interval (2/5, 3/5), took 7.8-9.4 s (two runs) and 193 MB peak RSS (own
+# process, 2-core x86_64, Python 3.11, numpy 2.4).
 MAX_CELL_BITS = 24
 
 

@@ -344,7 +344,8 @@ def reference_greedy_orbit(strategy, step_values, n: int, bits: int) -> tuple[li
 def reference_separation(top, k_min: int, k_max: int) -> list[tuple[int, float, int]]:
     """(k, max_n ||k x_n||, first argmax) for k = k_min..k_max with full-length arrays.
 
-    This is the per-k scan the blocked fold in `kxn_separation` replaced.
+    This is the per-k scan over every point that the sorted search in
+    `kxn_separation` replaced.
     """
     rows = []
     for k in range(k_min, k_max + 1):

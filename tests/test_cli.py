@@ -881,6 +881,9 @@ def _without(config, key):
     (_verify("orbit-box-lower", tolerance=0.34), 2),
     (_verify("orbit-box-lower", tolerance=-0.1), 2),
     ({**_verify("orbit-box-lower", tolerance=1), "steps": ["sqrt2"]}, 2),
+    # a misspelt params key, once dropped so that its default ran
+    ({"kind": "embed", "params": {"nmax": 4, "depth": 3}}, 2),
+    (_verify("scaled-covering", trails=1), 2),
 ])
 def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
     monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
@@ -913,6 +916,13 @@ GREEDY = {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}
     ({"kind": "embed", "affine": {"m": True}}, "bad affine: Invalid literal for Fraction: 'True'"),
     ({"kind": "embed", "affine": {"b": False}},
      "bad affine: Invalid literal for Fraction: 'False'"),
+    # a params key the recipe does not read
+    ({"kind": "embed", "params": {"nmax": 4, "depth": 3}}, "unknown embed params keys: ['nmax']"),
+    (_verify("scaled-covering", trails=1), "unknown scaled-covering params keys: ['trails']"),
+    ({"kind": "rank", "params": {"values": ["sqrt2"], "betas": ["sqrt2"]}},
+     "unknown rank params keys: ['betas']"),
+    ({**SEPARATION, "params": {"op": "separation", "theorem": "x"}},
+     "unknown separation params keys: ['theorem']"),
 ])
 def test_nested_config_keys_and_leaves_are_read_not_coerced(tmp_path, capsys, monkeypatch,
                                                              config, message):
@@ -1015,6 +1025,10 @@ MAP = st.fixed_dictionaries(
               "shfit": st.just("2/3")},
 )
 NINTHS = [{"ratio": "1/9", "shift": "0"}, {"ratio": "1/9", "shift": "8/9"}]
+EXPRS = mostly(st.just(["sqrt2", "1/3"]), st.one_of(BAD_EXPRS, JUNK))
+# the params keys a recipe reads besides its sizes, drawn only where it reads them
+READS = {"values": EXPRS, "betas": EXPRS,
+         "include_one": mostly(st.booleans(), st.sampled_from(["false", 1, None]))}
 # each field: its value in a run that works, and the values that may replace it
 FIELDS = {
     "seed": (1, st.one_of(st.integers(-1, 3), JUNK)),
@@ -1049,9 +1063,8 @@ def configs(draw):
     record = RECIPES.get(kind, {}).get(recipe)
     for name in record.params if record else ():  # every size given, so none defaults
         params[name] = draw(SIZE)
-    for name in ("values", "betas"):
-        params[name] = draw(mostly(st.just(["sqrt2", "1/3"]), st.one_of(BAD_EXPRS, JUNK)))
-    params["include_one"] = draw(mostly(st.booleans(), st.sampled_from(["false", 1, None])))
+    for name in record.reads if record else ():  # values, betas or include_one
+        params[name] = draw(READS[name])
     raw = {"kind": kind, "params": params}
     for key, (good, other) in FIELDS.items():
         pick = draw(st.integers(0, 7))  # keep, drop or replace

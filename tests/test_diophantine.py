@@ -250,24 +250,49 @@ def separation_rows(report):
 UINT64_EDGES = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**62, 3 * 2**62, 2**32]
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(UINT64_EDGES)),
-                       min_size=1, max_size=40),
+def target_floor(k: int, j: int) -> int:
+    """floor((2**63 + j 2**64) / k): ||k x|| is 1/2 at the target itself."""
+    return ((1 << 63) + j * (1 << 64)) // k
+
+
+# the integers nearest the targets of each k <= 16, where the maxima lie
+TARGET_NEIGHBOURS = st.integers(1, 16).flatmap(lambda k: st.builds(
+    lambda j, d: (target_floor(k, j) + d) % 2**64, st.integers(0, k - 1), st.integers(-1, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(UINT64_EDGES),
+                                 TARGET_NEIGHBOURS), min_size=1, max_size=40),
+       copies=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39), st.booleans()), max_size=8),
        k_min=st.integers(1, 6), k_span=st.integers(0, 10))
-def test_separation_matches_full_length_scan(values, k_min, k_span):
-    """Blocks of 3 values of k by 8 points: ties, edge values and block edges galore."""
+def test_separation_matches_full_length_scan(values, copies, k_min, k_span):
+    """Ties, edge values and the neighbours of the targets; a copied value ties with
+    itself and a mirrored one, 2**64 - v, with v for every k, so the first index must
+    break ties on both sides of one target and across targets."""
+    for src, dst, mirror in copies:
+        v = values[src % len(values)]
+        values[dst % len(values)] = (2**64 - v) % 2**64 if mirror else v
     top = np.array(values, dtype=np.uint64)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(diophantine, "SEPARATION_KS", 3)
-        mp.setattr(diophantine, "SEPARATION_ROWS", 8)
-        report = kxn_separation(top, k_min, k_min + k_span)
+    report = kxn_separation(top, k_min, k_min + k_span)
     assert separation_rows(report) == reference_separation(top, k_min, k_min + k_span)
     assert report.n_points == top.size
 
 
+def test_separation_matches_full_length_scan_up_to_k_300():
+    """1000 points, 300 of them next to targets of k in 150..300: the numerators
+    2**63 (2j + 1) of the targets reach 300 * 2**64, and their floors must be exact."""
+    rng = np.random.default_rng(300)
+    top = rng.integers(0, 2**64, size=1000, dtype=np.uint64)
+    for i in range(300):
+        k = int(rng.integers(150, 301))
+        top[3 * i] = (target_floor(k, int(rng.integers(0, k))) + int(rng.integers(-1, 2))) % 2**64
+    report = kxn_separation(top, 1, 300)
+    assert separation_rows(report) == reference_separation(top, 1, 300)
+
+
 def check_half_at(top, at, k_min):
     """Against the full-length scan, and 1/2 at index `at` for every odd k."""
-    k_max = k_min + diophantine.SEPARATION_KS + 2  # two k blocks
+    k_max = k_min + 34
     report = kxn_separation(top, k_min, k_max)
     assert separation_rows(report) == reference_separation(top, k_min, k_max)
     odd = [row for row in report.rows if row.k % 2]
@@ -277,8 +302,9 @@ def check_half_at(top, at, k_min):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 @pytest.mark.parametrize("k_min", [1, 4])
 def test_separation_lengths_around_the_default_block(offset, k_min):
-    """Lengths block - 1, block and block + 1; the maximum, 2**63, is the last point."""
-    size = diophantine.SEPARATION_ROWS + offset
+    """Lengths 4095, 4096 and 4097, a chunk of top's pass and one row either side;
+    the maximum, 2**63, is the last point."""
+    size = 4096 + offset
     top = np.random.default_rng(size).integers(0, 2**64, size=size, dtype=np.uint64)
     top[0], top[-1] = 0, 2**63
     check_half_at(top, size - 1, k_min)
@@ -286,8 +312,8 @@ def test_separation_lengths_around_the_default_block(offset, k_min):
 
 @pytest.mark.parametrize("k_min", [1, 4])
 def test_separation_tie_goes_to_the_first_index(k_min):
-    """2**63 opens the second block and recurs at both edges of the third."""
-    rows = diophantine.SEPARATION_ROWS
+    """2**63 opens the second chunk of 4096 points and recurs at both edges of the third."""
+    rows = 4096
     top = np.random.default_rng(3).integers(0, 2**64, size=3 * rows, dtype=np.uint64)
     top[[rows, 2 * rows - 1, 2 * rows]] = 2**63
     check_half_at(top, rows, k_min)

@@ -378,17 +378,35 @@ GREEDY_SYSTEMS = {
 }
 
 
-@settings(max_examples=150, deadline=None)
+def cell_windows(data, bits, cell_bits):
+    """Open intervals placed against the cells of the score table: (lo, hi) whose
+    forbidden points start and stop on cell edges, both ends inside one cell (cell
+    0 among them), and the wrapped one that leaves free only part of one cell."""
+    one, size = 1 << bits, 1 << (bits - cell_bits)
+    cell, other = (data.draw(st.integers(0, (1 << cell_bits) - 1)) * size for _ in range(2))
+    u, w = sorted(data.draw(st.integers(0, size - 1)) for _ in range(2))
+    return {"edges": (F(cell - 1, one) % 1, F(other, one)),
+            "one cell": (F(cell + u, one), F(cell + w, one)),
+            "all but one cell": (F(cell + w, one), F(cell + u, one))}
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(), bits=st.sampled_from([64, 72, 128, 256, 1000]),
-       system=st.sampled_from(sorted(GREEDY_SYSTEMS)), cell_bits=st.sampled_from([1, 4, 12, 20]),
-       interval=st.sampled_from(["empty", "plain", "wrapped", "degenerate"]),
+       system=st.sampled_from(sorted(GREEDY_SYSTEMS)),
+       cell_bits=st.sampled_from([1, 4, 12, 20, 0, 24]),
+       interval=st.sampled_from(["empty", "plain", "wrapped", "degenerate",
+                                 "edges", "one cell", "all but one cell"]),
        n=st.integers(1, 6 * CHUNK))
 def test_greedy_matches_the_tuple_ranked_loop(data, bits, system, cell_bits, interval, n):
     """Every symbol and every limb of the greedy orbit, across chunk edges of 7 rows;
     1000 bits sums 32 sub-limb columns, so the carries cross many limbs."""
     ends = st.fractions(0, 1, max_denominator=16).filter(lambda f: f < 1)
-    a, b = sorted([data.draw(ends), data.draw(ends)])
-    lo, hi = {"empty": (None, None), "plain": (a, b), "wrapped": (b, a), "degenerate": (a, a)}[interval]
+    if interval in ("empty", "plain", "wrapped", "degenerate"):
+        a, b = sorted([data.draw(ends), data.draw(ends)])
+        lo, hi = {"empty": (None, None), "plain": (a, b), "wrapped": (b, a),
+                  "degenerate": (a, a)}[interval]
+    else:
+        lo, hi = cell_windows(data, bits, cell_bits)[interval]
     strategy = GreedyAvoid(lo, hi, cell_bits)
     steps = GREEDY_SYSTEMS[system](bits)
     with pytest.MonkeyPatch.context() as mp:
