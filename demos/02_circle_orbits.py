@@ -8,6 +8,7 @@ serialization formats.
 
 import tempfile
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 from multirot.exact import builtin_table
@@ -45,8 +46,16 @@ print(f"tau estimate = {float(rep.tau_estimate):.4f}, "
       f"max pair defect over samples = {rep.max_pair_defect} (grows ~ sqrt n; no bound claimed)")
 
 red = reduced_orbit(orbit)
+# x_k - x~_k = sum_i q*_i N_i(k) mod 1, stepped exactly in integers over one denominator
+denom = lcm(*(q.denominator for q in red.qstar))
+share = [int(q * denom) % denom for q in red.qstar]
+v, seen = 0, {0}
+for sym in orbit.omega.tolist():
+    v = (v + share[sym - 1]) % denom
+    seen.add(v)
+diffs = tuple(F(v, denom) for v in sorted(seen))
 print(f"reduced orbit: shifted beta index {red.shift_index} by {red.shift_amount}; "
-      f"x - x~ takes {len(red.observed_diffs)} value(s): {red.observed_diffs}")
+      f"x - x~ takes {len(diffs)} value(s): {diffs}")
 
 print()
 print("== greedy-avoid strategy, forbidden (0.4, 0.6) ==")

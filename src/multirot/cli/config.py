@@ -21,7 +21,7 @@ from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..embedtrace import MAX_TRACE_N
 from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude, guard_power
-from ..orbit.generate import guard_orbit_size
+from ..orbit.generate import guard_b_columns, guard_orbit_size
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
 
@@ -286,6 +286,8 @@ class ExperimentConfig:
             needs += ("steps", "strategy", "n")
             if self.n is not None:
                 guard_orbit_size(self.n, self.bits)
+                if recipe == "orbit" and self.steps is not None:  # results.csv's b_j columns
+                    guard_b_columns(self.step_system(), self.n)
         if recipe == "ifs" and self.ifs is not None:
             depth, sample_depth = self.ifs_depths()
             guard_power(len(self.ifs), depth, MAX_CYLINDERS, "cylinders")

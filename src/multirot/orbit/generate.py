@@ -1,4 +1,4 @@
-"""Orbit generation on the circle with companion counting sequences.
+"""Orbit generation on the circle.
 
 Points are B-bit fixed-point fractions: each step adds a pre-rounded step
 image exactly mod 2**B, so the accumulated error after n steps is at most
@@ -9,14 +9,17 @@ points in numpy, as it sums the reduced orbit.  The greedy strategy picks
 each symbol from the last point in a Python loop over ints: one byte per
 dyadic cell scores each candidate, and only in a cell that an end of the
 forbidden interval cuts does a masked compare test the candidate itself.
-Completed orbits are immutable and safe to share.
+The counting sequences N_i(k) and b_j(k) = sum_i p_ij N_i(k) are never
+held per point: `count_chunks` computes them one chunk of rows at a time
+from the previous chunk's last row, as `fixedpoint.accumulate` carries
+points.  Completed orbits are immutable and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 
 import numpy as np
 
@@ -30,6 +33,10 @@ from .strategies import GreedyAvoid, Strategy
 # Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits,
 # and no more at any B.  accumulate carries 2 * ceil(B/64) sub-limb columns
 # one by one, a cost bytes do not show: n = 10 at B = 2**22 ran past 100 s.
+# At n = 10**7 and 128 bits, a random word, each recipe in a process of its
+# own (2-core x86_64, Python 3.11, numpy 2.4): the orbit recipe peaked at
+# 209 MB in 4.5-4.7 s, the separation recipe (k_max = 100) at 438 MB in
+# 1.5-1.8 s.
 MAX_ORBIT_N = 10**7
 MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
 MAX_ORBIT_BITS = 1 << 16
@@ -44,9 +51,43 @@ def guard_orbit_size(n: int, bits: int) -> None:
             raise GuardError(f"{name}={value} exceeds the guard of {limit}")
 
 
-def _p_matrix(steps: StepSystem) -> np.ndarray:
-    """The integer coordinates p_ij of the steps, shape (ell, r)."""
-    return np.asarray(steps.p, dtype=np.int64).reshape(steps.ell, steps.r)
+# |b_j(k)| <= max_ij |p_ij| * k, since the N_i(k) are non-negative and sum to k.
+MAX_B = 2**63 - 1
+
+
+def guard_b_columns(steps: StepSystem, n: int) -> None:
+    """GuardError where a b_j column of an n-point orbit could pass int64."""
+    p_max = max((abs(x) for row in steps.p for x in row), default=0)
+    if p_max * n > MAX_B:
+        raise GuardError(f"n={n}, max|p_ij|={p_max}: b_j columns up to {p_max * n} "
+                         f"exceed the guard of {MAX_B}")
+
+
+def _symbol_totals(omega: np.ndarray, ell: int) -> list[int]:
+    """N_i(n) for i = 1..ell: how often each symbol occurs in the word.
+
+    One byte-wide compare per symbol: np.bincount would first copy the word
+    to intp, 8n bytes, and took the orbit recipe's peak at n = 10**7 from
+    209 to 276 MB.
+    """
+    return [int(np.count_nonzero(omega == i)) for i in range(1, ell + 1)]
+
+
+def count_chunks(omega: np.ndarray, symbols, row_bytes: int = 0):
+    """(s, e, columns) for each `table.chunk_bounds(len(omega), row_bytes)` chunk.
+
+    columns[t] is N_{symbols[t]}(k) for k = s+1..e, one contiguous int64
+    cumsum of the chunk's symbols plus the previous chunk's last value.
+    """
+    last = [0] * len(symbols)
+    for s, e in chunk_bounds(len(omega), row_bytes):
+        columns = []
+        for t, sym in enumerate(symbols):
+            col = np.cumsum(omega[s:e] == sym, dtype=np.int64)
+            col += last[t]
+            last[t] = int(col[-1])
+            columns.append(col)
+        yield s, e, columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +99,6 @@ class Orbit:
     strategy_descriptor: str
     seed: int | None
     error_bound: Fraction        # n * 2**(-bits+2)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -67,27 +107,6 @@ class Orbit:
     @property
     def ell(self) -> int:
         return self.steps.ell
-
-    def counts(self) -> np.ndarray:
-        """N_i(k) for k = 0..n, shape (n+1, ell), exact integers."""
-        if "counts" not in self._cache:
-            out = np.zeros((self.n + 1, self.ell), dtype=np.int64)
-            for i in range(self.ell):
-                out[1:, i] = np.cumsum(self.omega == i + 1)
-            self._cache["counts"] = out
-        return self._cache["counts"]
-
-    def tau(self) -> np.ndarray:
-        """tau(k) = N_2(k); defined only for two-step systems."""
-        if self.ell != 2:
-            raise UsageError("tau is defined only for ell = 2")
-        return self.counts()[:, 1]
-
-    def bvec(self) -> np.ndarray:
-        """b_j(k) = sum_i p_ij N_i(k), shape (n+1, r)."""
-        if "bvec" not in self._cache:
-            self._cache["bvec"] = self.counts() @ _p_matrix(self.steps)
-        return self._cache["bvec"]
 
     def top64(self) -> np.ndarray:
         """Points truncated to 64-bit fixed point (uint64): a view of the first limb."""
@@ -253,7 +272,8 @@ def tau_discrepancy(
     so this reports measured maxima and, when `bound` is given, whether the
     sampled defects stayed strictly below it.
     """
-    tau = orbit.tau()
+    if orbit.ell != 2:
+        raise UsageError("tau is defined only for ell = 2")
     n = orbit.n
     rng = np.random.default_rng(seed)
     high = max(n, 2)  # n = 1 has no pairs: every draw is (1, 1), dropped below
@@ -261,17 +281,25 @@ def tau_discrepancy(
     ms = rng.integers(1, high, size=samples, dtype=np.int64)
     keep = ns + ms <= n
     ns, ms = ns[keep], ms[keep]
-    defects = np.abs(tau[ns + ms] - tau[ns] - tau[ms])
-    max_defect = int(defects.max()) if defects.size else 0
+    # tau at every sampled index, picked up as the chunked pass reaches it
+    wanted = np.concatenate([ns, ms, ns + ms])
+    order = np.argsort(wanted, kind="stable")
+    at = wanted[order]
+    sampled = np.empty_like(wanted)
 
-    p, q = int(tau[n]), n
-    dev_half = dev_int = 0
-    for start, stop in chunk_bounds(n + 1):
-        base, rem = np.divmod(np.arange(start, stop, dtype=np.int64) * p, q)
-        dev = tau[start:stop] - base
+    p, q = _symbol_totals(orbit.omega, 2)[1], n
+    dev_half = dev_int = 0  # k = 0 deviates by 0
+    for s, e, (tau,) in count_chunks(orbit.omega, (2,)):
+        lo, hi = np.searchsorted(at, (s + 1, e + 1))
+        sampled[order[lo:hi]] = tau[at[lo:hi] - (s + 1)]
+        base, rem = np.divmod(np.arange(s + 1, e + 1, dtype=np.int64) * p, q)
+        dev = tau - base
         dev_int = max(dev_int, int(np.abs(dev).max()))
         dev -= 2 * rem > q  # tau minus the nearest integer, halves toward zero
         dev_half = max(dev_half, int(np.abs(dev).max()))
+    tau_n, tau_m, tau_nm = sampled.reshape(3, -1)
+    defects = np.abs(tau_nm - tau_n - tau_m)
+    max_defect = int(defects.max()) if defects.size else 0
 
     return TauDiscrepancyReport(
         n=n,
@@ -295,7 +323,6 @@ class ReducedOrbit:
     shift_amount: int                    # M
     betas_star: tuple[Fraction, ...]
     qstar: tuple[Fraction, ...]
-    observed_diffs: tuple[Fraction, ...]  # distinct values of x_n - x~_n (exact)
 
     def top64(self) -> np.ndarray:
         """x~ truncated to 64-bit fixed point (uint64): a view of the first limb."""
@@ -308,15 +335,18 @@ def reduced_orbit(
     """The beta-part sequence x~_n = sum_j b_j(n) beta*_j mod 1.
 
     The basis shift beta_{r0} -> beta_{r0} + M leaves x~ unchanged mod 1
-    (b_{r0} M is an integer) but moves its rational complement: the return
-    value records the observed set of x_n - x~_n, all of which are of the
-    form sum_i q*_i N_i(n) mod 1 with q*_i = q_i - M p_{i,r0}.
+    (b_{r0} M is an integer) but moves its rational complement: x_n - x~_n
+    is sum_i q*_i N_i(n) mod 1 with q*_i = q_i - M p_{i,r0}.  The default
+    r0 is the j of the largest |b_j(n)|, the first among equals, taken in
+    exact integers.
     """
     steps = orbit.steps
     if steps.r == 0:
         raise UsageError("reduced orbit undefined: all steps rational (r = 0)")
     if shift_index is None:
-        shift_index = int(np.abs(orbit.counts()[-1] @ _p_matrix(steps)).argmax())
+        totals = _symbol_totals(orbit.omega, steps.ell)
+        b_n = [abs(sum(c * row[j] for c, row in zip(totals, steps.p))) for j in range(steps.r)]
+        shift_index = b_n.index(max(b_n))
     if not (0 <= shift_index < steps.r):
         raise UsageError("shift_index out of range")
     beta_vals = steps.beta_values()
@@ -338,13 +368,6 @@ def reduced_orbit(
         deltas.append(fp_from_fraction(d, bits))
     xtilde = fixedpoint.accumulate(orbit.omega, deltas, bits)
 
-    # exact difference values sum_i q*_i N_i(n) mod 1
-    denom = lcm(*(qi.denominator for qi in qstar))
-    nums = np.array([int(qi * denom) for qi in qstar], dtype=np.int64)
-    counts = orbit.counts()
-    raw = (counts @ nums) % denom
-    observed = tuple(sorted(Fraction(int(v), denom) for v in np.unique(raw)))
-
     return ReducedOrbit(
         xtilde=xtilde,
         bits=bits,
@@ -352,5 +375,4 @@ def reduced_orbit(
         shift_amount=shift_amount,
         betas_star=betas_star,
         qstar=qstar,
-        observed_diffs=observed,
     )

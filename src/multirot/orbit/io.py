@@ -9,8 +9,10 @@ Both writers work in chunks of at most `table.CHUNK_BYTES` of output
 rows and `table.CHUNK_ROWS` rows (`table.chunk_bounds`), and both take
 the points' bytes from the limb array (`fixedpoint.point_bytes`).  A CSV
 chunk is one call of `table.encode_rows`, the single row encoder, and one
-write; row 0, whose omega cell is blank, is formatted on its own.  So
-the writers' temporaries stay near a megabyte per chunk at any bits
+write; row 0, whose omega cell is blank, is formatted on its own.  The
+chunk's count columns are computed with it (`generate.count_chunks`), so
+no per-point count array exists.  So the writers' temporaries stay near
+a megabyte per chunk at any bits
 (the `table.CHUNK_BYTES` comment has the measured peak).  The bytes of
 both files are the same as those of the row-by-row formatting they
 replace (`str(int(v))` per integer cell, `format(x, "0{(bits+3)//4}x")`
@@ -25,7 +27,7 @@ import numpy as np
 
 from .. import fixedpoint, table
 from ..errors import UsageError
-from .generate import Orbit
+from .generate import Orbit, count_chunks, guard_b_columns
 
 MAGIC = b"ORB1"
 HEADER = struct.Struct("<4sIIIQ")
@@ -63,25 +65,29 @@ def read_orb1(path) -> dict:
 
 
 def write_orbit_csv(orbit: Orbit, path) -> None:
-    """Columns: n, omega, x_hex, N_1..N_ell, b_1..b_r (omega blank at n=0)."""
-    counts = orbit.counts()
-    bvec = orbit.bvec()
+    """Columns: n, omega, x_hex, N_1..N_ell, b_1..b_r (omega blank at n=0).
+
+    Each chunk's N_i columns come from `count_chunks` and each b_j column
+    is sum_i p_ij N_i, multiply-adds of whole columns.  Every b_j is exact:
+    `guard_b_columns` refuses an orbit whose b_j could pass int64.
+    """
+    steps = orbit.steps
+    guard_b_columns(steps, orbit.n)
     header = (
         ["n", "omega", "x_hex"]
         + [f"N_{i+1}" for i in range(orbit.ell)]
-        + [f"b_{j+1}" for j in range(orbit.steps.r)]
+        + [f"b_{j+1}" for j in range(steps.r)]
     )
-    # row 0 has no omega; row k >= 1 carries omega_k = orbit.omega[k - 1]
+    # row 0 has no omega and every count 0; row k >= 1 carries omega_k = orbit.omega[k - 1]
     first = ["0", "", format(orbit.point(0), f"0{(orbit.bits + 3) // 4}x")]
-    first += [str(int(v)) for v in (*counts[0], *bvec[0])]
+    first += ["0"] * (orbit.ell + steps.r)
     # at most 20 characters and a comma per integer cell
-    row_bytes = (orbit.bits + 3) // 4 + 1 + 21 * (2 + orbit.ell + orbit.steps.r)
+    row_bytes = (orbit.bits + 3) // 4 + 1 + 21 * (2 + orbit.ell + steps.r)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n" + ",".join(first) + "\n").encode("ascii"))
-        for s, e in table.chunk_bounds(orbit.n, row_bytes):
-            rows = slice(s + 1, e + 1)
-            points = fixedpoint.point_bytes(orbit.points[rows], orbit.bits)
+        for s, e, counts in count_chunks(orbit.omega, range(1, orbit.ell + 1), row_bytes):
+            b = [sum(col * row[j] for col, row in zip(counts, steps.p)) for j in range(steps.r)]
+            points = fixedpoint.point_bytes(orbit.points[s + 1:e + 1], orbit.bits)
             fh.write(table.encode_rows(
-                [np.arange(s + 1, e + 1), orbit.omega[s:e], (points, orbit.bits),
-                 *counts[rows].T, *bvec[rows].T]
+                [np.arange(s + 1, e + 1), orbit.omega[s:e], (points, orbit.bits), *counts, *b]
             ))

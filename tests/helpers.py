@@ -356,6 +356,40 @@ def reference_separation(top, k_min: int, k_max: int) -> list[tuple[int, float, 
     return rows
 
 
+# -- whole-array counting sequences ----------------------------------------------------
+
+def reference_counts(orbit) -> tuple[np.ndarray, np.ndarray]:
+    """(N, b): N[k, i] = N_{i+1}(k) as an (n+1, ell) int64 array and b[k, j] =
+    sum_i p_ij N_i(k) as an (n+1, r) array of exact Python ints.
+
+    These are the whole per-point arrays the chunked count columns replaced.
+    """
+    counts = np.zeros((orbit.n + 1, orbit.ell), dtype=np.int64)
+    for i in range(orbit.ell):
+        counts[1:, i] = np.cumsum(orbit.omega == i + 1)
+    p = np.array(orbit.steps.p, dtype=object).reshape(orbit.ell, orbit.steps.r)
+    return counts, counts.astype(object) @ p
+
+
+def reference_reduced_differences(orbit, red) -> set[Fraction]:
+    """{x_k - x~_k mod 1 : k = 0..n}, exactly.
+
+    Each step's share alpha_i - sum_j p_ij beta*_j is worked out in symbolic
+    arithmetic, where its irrational part must cancel, and summed over the
+    whole-array counts in Fractions.
+    """
+    steps = orbit.steps
+    shares = []
+    for alpha, row in zip(steps.alphas, steps.p):
+        share = alpha - row[red.shift_index] * red.shift_amount
+        for pij, beta in zip(row, steps.betas):
+            share = share - beta * pij
+        assert share.is_rational()
+        shares.append(share.value())
+    counts, _ = reference_counts(orbit)
+    return {sum((int(c) * d for c, d in zip(row, shares)), Fraction(0)) % 1 for row in counts}
+
+
 # -- row-by-row orbit CSV ------------------------------------------------------------
 
 def reference_orbit_csv(orbit) -> bytes:
@@ -364,8 +398,7 @@ def reference_orbit_csv(orbit) -> bytes:
     This is the writer the chunked column encoder replaced; the encoder
     must reproduce its bytes exactly.
     """
-    counts = orbit.counts()
-    bvec = orbit.bvec()
+    counts, bvec = reference_counts(orbit)
     width = (orbit.bits + 3) // 4
     header = (
         ["n", "omega", "x_hex"]
@@ -385,20 +418,30 @@ def reference_orbit_csv(orbit) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-# -- full-array tau deviations ---------------------------------------------------------
+# -- full-array tau statistics ---------------------------------------------------------
 
-def reference_tau_deviations(orbit) -> tuple[int, int]:
-    """(max |tau(k) - nearest|, max |tau(k) - floor|) over k = 0..n with whole arrays.
+def reference_tau_statistics(orbit, samples: int, seed: int = 0) -> tuple[int, int, int]:
+    """(max |tau(k) - nearest|, max |tau(k) - floor|, max sampled pair defect) with
+    the whole tau array.
 
-    The nearest integer to k * tau(n) / n rounds halves toward zero.  This is
-    the one-pass computation the chunked fold in `tau_discrepancy` replaced.
+    The nearest integer to k * tau(n) / n rounds halves toward zero, and the
+    pairs (n, m) are drawn as `tau_discrepancy` draws them.  This is the
+    whole-array computation that the one chunked pass of `tau_discrepancy`
+    replaced.
     """
-    tau = orbit.tau()
+    tau = reference_counts(orbit)[0][:, 1]
     p, q = int(tau[-1]), orbit.n
     prod = np.arange(q + 1, dtype=np.int64) * p
     base = prod // q
     nearest = base + (2 * (prod - base * q) > q)
-    return int(np.abs(tau - nearest).max()), int(np.abs(tau - base).max())
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(1, max(q, 2), size=samples, dtype=np.int64)
+    ms = rng.integers(1, max(q, 2), size=samples, dtype=np.int64)
+    keep = ns + ms <= q
+    ns, ms = ns[keep], ms[keep]
+    defects = np.abs(tau[ns + ms] - tau[ns] - tau[ms])
+    return (int(np.abs(tau - nearest).max()), int(np.abs(tau - base).max()),
+            int(defects.max()) if defects.size else 0)
 
 
 # -- pairwise cell differences -----------------------------------------------------------

@@ -809,6 +809,66 @@ def test_orbit_bits_guard_spares_the_ifs_route_and_the_largest_orbit():
                      seed=1, n=MAX_ORBIT_N, bits=128).validate()
 
 
+# At n = 200000 and seed 1 the word has N_1 = 99857 and N_2 = 100143, and p = ((1, 0), (c, 1)).
+def _big_p_orbit(coeff):
+    return {"kind": "orbit", "seed": 1, "steps": ["sqrt2", f"{coeff}*sqrt2 + sqrt3"],
+            "strategy": {"type": "random"}, "n": 200000}
+
+
+@pytest.mark.parametrize("coeff", [10**14, 10**20])
+def test_orbit_b_columns_past_int64_exit_3_before_the_orbit(tmp_path, capsys, monkeypatch, coeff):
+    """b_1(n) = 99857 + 100143 c: at c = 10**14 it was written wrapped, as
+    -8432444073709451759, with exit 0; at c = 10**20 the run ended in an
+    OverflowError traceback."""
+    monkeypatch.setattr(runner, "generate_orbit", _unreachable)
+    path = write_config(tmp_path, {**_big_p_orbit(coeff), "out_dir": str(tmp_path / "o")})
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard:") and f"max|p_ij|={coeff}: b_j columns" in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("coeff", [10**20, 184204028975659])
+def test_separation_takes_its_shift_index_from_exact_b(tmp_path, coeff):
+    """|b_1(n)| > b_2(n) = 100143 exactly.  The int64 products ended in an
+    OverflowError traceback at c = 10**20, and at c = 184204028975659 wrapped
+    b_1(n) to -32522, so shift index 1 was reported."""
+    cfg = {**_big_p_orbit(coeff), "kind": "diophantine", "params": {"op": "separation", "k_max": 4}}
+    result = run_config(ExperimentConfig(out_dir=str(tmp_path / "o"), **cfg))
+    assert result.exit_code == 0, result.summary
+    assert result.summary["shift_index"] == 0
+
+
+_OWN_PEAK = """import sys
+if sys.argv[1:]:
+    from multirot.cli.main import main
+    assert main(["run", sys.argv[1]]) == 0
+else:
+    import multirot.cli.main
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_orbit_run_memory_rise_over_import(tmp_path):
+    """The orbit recipe at n = 10**6 and 128 bits peaks less than 40 MB above an
+    import of the CLI, each in a process of its own: the points take 16 MB, and
+    whole (n+1, ell) count and b_j arrays took the rise to about 55 MB."""
+    path = write_config(tmp_path, {**ORBIT_CONFIG, "n": 10**6, "bits": 128,
+                                   "out_dir": str(tmp_path / "o")})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, *(p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    peaks = []
+    for argv in ([], [path]):
+        proc = subprocess.run([sys.executable, "-c", _OWN_PEAK, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)
+    assert peaks[1] - peaks[0] < 40, peaks
+
+
 def test_boxdim_ifs_depth_refused_before_the_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "attractor_sample", _unreachable)
     cfg = ExperimentConfig(kind="boxdim", out_dir=str(tmp_path / "o"), ifs=tuple(IFS_CANTOR),

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_basis,
+    reference_counts,
     reference_greedy_orbit,
     reference_orbit_csv,
-    reference_tau_deviations,
+    reference_reduced_differences,
+    reference_tau_statistics,
     steps_with_negative_b,
 )
 from multirot import table
@@ -40,7 +42,7 @@ from multirot.orbit import (
     write_orb1,
     write_orbit_csv,
 )
-from multirot.orbit.generate import MAX_ORBIT_BITS, MAX_ORBIT_N
+from multirot.orbit.generate import MAX_B, MAX_ORBIT_BITS, MAX_ORBIT_N
 from multirot.orbit.io import HEADER
 
 F = Fraction
@@ -150,7 +152,7 @@ def test_symbolic_recomputation_of_prefixes():
     rng = random.Random(8)
     steps = steps_sqrt23()
     orbit = generate_orbit(steps, RandomSymbols(), 2000, 128, seed=17)
-    counts = orbit.counts()
+    counts = reference_counts(orbit)[0]
     for _ in range(100):
         k = rng.randint(1, orbit.n)
         exact = sum(
@@ -161,21 +163,30 @@ def test_symbolic_recomputation_of_prefixes():
         assert min(diff, 1 - diff) <= F(k, 1 << 126)
 
 
-def test_b_increments_match_p_exactly():
-    steps = steps_sqrt23()
+def csv_count_rows(orbit, tmp_path) -> list[list[int]]:
+    """The N_1..N_ell, b_1..b_r cells of each row of the orbit's results.csv."""
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(orbit, path)
+    return [[int(c) for c in line.split(",")[3:]] for line in path.read_text().splitlines()[1:]]
+
+
+def test_b_increments_match_p_exactly(tmp_path, monkeypatch):
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    steps = steps_with_negative_b()
     orbit = generate_orbit(steps, RandomSymbols(), 400, 128, seed=23)
-    b = orbit.bvec()
+    b = [row[steps.ell:] for row in csv_count_rows(orbit, tmp_path)]
+    assert b[0] == [0] * steps.r
     for k in range(orbit.n):
         sym = int(orbit.omega[k]) - 1
-        for j in range(steps.r):
-            assert b[k + 1][j] - b[k][j] == steps.p[sym][j]
+        assert [b[k + 1][j] - b[k][j] for j in range(steps.r)] == list(steps.p[sym])
 
 
-def test_counts_sum_to_n():
+def test_counts_sum_to_n(tmp_path, monkeypatch):
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
     steps = steps_sqrt23()
     orbit = generate_orbit(steps, RandomSymbols(), 250, 128, seed=1)
-    counts = orbit.counts()
-    assert all(int(counts[k].sum()) == k for k in range(orbit.n + 1))
+    rows = csv_count_rows(orbit, tmp_path)
+    assert [sum(row[:steps.ell]) for row in rows] == list(range(orbit.n + 1))
 
 
 def test_rational_orbits_take_few_values():
@@ -193,7 +204,7 @@ def test_rational_orbits_take_few_values():
         bound = lcm(*(q.denominator for q in qs))
         n = 6 * bound
         orbit = generate_orbit(steps, RandomSymbols(), n, 128, seed=rng.randint(0, 10**6))
-        counts = orbit.counts()
+        counts = reference_counts(orbit)[0]
         exact = {
             sum((int(counts[k][i]) * qs[i] for i in range(ell)), F(0)) % 1
             for k in range(n + 1)
@@ -257,12 +268,14 @@ def test_tau_requires_two_steps():
     ],
 )
 def test_tau_chunked_deviations_match_whole_arrays(monkeypatch, chunk, strategy, n, seed):
-    """The chunked fold reports the whole-array maxima, for chunks that do and
-    do not divide n + 1."""
+    """The chunked pass reports the whole-array maxima and pair defect, for
+    chunks that do and do not divide n, and sampled indices in every chunk."""
     monkeypatch.setattr(table, "CHUNK_ROWS", chunk)
     orbit = generate_orbit(steps_sqrt23(), strategy, n, 128, seed=seed)
-    rep = tau_discrepancy(orbit, samples=min(64, n))
-    assert (rep.max_dev_half_toward_zero, rep.max_dev_integer_part) == reference_tau_deviations(orbit)
+    samples = min(64, n)
+    rep = tau_discrepancy(orbit, samples=samples, seed=n)
+    got = (rep.max_dev_half_toward_zero, rep.max_dev_integer_part, rep.max_pair_defect)
+    assert got == reference_tau_statistics(orbit, samples, seed=n)
 
 
 def test_orbit_length_guard():
@@ -286,7 +299,7 @@ def test_reduced_orbit_identity_when_q_zero():
     orbit = generate_orbit(steps, RandomSymbols(), 300, 128, seed=2)
     red = reduced_orbit(orbit)
     assert np.array_equal(red.xtilde, orbit.points)
-    assert red.observed_diffs == (F(0),)
+    assert reference_reduced_differences(orbit, red) == {F(0)}
 
 
 def test_reduced_orbit_half_shift_case():
@@ -299,11 +312,11 @@ def test_reduced_orbit_half_shift_case():
     assert abs(F(to_int(red.xtilde[2], 128), 1 << 128) - sqrt2_frac) < F(1, 1 << 120)
     diff = (orbit.point_fraction(2) - F(to_int(red.xtilde[2], 128), 1 << 128)) % 1
     assert min(abs(diff - F(1, 2)), abs(1 - diff - F(1, 2))) < F(1, 1 << 120)
-    assert F(1, 2) in red.observed_diffs
+    assert reference_reduced_differences(orbit, red) == {F(0), F(1, 2)}
 
 
 def test_reduced_orbit_difference_set_size_bound():
-    """Observed x - x~ values number at most lcm of the q* denominators."""
+    """x - x~ takes at most lcm of the q* denominators values (exact recomputation)."""
     rng = random.Random(19)
     for _ in range(100):
         table = random_basis(rng, 1)
@@ -317,13 +330,13 @@ def test_reduced_orbit_difference_set_size_bound():
             continue
         orbit = generate_orbit(steps, RandomSymbols(), 200, 128, seed=rng.randint(0, 999))
         red = reduced_orbit(orbit)
-        bound = lcm(*(q.denominator for q in red.qstar))
-        assert len(red.observed_diffs) <= bound
-        # the observed set matches the fixed-point differences within tolerance
+        diffs = reference_reduced_differences(orbit, red)
+        assert len(diffs) <= lcm(*(q.denominator for q in red.qstar))
+        # the exact set matches the fixed-point differences within tolerance
         tol = F(orbit.n + 4, 1 << 120)
         for k in range(0, orbit.n + 1, 37):
             diff = (orbit.point_fraction(k) - F(to_int(red.xtilde[k], 128), 1 << 128)) % 1
-            best = min(min(abs(diff - d), abs(1 - abs(diff - d))) for d in red.observed_diffs)
+            best = min(min(abs(diff - d), abs(1 - abs(diff - d))) for d in diffs)
             assert best <= tol
 
 
@@ -527,7 +540,7 @@ def test_orbit_csv_matches_row_writer(tmp_path, monkeypatch, bits, n):
 def test_orbit_csv_negative_b_and_three_symbols(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(table, "CHUNK_ROWS", chunk)
     orbit = generate_orbit(steps_with_negative_b(), RandomSymbols(), 300, 128, seed=5)
-    b = orbit.bvec()
+    b = reference_counts(orbit)[1]
     assert b.min() < 0 < b[:, 0].max()
     path = tmp_path / "orbit.csv"
     write_orbit_csv(orbit, path)
@@ -544,6 +557,62 @@ def test_orbit_csv_rational_steps_have_no_b_columns(tmp_path, monkeypatch):
     write_orbit_csv(orbit, path)
     assert path.read_bytes() == reference_orbit_csv(orbit)
     assert path.read_text().splitlines()[0] == "n,omega,x_hex,N_1,N_2"
+
+
+LABELS = ("sqrt2", "sqrt3", "sqrt5")
+# entries near MAX_B / n for n = 1, CHUNK and 5 * CHUNK, of either sign
+BIG_ENTRIES = [s * (MAX_B // k + d) for k in (1, CHUNK, 5 * CHUNK) for d in (-1, 0) for s in (1, -1)]
+
+
+@st.composite
+def signed_steps(draw):
+    """ell in 2..4 steps over r <= 3 labels with drawn signed integer coefficients,
+    some near the b_j guard, and rational parts."""
+    ell = draw(st.integers(2, 4))
+    r = draw(st.integers(1, len(LABELS)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**62), 2**62), st.sampled_from(BIG_ENTRIES))
+    alphas = []
+    for _ in range(ell):
+        coeffs = draw(st.lists(entry, min_size=r, max_size=r))
+        q = draw(st.fractions(0, 1, max_denominator=12))
+        alphas.append(sum((TABLE.symbol(l, c) for l, c in zip(LABELS, coeffs)), TABLE.real(q)))
+    return build_step_system(alphas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=signed_steps(), n=st.integers(1, 5 * CHUNK), bits=st.sampled_from([64, 72, 128]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chunked_count_columns_match_whole_arrays(tmp_path_factory, steps, n, bits, seed):
+    """N_i and b_j cells, computed a chunk at a time from a carried row, are the
+    whole-array counts byte for byte, across chunk edges; an orbit whose b_j
+    could pass int64 is refused."""
+    path = tmp_path_factory.mktemp("csv") / "orbit.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "CHUNK_ROWS", CHUNK)
+        orbit = generate_orbit(steps, RandomSymbols(), n, bits, seed=seed)
+        if max((abs(x) for row in steps.p for x in row), default=0) * n > MAX_B:
+            with pytest.raises(GuardError):
+                write_orbit_csv(orbit, path)
+            return
+        write_orbit_csv(orbit, path)
+    assert path.read_bytes() == reference_orbit_csv(orbit)
+
+
+@pytest.mark.parametrize("coeff, n, refused", [
+    (MAX_B, 1, False), (2**62, 1, False), (2**62, 2, True), (MAX_B, 2, True), (10**20, 1, True),
+])
+def test_orbit_csv_refuses_b_columns_past_int64(tmp_path, coeff, n, refused):
+    steps = steps_from_values(TABLE, ["sqrt2", TABLE.symbol("sqrt2", -coeff) + TABLE.symbol("sqrt3")])
+    assert max(abs(x) for row in steps.p for x in row) == coeff
+    orbit = generate_orbit(steps, PeriodicWord((2,)), n, 128)
+    path = tmp_path / "orbit.csv"
+    if refused:
+        with pytest.raises(GuardError, match="b_j columns"):
+            write_orbit_csv(orbit, path)
+    else:
+        write_orbit_csv(orbit, path)
+        assert path.read_bytes() == reference_orbit_csv(orbit)
+        assert path.read_text().splitlines()[-1].endswith(f",{-coeff},1")
 
 
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 2])
