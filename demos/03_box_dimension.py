@@ -15,13 +15,12 @@ from multirot import boxdim as bx
 from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
 from multirot.exact import builtin_table
-from multirot.ifs import SimilarIFS, attractor_sample
+from multirot.ifs import SimilarIFS
 from multirot.orbit import RandomSymbols, generate_orbit, steps_from_values
 
 print("== middle-third Cantor set, depth-12 attractor sample ==")
 cantor = SimilarIFS.line_maps([(F(1, 3), 0), (F(1, 3), F(2, 3))])
-sample = [p[0] for p in attractor_sample(cantor, 12)]
-points = bx.CirclePoints.from_unit_reals(sample)
+points = bx.CirclePoints.from_grid(*cantor.line_sample(12))  # x / q for x in xs
 profile = bx.covering_profile(points, 4, 12)
 est = bx.box_dim_estimate(profile)
 print(f"points={len(points)}  global slope={est.slope_global:.4f}  "
@@ -54,7 +53,7 @@ print(f"difference set occupies {diff.cell_count} of {1 << 12} cells "
 
 print()
 print("== the exact scaled-covering inequality ==")
-small = bx.CirclePoints.from_fractions([F(i * i, 97) % 1 for i in range(40)])
+small = bx.CirclePoints.from_unit_reals([F(i * i, 97) % 1 for i in range(40)])
 for p, k in [(2, 4), (3, 6), (16, 8)]:
     res = bx.scaled_covering_check(small, p, k)
     print(f"p={p:2d} k={k}: N_(p 2^-k)(pA) = {res.lhs:3d} <= N_(2^-k)(A) = {res.rhs:3d}  "

@@ -1,28 +1,30 @@
 """Dyadic covering counts, box-dimension estimates, and exact interval covers.
 
-Point sets on the circle are held as 64-bit fixed-point values, sorted
-once and deduplicated by neighbour comparison; the dyadic cells at scale
-2**-k are then a shift of the sorted values, and grid counts are exact
-integer statistics.  Cell-level difference sets are read off the cyclic
-autocorrelation of the 2**k-cell occupancy bitmap, computed by FFT with
-its rounding error checked on every call.  Grid counts
-are the primary estimator (they differ from minimal interval covers by at
-most a factor of 2, which does not move dimension estimates); minimal
-covers are computed exactly, only where the scaled-covering inequality
-demands them, by an int64 numpy kernel: one greedy sweep, plus pointer
-doubling over every anchor when no gap longer than the interval fixes one.
+Point sets on the circle are held as 64-bit fixed-point values, sorted once
+and deduplicated by neighbour comparison.  A rational sample, such as a d = 1
+attractor sample on its grid (1/q) Z, becomes points by one integer floor per
+point (`CirclePoints.from_grid`).  The dyadic cells at scale 2**-k are a shift
+of the sorted values, and grid counts are exact integer statistics.
+Cell-level difference sets are read off the cyclic autocorrelation of the
+2**k-cell occupancy bitmap, computed by FFT with its rounding error checked
+on every call.  Grid counts are the primary estimator (they differ from
+minimal interval covers by at most a factor of 2, which does not move
+dimension estimates); minimal covers are computed exactly, only where the
+scaled-covering inequality demands them, by an int64 numpy kernel: one
+greedy sweep, plus pointer doubling over every anchor when no gap longer
+than the interval fixes one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 import numpy as np
 
 from .errors import GuardError, UsageError
-from .fixedpoint import fp_from_fraction
 
 BITS = 64
 COVER_BITS = 60  # working precision of exact interval covers (int64-safe)
@@ -31,7 +33,8 @@ DIFF_CELL_K_MAX = 22  # the bitmap path peaks at about 32 * 2**k bytes (128 MB a
 
 
 class CirclePoints:
-    """A finite set on the circle as sorted, deduplicated 64-bit fractions."""
+    """A finite set on the circle as sorted, deduplicated 64-bit fractions.  Rationals
+    enter through `from_grid` alone; `from_unit_reals` puts Fractions on its grid."""
 
     __slots__ = ("values",)
 
@@ -45,9 +48,22 @@ class CirclePoints:
         return int(self.values.size)
 
     @classmethod
-    def from_fractions(cls, fracs: Iterable[Fraction]) -> "CirclePoints":
-        vals = [fp_from_fraction(Fraction(f), BITS) for f in fracs]
-        return cls(np.array(vals, dtype=np.uint64))
+    def from_grid(cls, xs: list[int], q: int, rescale: bool = False) -> "CirclePoints":
+        """The rationals x / q for integers x in xs, one integer floor per point.
+
+        Mod 1 a point is floor(x 2**64 / q) mod 2**64.  Rescaled, the hull
+        [lo / q, hi / q] maps onto [0, 1] first, x to floor((x - lo) (2**64 - 1)
+        / (hi - lo)), and a zero span gives the one point 0.  Rescaling preserves
+        dimension and is the route for real-line data such as attractor samples.
+        """
+        top = (1 << BITS) - 1
+        if rescale:
+            lo = min(xs)
+            span = max(max(xs) - lo, 1)  # a zero span leaves every x - lo at 0
+            vals = ((x - lo) * top // span for x in xs)
+        else:
+            vals = (((x << BITS) // q) & top for x in xs)
+        return cls(np.fromiter(vals, dtype=np.uint64, count=len(xs)))
 
     @classmethod
     def from_orbit(cls, orbit) -> "CirclePoints":
@@ -55,25 +71,10 @@ class CirclePoints:
 
     @classmethod
     def from_unit_reals(cls, fracs: Iterable[Fraction], rescale: bool = False) -> "CirclePoints":
-        """Exact rationals in [0,1] (mod 1); optionally affinely rescaled to [0,1).
-
-        Rescaling by the hull is dimension-preserving and is the documented
-        route for real-line data such as attractor samples.  A rescaled
-        point x becomes floor((x - lo) / span * (2**64 - 1)), taken as one
-        integer floor division of that rational.
-        """
+        """Exact rationals, mod 1 or rescaled by their hull: `from_grid` on their lcm."""
         xs = [f if isinstance(f, Fraction) else Fraction(f) for f in fracs]
-        if not rescale:
-            return cls.from_fractions(xs)
-        lo, hi = min(xs), max(xs)
-        span = hi - lo
-        if span == 0:
-            return cls(np.zeros(1, dtype=np.uint64))
-        # (x - lo) / span * (2**64 - 1) = (p lo_q - lo_p q) scale / (q unit) for x = p / q
-        lo_p, lo_q = lo.numerator, lo.denominator
-        scale, unit = span.denominator * (2**BITS - 1), lo_q * span.numerator
-        return cls(np.array([(x.numerator * lo_q - lo_p * x.denominator) * scale
-                             // (x.denominator * unit) for x in xs], dtype=np.uint64))
+        q = lcm(*{x.denominator for x in xs})
+        return cls.from_grid([x.numerator * (q // x.denominator) for x in xs], q, rescale)
 
     def cells(self, k: int) -> np.ndarray:
         """Sorted distinct dyadic cell indices floor(x * 2**k)."""

@@ -228,9 +228,8 @@ def _points_for_boxdim(cfg):
     if cfg.ifs is not None:
         depth = cfg.param("depth")
         ifs = parse_ifs(cfg.ifs)
-        sample = attractor_sample(ifs, depth)
-        return bx.CirclePoints.from_unit_reals([p[0] for p in sample]), {
-            "source": "ifs", "depth": depth, "points": len(sample),
+        return bx.CirclePoints.from_grid(*ifs.line_sample(depth)), {
+            "source": "ifs", "depth": depth, "points": ifs.ell ** depth,
         }
     orbit = _orbit(cfg)[1]
     return bx.CirclePoints.from_orbit(orbit), {
@@ -282,13 +281,12 @@ def _run_pigeonhole(cfg, out):
 
 
 def _run_separation(cfg, out):
-    orbit = _orbit(cfg)[1]
-    red = reduced_orbit(orbit)
+    red = reduced_orbit(_orbit(cfg)[1])  # no reference keeps the orbit past this call
     report = kxn_separation(red.top64(), cfg.param("k_min"), cfg.param("k_max"))
     rows = [[row.k, row.sup_norm, row.n_argmax] for row in report.rows]
     csv = write_csv(out, "results.csv", ["k", "sup_norm", "n_argmax"], rows)
     summary = {
-        "kind": "diophantine", "op": "separation", "n": orbit.n,
+        "kind": "diophantine", "op": "separation", "n": cfg.n,
         "flagged_below_one_fifth": report.flagged(),
         "shift_index": red.shift_index, "shift_amount": red.shift_amount,
     }

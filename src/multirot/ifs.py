@@ -36,7 +36,12 @@ SQRT_PREC_BITS = 96
 # each in a process of its own, ssc_check took 0.10-0.12 s and line_cover
 # 0.06-0.10 s, both at 40 MB peak RSS (2-core x86_64, Python 3.11).
 MAX_CYLINDERS = 1 << 16
-MAX_SAMPLE_POINTS = 1 << 24   # ell**depth guard of attractor samples
+# ell**depth guard of attractor samples.  At 2**21 points (middle thirds at
+# depth 21; for embed, an 8-map F at depth 7), each recipe in a process of its
+# own (2-core x86_64, Python 3.11, numpy 2.4), the ifs recipe peaked at 902 MB
+# in 15.3 s, boxdim's IFS route at 199 MB in 1.2 s and embed's F sample at
+# 243 MB in 1.0 s.  At 2**22 the ifs recipe peaked at 1.8 GB in 31.6 s.
+MAX_SAMPLE_POINTS = 1 << 21
 
 
 def guard_power(ell: int, depth: int, limit: int, what: str) -> None:
@@ -455,20 +460,17 @@ def ssc_check(ifs: SimilarIFS, depth: int) -> SSCResult:
     return SSCResult(False, None, depth)
 
 
-def attractor_sample(ifs: SimilarIFS, depth: int, x0=None) -> list[tuple[Fraction, ...]]:
-    """{phi_w(x0) : |w| = depth}; x0 defaults to the first map's fixed point.
+def attractor_sample(ifs: SimilarIFS, depth: int) -> list[tuple[Fraction, ...]]:
+    """{phi_w(x0) : |w| = depth} for x0 the first map's fixed point.
 
-    The default x0 lies in the attractor, so every sample is a genuine
-    attractor point; coordinates are exact when inputs are rational.  The
-    points come level by level, map-major: level L + 1 lists phi_1 of
-    every level-L point, then phi_2 of every one, and so on.
+    x0 lies in the attractor, so every sample is a genuine attractor point;
+    coordinates are exact when inputs are rational.  The points come level
+    by level, map-major: level L + 1 lists phi_1 of every level-L point,
+    then phi_2 of every one, and so on.  `SimilarIFS.line_sample` is the
+    d = 1 grid form.
     """
     guard_power(ifs.ell, depth, MAX_SAMPLE_POINTS, "points")
-    if x0 is None:
-        x0 = ifs.maps[0].fixed_point()
-    elif not isinstance(x0, (tuple, list)):
-        x0 = (x0,)
-    return _images(ifs.maps, tuple(Fraction(c) for c in x0), depth)
+    return _images(ifs.maps, ifs.maps[0].fixed_point(), depth)
 
 
 def _images(maps, x0: tuple[Fraction, ...], depth: int) -> list[tuple[Fraction, ...]]:

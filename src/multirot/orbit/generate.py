@@ -35,8 +35,8 @@ from .strategies import GreedyAvoid, Strategy
 # one by one, a cost bytes do not show: n = 10 at B = 2**22 ran past 100 s.
 # At n = 10**7 and 128 bits, a random word, each recipe in a process of its
 # own (2-core x86_64, Python 3.11, numpy 2.4): the orbit recipe peaked at
-# 209 MB in 4.5-4.7 s, the separation recipe (k_max = 100) at 438 MB in
-# 1.5-1.8 s.
+# 209 MB in 4.5-4.7 s, the separation recipe (k_max = 100) at 361 MB in
+# 1.2-1.5 s.
 MAX_ORBIT_N = 10**7
 MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
 MAX_ORBIT_BITS = 1 << 16

@@ -184,6 +184,27 @@ def brute_force_feasible(a: list[list[Fraction]], b: list[Fraction]) -> bool:
     return False
 
 
+# -- 64-bit circle points of exact rationals --------------------------------------
+
+def reference_unit_reals(xs, rescale: bool) -> list[int]:
+    """Sorted distinct 64-bit points of the rationals xs, one Fraction floor each.
+
+    Mod 1 a point is floor(frac(x) 2**64); rescaled it is
+    floor((x - lo) / (hi - lo) (2**64 - 1)) over the hull [lo, hi], and a
+    zero span gives the one point 0.  This is the Fraction arithmetic that
+    `CirclePoints.from_grid`'s integer floors on one denominator replaced.
+    """
+    xs = [Fraction(x) for x in xs]
+    if not rescale:
+        scaled = [x % 1 * 2**64 for x in xs]
+    else:
+        lo, hi = min(xs), max(xs)
+        if lo == hi:
+            return [0]
+        scaled = [(x - lo) / (hi - lo) * (2**64 - 1) for x in xs]
+    return sorted({v.numerator // v.denominator for v in scaled})
+
+
 # -- brute-force minimal circular cover --------------------------------------------
 
 def brute_force_cover(vals: list[int], delta: int, mod: int) -> int:
@@ -526,16 +547,13 @@ def turn_near_cos_grid(t: Fraction, offset: Fraction, bits: int = 192) -> Fracti
 
 # -- the s_n trace, one full embedding check per candidate -------------------------------
 
-def reference_attractor_sample(ifs, depth: int, x0=None) -> list[tuple[Fraction, ...]]:
+def reference_attractor_sample(ifs, depth: int) -> list[tuple[Fraction, ...]]:
     """{phi_w(x0) : |w| = depth} by one Similitude.apply per map and point, level by level.
 
     This is the loop the integer grid of `ifs.attractor_sample` replaced in
-    d = 1; x0 defaults to the first map's fixed point.
+    d = 1; x0 is the first map's fixed point.
     """
-    if x0 is None:
-        pts = [ifs.maps[0].fixed_point()]
-    else:
-        pts = [tuple(Fraction(c) for c in x0)] if isinstance(x0, (tuple, list)) else [(Fraction(x0),)]
+    pts = [ifs.maps[0].fixed_point()]
     for _ in range(depth):
         pts = [mp.apply(x) for mp in ifs.maps for x in pts]
     return pts

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cover, pairwise_cell_differences
+from helpers import brute_force_cover, pairwise_cell_differences, reference_unit_reals
 from multirot import boxdim as bx
 from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
@@ -22,7 +23,7 @@ F = Fraction
 
 
 def pts_of(*fracs):
-    return bx.CirclePoints.from_fractions([F(x) if not isinstance(x, F) else x for x in fracs])
+    return bx.CirclePoints.from_unit_reals(fracs)
 
 
 # -- covering counts ---------------------------------------------------------
@@ -69,21 +70,20 @@ def test_circle_points_match_np_unique(values, repeats, two_d):
              min_size=1, max_size=40),
     st.integers(0, 5),
     st.booleans(),
+    st.booleans(),
+    st.integers(1, 3),
 )
-def test_rescaled_unit_reals_match_the_fraction_formula(xs, repeats, ints):
-    """floor((x - lo) / span * (2**64 - 1)) per point, by Fraction arithmetic; a
-    single point, or a zero span, is the one value 0."""
+def test_unit_reals_match_the_fraction_formula(xs, repeats, ints, rescale, grid_factor):
+    """Mod 1, of negative values and values past 1, or rescaled by the hull: the
+    Fraction formula, from from_unit_reals and from from_grid on a finer common grid."""
     xs = xs + xs[:repeats]
     if ints:
         xs = [x.numerator // x.denominator for x in xs]
-    got = bx.CirclePoints.from_unit_reals(xs, rescale=True).values
-    lo, hi = F(min(xs)), F(max(xs))
-    if lo == hi:
-        want = [0]
-    else:
-        scaled = [(x - lo) / (hi - lo) * (2**64 - 1) for x in xs]
-        want = sorted({v.numerator // v.denominator for v in scaled})
-    assert got.tolist() == want
+    want = reference_unit_reals(xs, rescale)
+    assert bx.CirclePoints.from_unit_reals(xs, rescale).values.tolist() == want
+    q = lcm(*(F(x).denominator for x in xs)) * grid_factor
+    grid = bx.CirclePoints.from_grid([int(x * q) for x in xs], q, rescale)
+    assert grid.values.tolist() == want
 
 
 def test_cells_match_np_unique_at_every_scale():
@@ -143,7 +143,7 @@ def test_middle_third_endpoints_slope():
     points = [F(0)]
     for _ in range(12):
         points = [p / 3 for p in points] + [p / 3 + F(2, 3) for p in points]
-    est = bx.box_dim_estimate(bx.covering_profile(bx.CirclePoints.from_fractions(points), 4, 12))
+    est = bx.box_dim_estimate(bx.covering_profile(bx.CirclePoints.from_unit_reals(points), 4, 12))
     assert abs(est.slope_global - 0.6309297535714574) < 0.03
 
 

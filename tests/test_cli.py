@@ -23,6 +23,7 @@ from multirot.cli import runner
 from multirot.cli.runner import run_config, write_csv
 from multirot.errors import ConfigError, GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
+from multirot.ifs import SimilarIFS
 from multirot.orbit.generate import MAX_ORBIT_N
 
 
@@ -850,13 +851,10 @@ with open("/proc/self/status") as fh:
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_orbit_run_memory_rise_over_import(tmp_path):
-    """The orbit recipe at n = 10**6 and 128 bits peaks less than 40 MB above an
-    import of the CLI, each in a process of its own: the points take 16 MB, and
-    whole (n+1, ell) count and b_j arrays took the rise to about 55 MB."""
-    path = write_config(tmp_path, {**ORBIT_CONFIG, "n": 10**6, "bits": 128,
-                                   "out_dir": str(tmp_path / "o")})
+def _peak_rise_over_import(tmp_path, config) -> float:
+    """MB by which a run of config peaks above an import of the CLI, each in a process
+    of its own."""
+    path = write_config(tmp_path, {**config, "out_dir": str(tmp_path / "o")})
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, *(p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
@@ -866,16 +864,61 @@ def test_orbit_run_memory_rise_over_import(tmp_path):
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         peaks.append(int(proc.stdout.split()[-1]) / 1024)
-    assert peaks[1] - peaks[0] < 40, peaks
+    return peaks[1] - peaks[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_orbit_run_memory_rise_over_import(tmp_path):
+    """The orbit recipe at n = 10**6 and 128 bits peaks less than 40 MB above an
+    import of the CLI, each in a process of its own: the points take 16 MB, and
+    whole (n+1, ell) count and b_j arrays took the rise to about 55 MB."""
+    rise = _peak_rise_over_import(tmp_path, {**ORBIT_CONFIG, "n": 10**6, "bits": 128})
+    assert rise < 40, rise
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_separation_run_releases_the_orbit(tmp_path):
+    """The separation recipe at n = 10**6 and 128 bits peaks less than 42 MB above an
+    import of the CLI (about 37 MB): the reduced orbit's points take 16 MB.  Holding
+    the orbit's own 16 MB of points through the scan took the rise to about 46 MB."""
+    config = {**ORBIT_CONFIG, "kind": "diophantine", "n": 10**6, "bits": 128,
+              "params": {"op": "separation"}}
+    rise = _peak_rise_over_import(tmp_path, config)
+    assert rise < 42, rise
 
 
 def test_boxdim_ifs_depth_refused_before_the_sample(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "attractor_sample", _unreachable)
+    monkeypatch.setattr(SimilarIFS, "line_sample", _unreachable)
     cfg = ExperimentConfig(kind="boxdim", out_dir=str(tmp_path / "o"), ifs=tuple(IFS_CANTOR),
                            scales=(2, 6), params={"depth": 10**8})
     result = run_config(cfg)
     assert result.exit_code == 3 and "2**100000000 points" in result.summary["error"]
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("recipe", ["boxdim", "ifs", "embed"])
+def test_sample_guard_exit_3_before_the_sample(tmp_path, monkeypatch, capsys, recipe):
+    """2**22 points, where the ifs recipe peaked at 1.8 GB, pass the sample guard:
+    each sampling recipe exits 3 before it samples."""
+    monkeypatch.setattr(SimilarIFS, "line_sample", _unreachable)
+    monkeypatch.setattr(runner, "attractor_sample", _unreachable)
+    past, half = 22, 11  # 2**22 points; embed takes 4**11 points of F, 2**11 cylinders of E
+    cantor = "1/3:0,1/3:2/3"
+    ifs_config = write_config(tmp_path, {"kind": "ifs", "ifs": IFS_CANTOR,
+                                         "params": {"sample_depth": past}})
+    argv, message = {
+        "boxdim": (["boxdim", "--ifs", cantor, "--depth", str(past), "--kmin", "4", "--kmax", "14"],
+                   f"2**{past} points"),
+        "ifs": (["run", ifs_config], f"2**{past} points"),
+        "embed": (["embed", "--e-ifs", cantor, "--f-ifs", "1/9:0,1/9:2/9,1/9:2/3,1/9:8/9",
+                   "--depth", str(half)], f"4**{half} points of F"),
+    }[recipe]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--out", str(out / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard:") and message in err, err
+    assert os.listdir(out) == []
 
 
 # -- refused inputs: exit 2 or 3 with a message, never a traceback ------------------------

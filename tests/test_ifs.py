@@ -21,6 +21,7 @@ from helpers import (
     reference_cos_sin,
     reference_cylinder_balls,
     reference_scan_cover,
+    reference_unit_reals,
     turn_near_cos_grid,
 )
 from multirot import boxdim as bx
@@ -169,7 +170,8 @@ def test_depth_guards_cap_the_exponent():
     """A huge depth is refused without forming ell**depth (2**(10**9) would take 125 MB)."""
     guard_power(1, 10**9, 1, "points")
     guard_power(2, 16, MAX_CYLINDERS, "cylinders")
-    with pytest.raises(GuardError, match=r"^2\*\*1000000000 points exceed 2\*\*24$"):
+    log2 = MAX_SAMPLE_POINTS.bit_length() - 1
+    with pytest.raises(GuardError, match=rf"^2\*\*1000000000 points exceed 2\*\*{log2}$"):
         guard_power(2, 10**9, MAX_SAMPLE_POINTS, "points")
     with pytest.raises(GuardError, match=r"^2\*\*17 cylinders exceed 2\*\*16$"):
         guard_power(2, 17, MAX_CYLINDERS, "cylinders")
@@ -246,22 +248,29 @@ GRID_MAPS = st.lists(
     st.tuples(st.integers(2, 9).flatmap(lambda q: st.builds(F, st.integers(1, q - 1), st.just(q))),
               st.builds(F, st.integers(-6, 6), st.integers(1, 7)), st.sampled_from([1, -1])),
     min_size=1, max_size=3)
-X0 = st.one_of(st.none(), st.builds(F, st.integers(-9, 9), st.integers(1, 8)),
-               st.builds(lambda x: (x,), st.builds(F, st.integers(-9, 9), st.integers(1, 8))))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(specs=GRID_MAPS, depth=st.integers(0, 8), x0=X0)
-def test_line_sample_matches_the_per_map_reference(specs, depth, x0):
+@given(specs=GRID_MAPS, depth=st.integers(0, 8))
+def test_line_sample_matches_the_per_map_reference(specs, depth):
     """The integer grid gives the Similitude.apply loop's points, in its order."""
     ifs = SimilarIFS.line_maps(specs)
-    got = attractor_sample(ifs, depth, x0)
-    want = reference_attractor_sample(ifs, depth, x0)
+    got = attractor_sample(ifs, depth)
+    want = reference_attractor_sample(ifs, depth)
     assert got == want
     assert all(len(p) == 1 and type(p[0]) is F for p in got)
-    if x0 is None:  # the grid form of the same points
-        xs, p = ifs.line_sample(depth)
-        assert [(F(x, p),) for x in xs] == want
+    xs, p = ifs.line_sample(depth)  # the grid form of the same points
+    assert [(F(x, p),) for x in xs] == want
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(specs=GRID_MAPS, depth=st.integers(0, 7), rescale=st.booleans())
+def test_line_sample_points_match_the_fraction_formula(specs, depth, rescale):
+    """Unequal ratios and reflections: the integer floors of the grid sample are the
+    Fraction formula's on attractor_sample's points, mod 1 and rescaled."""
+    ifs = SimilarIFS.line_maps(specs)
+    got = bx.CirclePoints.from_grid(*ifs.line_sample(depth), rescale).values.tolist()
+    assert got == reference_unit_reals([p[0] for p in attractor_sample(ifs, depth)], rescale)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
