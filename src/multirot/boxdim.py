@@ -4,8 +4,10 @@ Point sets on the circle are held as 64-bit fixed-point values, sorted once
 and deduplicated by neighbour comparison.  A rational sample, such as a d = 1
 attractor sample on its grid (1/q) Z, becomes points by one integer floor per
 point (`CirclePoints.from_grid`).  The dyadic cells at scale 2**-k are a shift
-of the sorted values, and grid counts are exact integer statistics.
-Cell-level difference sets are read off the cyclic autocorrelation of the
+of the sorted values, and grid counts are exact integer statistics; a
+covering profile takes the cells of its finest scale and halves them for
+each coarser one.  Difference sets are cell-level only, at a scale the
+caller gives: they are read off the cyclic autocorrelation of the
 2**k-cell occupancy bitmap, computed by FFT with its rounding error checked
 on every call.  Grid counts are the primary estimator (they differ from
 minimal interval covers by at most a factor of 2, which does not move
@@ -28,7 +30,6 @@ from .errors import GuardError, UsageError
 
 BITS = 64
 COVER_BITS = 60  # working precision of exact interval covers (int64-safe)
-EXACT_DIFF_LIMIT = 4096  # beyond this the cell-level difference path is used
 DIFF_CELL_K_MAX = 22  # the bitmap path peaks at about 32 * 2**k bytes (128 MB at k = 22)
 
 
@@ -137,8 +138,15 @@ def check_estimate_scales(k_min: int, k_max: int) -> None:
 
 
 def covering_profile(points: CirclePoints, k_min: int, k_max: int) -> CoveringProfile:
+    """N_k for k_min <= k <= k_max from one pass over the points: the cells at
+    k_max, then each coarser scale's as the distinct halves of the finer ones."""
     check_scale_range(k_min, k_max)
-    counts = {k: covering_count(points, k) for k in range(k_min, k_max + 1)}
+    cells = points.cells(k_max)
+    sizes = [cells.size]
+    for _ in range(k_max - k_min):
+        cells = _distinct(cells >> 1)  # still sorted
+        sizes.append(cells.size)
+    counts = {k: int(size) for k, size in zip(range(k_min, k_max + 1), reversed(sizes))}
     return CoveringProfile(counts, k_min, k_max, len(points))
 
 
@@ -167,17 +175,19 @@ def box_dim_estimate(profile: CoveringProfile) -> BoxDimEstimate:
 
 @dataclass(frozen=True)
 class DifferenceSet:
-    points: CirclePoints         # exact differences, or cell left-endpoints
-    cell_level: bool
-    k: int | None                # resolution of the cell-level path
-    cell_count: int | None = None
+    points: CirclePoints         # left endpoints of the difference cells
+    k: int                       # the cells' scale 2**-k
+    cell_level = True            # each cell is within one cell of a true difference
+
+    @property
+    def cell_count(self) -> int:
+        return len(self.points)
 
 
-def difference_set(points: CirclePoints, cell_k: int | None = None) -> DifferenceSet:
-    """X - X mod 1: exact pairwise for small sets, cell-level otherwise.
+def difference_set(points: CirclePoints, cell_k: int) -> DifferenceSet:
+    """X - X mod 1 at cell level: {(a - b) mod 2**k : a, b occupied cells}.
 
-    The cell-level result is {(a - b) mod 2**k : a, b occupied cells}; each
-    such cell is within one cell of a true difference, and the result is
+    Each such cell is within one cell of a true difference, and the result is
     flagged so callers can state that slack.  It is the support of the
     cyclic autocorrelation of the occupancy bitmap b, irfft(|rfft(b)|**2),
     whose entries are pair counts, integers in [0, N_k].  The float error
@@ -185,19 +195,7 @@ def difference_set(points: CirclePoints, cell_k: int | None = None) -> Differenc
     every call checks that each entry is within 1/4 of an integer, and a
     finer k raises GuardError, since the bitmap takes O(2**k) memory.
     """
-    n = len(points)
-    if cell_k is None and n <= EXACT_DIFF_LIMIT:
-        vals = points.values
-        acc = np.array([0], dtype=np.uint64)
-        block = max(1, (1 << 22) // max(n, 1))
-        for start in range(0, n, block):
-            chunk = vals[start:start + block]
-            diffs = (vals[None, :] - chunk[:, None]).ravel()  # uint64 wrap = mod 1
-            acc = np.concatenate([acc, diffs])
-            acc.sort()
-            acc = _distinct(acc)
-        return DifferenceSet(CirclePoints(acc), False, None)
-    k = cell_k if cell_k is not None else 12
+    n, k = len(points), cell_k
     if k < 0:
         raise UsageError(f"scale exponent k={k} is negative")
     if k > DIFF_CELL_K_MAX:
@@ -222,7 +220,7 @@ def difference_set(points: CirclePoints, cell_k: int | None = None) -> Differenc
     vals = np.flatnonzero(counts > 0).view(np.uint64)
     del counts
     vals <<= np.uint64(BITS - k)
-    return DifferenceSet(CirclePoints(vals), True, k, cell_count=int(vals.size))
+    return DifferenceSet(CirclePoints(vals), k)
 
 
 # -- exact minimal interval covers ---------------------------------------------
@@ -340,16 +338,12 @@ def scaled_covering_check(points: CirclePoints, p: int, k: int) -> ScaledCoverin
         raise UsageError("p must be a positive integer")
     if p >= (1 << k):
         raise UsageError("need p * 2**-k < 1")
-    # points.values is sorted, so A stays sorted after the shift; pA needs
-    # its one sort.
-    a = _distinct(points.values >> np.uint64(BITS - COVER_BITS))
-    mask = np.uint64((1 << COVER_BITS) - 1)
-    pa = (a * np.uint64(p)) & mask
+    a = points.cells(COVER_BITS)  # sorted and distinct; pA needs its one sort
+    pa = (a.view(np.uint64) * np.uint64(p)) & np.uint64((1 << COVER_BITS) - 1)
     pa.sort()
-    pa = _distinct(pa)
     delta = 1 << (COVER_BITS - k)
-    rhs = minimal_cover_count(a.view(np.int64), delta)
-    lhs = minimal_cover_count(pa.view(np.int64), p * delta)
+    rhs = minimal_cover_count(a, delta)
+    lhs = minimal_cover_count(_distinct(pa).view(np.int64), p * delta)
     return ScaledCoveringCheck(p, k, lhs, rhs, lhs <= rhs)
 
 
@@ -368,9 +362,9 @@ def gap_profile(points: CirclePoints, k: int = 12) -> GapProfile:
     if vals.size == 1:
         max_gap = Fraction(1)
     else:
-        gaps = np.diff(vals)
         wrap = (int(vals[0]) - int(vals[-1])) % (1 << BITS)
-        max_gap = Fraction(max(int(gaps.max()), wrap), 1 << BITS)
+        # the n gaps are reduced at once, and freed before cells(k) allocates
+        max_gap = Fraction(max(int(np.diff(vals).max()), wrap), 1 << BITS)
     cells = points.cells(k)
     mod = 1 << k
     occupied = int(cells.size)

@@ -21,7 +21,7 @@ from ..errors import ConfigError, GuardError, UsageError
 from ..exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
 from ..embedtrace import MAX_TRACE_N
 from ..ifs import MAX_CYLINDERS, MAX_SAMPLE_POINTS, SimilarIFS, Similitude, guard_power
-from ..orbit.generate import guard_b_columns, guard_orbit_size
+from ..orbit.generate import MAX_ELL, guard_b_columns, guard_orbit_size
 from ..orbit.steps import StepSystem, build_step_system
 from ..orbit.strategies import Strategy, parse_strategy
 
@@ -284,6 +284,9 @@ class ExperimentConfig:
                               "precision of exact covers")
         if self.record.fills is not None and not (recipe == "boxdim" and self.ifs is not None):
             needs += ("steps", "strategy", "n")
+            if self.steps is not None and len(self.steps) > MAX_ELL:
+                raise ConfigError(f"{recipe} takes at most {MAX_ELL} steps (one byte a symbol), "
+                                  f"got {len(self.steps)}")
             if self.n is not None:
                 guard_orbit_size(self.n, self.bits)
                 if recipe == "orbit" and self.steps is not None:  # results.csv's b_j columns
@@ -363,7 +366,7 @@ class ExperimentConfig:
             raise ConfigError("config has no steps")
         table = self.basis_table()
         alphas = [parse_step_expression(expr, table) for expr in self.steps]
-        return build_step_system(alphas, self.bits)
+        return build_step_system(alphas)
 
     def strategy_object(self) -> Strategy:
         if self.strategy is None:

@@ -324,7 +324,7 @@ def _run_embed(cfg, out):
     rows = [[e.n, e.i_n, e.s_n, e.ratio, e.lower_ok, e.upper_ok] for e in trace.entries]
     csv = write_csv(out, "results.csv",
                     ["n", "i_n", "s_n", "ratio", "lower_bound_ok", "upper_bound_ok"], rows)
-    steps = induced_step_system([mp.ratio for mp in e_ifs.maps], inst.gamma1, cfg.bits)
+    steps = induced_step_system([mp.ratio for mp in e_ifs.maps], inst.gamma1)
     verdict = qplus_independent_mod1(steps)
     summary = {
         "kind": "embed",

@@ -39,6 +39,7 @@ MAX_TRACE_N = 1024
 # + 1/100} at depth 4, n_max 16 (6.5e8) 0.9 s, n_max 24 (1.5e9) 1.7 s.
 # Tests and the benchmark trace at most 2e5.
 MAX_TRACE_WORK = 10**9
+SSC_DEPTH = 6  # the depth of the SSC certificate build_instance asks of E
 
 
 def matrix_norms(m, dimension: int) -> tuple[Fraction, Fraction]:
@@ -129,7 +130,6 @@ def build_instance(
     m,
     b,
     coding_len: int = 64,
-    ssc_depth: int = 6,
 ) -> EmbeddingInstance:
     """Assemble the trace data for M(F) + b inside E (E must certify SSC)."""
     from .ifs import ssc_check
@@ -141,7 +141,7 @@ def build_instance(
     for name, ifs in (("E", e_ifs), ("F", f_ifs)):
         if ifs.hull().diameter == 0:
             raise DomainError(f"{name} is a single point (its hull has diameter 0)")
-    cert = ssc_check(e_ifs, ssc_depth)
+    cert = ssc_check(e_ifs, SSC_DEPTH)
     if not cert.certified:
         raise UsageError("E must be SSC-certified for unique codings")
     ell_power = orthogonal_power_period(f_ifs.maps[0].ortho)
@@ -312,7 +312,7 @@ def beta_string(x: Decimal) -> str:
     return format(x, f".{max(0, BETA_DIGITS - 1 - x.adjusted())}f")
 
 
-def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
+def induced_step_system(rhos, gamma1) -> StepSystem:
     """Steps alpha_i = log rho_i / log gamma_1 with exact expansion data.
 
     In log space every rational relation among 1, alpha_1..alpha_ell is a
@@ -359,7 +359,7 @@ def induced_step_system(rhos, gamma1, bits: int = 128) -> StepSystem:
             # orientation flipped some rows; coordinates flip sign with them
             raise AssertionError("induced expansion must be integral")
         alphas.append(SymbolicReal(table, q, dict(zip(labels, coords))))
-    return build_step_system(alphas, bits)
+    return build_step_system(alphas)
 
 
 def induced_rank(rhos) -> int:
@@ -374,7 +374,7 @@ def induced_orbit(inst: EmbeddingInstance, length: int | None = None,
         length = len(inst.coding)
     if length > len(inst.coding):
         raise UsageError("coding shorter than requested orbit length")
-    steps = induced_step_system([mp.ratio for mp in inst.e_ifs.maps], inst.gamma1, bits)
+    steps = induced_step_system([mp.ratio for mp in inst.e_ifs.maps], inst.gamma1)
     orbit = generate_orbit(steps, ExplicitWord(inst.coding[:length]), length, bits)
     return steps, orbit
 

@@ -44,14 +44,27 @@ MAX_CYLINDERS = 1 << 16
 MAX_SAMPLE_POINTS = 1 << 21
 
 
-def guard_power(ell: int, depth: int, limit: int, what: str) -> None:
-    """GuardError when ell**depth, the count of `what`, exceeds limit, a power of two.
+# Deepest level any IFS recipe reaches.  ell**depth bounds every ell >= 2 far
+# below it, but a one-map IFS has one point at every depth while its grid's
+# denominator grows as q**depth for a ratio p/q: with the map 1/3:1/7, one
+# process each (2-core x86_64, Python 3.11), the ifs recipe at sample_depth
+# 2*10**5 and boxdim's IFS route at depth 2*10**5 each took 4-8 s, and
+# boxdim's route at depth 10**6 took 97 s.
+MAX_DEPTH = 64
 
-    The exponent is capped at 64 so a huge depth costs nothing: past 64
-    levels every ell >= 2 exceeds both guards, and ell <= 1 never does.
+
+def guard_power(ell: int, depth: int, limit: int, what: str) -> None:
+    """GuardError when ell**depth, the count of `what`, exceeds limit, a power
+    of two, or when depth exceeds MAX_DEPTH.
+
+    The exponent is capped at MAX_DEPTH so a huge depth costs nothing: past
+    64 levels every ell >= 2 exceeds both guards, and a one-map IFS, whose
+    count never does, meets the depth guard.
     """
-    if ell ** min(depth, 64) > limit:
+    if ell ** min(depth, MAX_DEPTH) > limit:
         raise GuardError(f"{ell}**{depth} {what} exceed 2**{limit.bit_length() - 1}")
+    if depth > MAX_DEPTH:
+        raise GuardError(f"depth {depth} of {what} exceeds the guard of {MAX_DEPTH}")
 
 
 def sqrt_down(q: Fraction) -> Fraction:

@@ -40,6 +40,9 @@ from .strategies import GreedyAvoid, Strategy
 MAX_ORBIT_N = 10**7
 MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
 MAX_ORBIT_BITS = 1 << 16
+# Symbols are bytes (the uint8 word, the greedy loop's bytearray, ORB1's
+# symbol bytes), so an orbit takes at most 255 steps.
+MAX_ELL = 255
 
 
 def guard_orbit_size(n: int, bits: int) -> None:
@@ -208,8 +211,8 @@ def generate_orbit(
     if n < 1:
         raise UsageError("n must be >= 1")
     guard_orbit_size(n, bits)
-    if steps.ell < 2:
-        raise UsageError("orbit generation needs at least two steps")
+    if not 2 <= steps.ell <= MAX_ELL:
+        raise UsageError(f"orbit generation needs 2 to {MAX_ELL} steps, got {steps.ell}")
     fp_steps = steps.fixed_point_steps(bits)
     rng = np.random.default_rng(seed) if seed is not None else None
 
@@ -329,16 +332,14 @@ class ReducedOrbit:
         return self.xtilde[:, 0]
 
 
-def reduced_orbit(
-    orbit: Orbit, shift_index: int | None = None, shift_amount: int | None = None
-) -> ReducedOrbit:
+def reduced_orbit(orbit: Orbit, shift_index: int | None = None) -> ReducedOrbit:
     """The beta-part sequence x~_n = sum_j b_j(n) beta*_j mod 1.
 
     The basis shift beta_{r0} -> beta_{r0} + M leaves x~ unchanged mod 1
     (b_{r0} M is an integer) but moves its rational complement: x_n - x~_n
     is sum_i q*_i N_i(n) mod 1 with q*_i = q_i - M p_{i,r0}.  The default
     r0 is the j of the largest |b_j(n)|, the first among equals, taken in
-    exact integers.
+    exact integers; M is floor(1 + sum_j |beta_j|) + 1.
     """
     steps = orbit.steps
     if steps.r == 0:
@@ -350,8 +351,7 @@ def reduced_orbit(
     if not (0 <= shift_index < steps.r):
         raise UsageError("shift_index out of range")
     beta_vals = steps.beta_values()
-    if shift_amount is None:
-        shift_amount = floor(1 + sum(abs(b) for b in beta_vals)) + 1
+    shift_amount = floor(1 + sum(abs(b) for b in beta_vals)) + 1
 
     betas_star = tuple(
         b + (shift_amount if j == shift_index else 0) for j, b in enumerate(beta_vals)

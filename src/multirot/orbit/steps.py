@@ -13,7 +13,7 @@ denominators) provides the betas and makes the p_ij integers by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import UsageError
@@ -32,8 +32,6 @@ class StepSystem:
     q: tuple[Fraction, ...]             # rational parts, one per step
     r: int                              # dim span_Q(1, alphas) - 1
     lam: int                            # dim span_Q(alphas) alone
-    bits: int = 128
-    _fp_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ell(self) -> int:
@@ -50,18 +48,15 @@ class StepSystem:
             return 0
         return max(sum(abs(x) for x in row) for row in self.p)
 
-    def fixed_point_steps(self, bits: int | None = None) -> tuple[int, ...]:
+    def fixed_point_steps(self, bits: int) -> tuple[int, ...]:
         """Each alpha_i reduced mod 1 as a B-bit fixed-point fraction."""
-        bits = self.bits if bits is None else bits
-        if bits not in self._fp_cache:
-            self._fp_cache[bits] = tuple(fp_from_fraction(a.value(), bits) for a in self.alphas)
-        return self._fp_cache[bits]
+        return tuple(fp_from_fraction(a.value(), bits) for a in self.alphas)
 
     def beta_values(self) -> tuple[Fraction, ...]:
         return tuple(b.value() for b in self.betas)
 
 
-def build_step_system(alphas: list[SymbolicReal], bits: int = 128) -> StepSystem:
+def build_step_system(alphas: list[SymbolicReal]) -> StepSystem:
     """Compute the integer expansion for a step family (ell >= 1)."""
     if not alphas:
         raise UsageError("need at least one step")
@@ -99,10 +94,10 @@ def build_step_system(alphas: list[SymbolicReal], bits: int = 128) -> StepSystem
     lam_rows = [[a.q0] + a.coefficient_vector(labels) for a in alphas]
     lam = rank_rational(lam_rows)
 
-    return StepSystem(tuple(alphas), betas, tuple(p_rows), q, r, lam, bits)
+    return StepSystem(tuple(alphas), betas, tuple(p_rows), q, r, lam)
 
 
-def steps_from_values(table: BasisTable, values, bits: int = 128) -> StepSystem:
+def steps_from_values(table: BasisTable, values) -> StepSystem:
     """Convenience builder: values may be rationals, labels, or SymbolicReals."""
     alphas = []
     for v in values:
@@ -112,4 +107,4 @@ def steps_from_values(table: BasisTable, values, bits: int = 128) -> StepSystem:
             alphas.append(table.symbol(v))
         else:
             alphas.append(table.real(Fraction(v)))
-    return build_step_system(alphas, bits)
+    return build_step_system(alphas)

@@ -289,14 +289,13 @@ def reference_scan_minimal(fracs: list[Fraction], bound: Fraction, k_max: int) -
 
 # -- orbits ---------------------------------------------------------------------------
 
-def steps_with_negative_b(bits: int = 128):
+def steps_with_negative_b():
     """Three steps with p = ((1, -1), (-1, 0), (0, 0)): b_1 changes sign, b_2 only falls."""
     table = builtin_table()
     steps = steps_from_values(
         table,
         [table.symbol("sqrt2") + table.symbol("sqrt3", -1), table.symbol("sqrt2", -1),
          Fraction(1, 3)],
-        bits,
     )
     assert steps.p == ((1, -1), (-1, 0), (0, 0))
     return steps

@@ -124,6 +124,30 @@ def test_profile_invariants_on_random_sets():
                 assert profile.counts[k - 1] <= profile.counts[k] <= 2 * profile.counts[k - 1]
 
 
+ORBIT_POINTS = bx.CirclePoints.from_orbit(
+    generate_orbit(steps_from_values(builtin_table(), ["sqrt2", "sqrt3"]), RandomSymbols(),
+                   5000, 128, seed=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(0, 62), st.integers(0, 62),
+       st.booleans())
+def test_covering_profile_matches_covering_count(seed, n, k1, k2, orbit):
+    """One pass from the finest scale counts what covering_count counts at every
+    scale, from k_min = 0 to k_min == k_max, on random and on orbit points."""
+    k_min, k_max = sorted((k1, k2))
+    if orbit:
+        points = ORBIT_POINTS
+    else:
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+        values >>= np.uint64(rng.integers(0, 64))  # clustered near 0 as well as spread
+        points = bx.CirclePoints(values)
+    profile = bx.covering_profile(points, k_min, k_max)
+    assert list(profile.counts) == profile.ks()
+    assert profile.counts == {k: bx.covering_count(points, k) for k in profile.ks()}
+
+
 def test_uniform_grid_slopes_are_one():
     points = pts_of(*[F(i, 1 << 10) for i in range(1 << 10)])
     est = bx.box_dim_estimate(bx.covering_profile(points, 2, 8))
@@ -155,49 +179,19 @@ def test_estimate_needs_four_scales():
 # -- difference sets -------------------------------------------------------------
 
 
-def test_difference_set_pair():
-    diff = bx.difference_set(pts_of(0, F(1, 4)))
-    got = sorted(F(int(v), 1 << 64) for v in diff.points.values)
-    assert got == [F(0), F(1, 4), F(3, 4)]
-    assert not diff.cell_level
-
-
 def test_difference_set_contains_zero():
     rng = np.random.default_rng(9)
     points = bx.CirclePoints(rng.integers(0, 1 << 63, 100).astype(np.uint64))
-    diff = bx.difference_set(points)
+    diff = bx.difference_set(points, cell_k=12)
     assert 0 in diff.points.values
 
 
 def test_difference_set_cell_level_flagged():
     rng = np.random.default_rng(10)
     points = bx.CirclePoints(rng.integers(0, 1 << 63, 20000).astype(np.uint64))
-    diff = bx.difference_set(points)
+    diff = bx.difference_set(points, cell_k=12)
     assert diff.cell_level and diff.k == 12
     assert diff.cell_count <= 1 << 12
-
-
-def test_difference_set_exact_path_matches_np_unique():
-    rng = np.random.default_rng(12)
-    values = rng.integers(0, 2**64, 300, dtype=np.uint64, endpoint=False)
-    values[:20] = values[20:40]  # repeats
-    points = bx.CirclePoints(values)
-    diff = bx.difference_set(points)
-    v = points.values
-    assert not diff.cell_level
-    assert np.array_equal(diff.points.values, np.unique(v[None, :] - v[:, None]))
-
-
-def test_difference_set_exact_path_blocks_match_pairwise():
-    """Above 2**11 points the exact path takes several blocks of rows; on a
-    2**-14 grid the differences are grid points, marked pair by pair."""
-    rng = np.random.default_rng(13)
-    grid = rng.choice(1 << 14, 2100, replace=False)
-    points = bx.CirclePoints(grid.astype(np.uint64) << np.uint64(50))
-    diff = bx.difference_set(points)
-    want = pairwise_cell_differences(grid, 14).astype(np.uint64) << np.uint64(50)
-    assert not diff.cell_level
-    assert np.array_equal(diff.points.values, want)
 
 
 def points_in_cells(cells, k, rng):
@@ -243,7 +237,7 @@ def test_cell_difference_set_special_sets(k):
 
 
 def test_cell_difference_set_matches_pairwise_on_orbit():
-    steps = steps_from_values(builtin_table(), ["sqrt2", "sqrt3"], 128)
+    steps = steps_from_values(builtin_table(), ["sqrt2", "sqrt3"])
     orbit = generate_orbit(steps, RandomSymbols(), 10**4, 128, seed=3)
     points = bx.CirclePoints.from_orbit(orbit)
     for k in range(1, 17):
@@ -274,12 +268,15 @@ def test_cell_difference_set_rejects_inexact_fft(monkeypatch):
 
 
 def test_difference_covering_bound():
-    """covering(X-X, k) <= min(2**k, 3 * covering(X, k)**2) on random sets."""
+    """covering(X-X, k) <= min(2**k, 3 * covering(X, k)**2) on random sets.
+
+    X - X is taken at cell level at scale 2**-11: each pair of occupied coarse
+    cells gives at most two difference cells at every k <= 11."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(2, 300))
         points = bx.CirclePoints(rng.integers(0, 1 << 63, n).astype(np.uint64))
-        diff = bx.difference_set(points)
+        diff = bx.difference_set(points, cell_k=11)
         for k in (2, 5, 8, 11):
             lhs = bx.covering_count(diff.points, k)
             base = bx.covering_count(points, k)

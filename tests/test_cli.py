@@ -23,8 +23,9 @@ from multirot.cli import runner
 from multirot.cli.runner import run_config, write_csv
 from multirot.errors import ConfigError, GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
-from multirot.ifs import SimilarIFS
-from multirot.orbit.generate import MAX_ORBIT_N
+from multirot.ifs import MAX_DEPTH, SimilarIFS
+from multirot.orbit import read_orb1
+from multirot.orbit.generate import MAX_ELL, MAX_ORBIT_N
 
 
 F = Fraction
@@ -935,6 +936,12 @@ def _without(config, key):
     return {k: v for k, v in config.items() if k != key}
 
 
+# One step past what a symbol byte holds; a random word over them once ended
+# in a uint8 ValueError and a traceback.
+STEPS_256 = [f"sqrt2 + {i}/{1000 + i}" for i in range(MAX_ELL + 1)]
+GREEDY = {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}
+
+
 @pytest.mark.parametrize("config, code", [
     (_verify("scaled-covering", trials=10**8), 3),
     (_verify("scaled-covering", max_points=10**9), 3),
@@ -987,6 +994,11 @@ def _without(config, key):
     # a misspelt params key, once dropped so that its default ran
     ({"kind": "embed", "params": {"nmax": 4, "depth": 3}}, 2),
     (_verify("scaled-covering", trails=1), 2),
+    # 256 steps on every route that generates an orbit
+    *(({**config, "steps": STEPS_256}, 2) for config in (
+        {**ORBIT_CONFIG, "n": 1000}, {**ORBIT_CONFIG, "strategy": GREEDY},
+        {"kind": "boxdim", **ORBIT_PART, "scales": [2, 6]}, SEPARATION,
+        _verify("difference-dense"), _verify("orbit-box-lower"))),
 ])
 def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, config, code):
     monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
@@ -996,7 +1008,40 @@ def test_refused_config_exits_before_any_stage(tmp_path, capsys, monkeypatch, co
     assert os.listdir(tmp_path) == ["config.json"]
 
 
-GREEDY = {"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"}
+@pytest.mark.parametrize("strategy", [{"type": "random"}, GREEDY])
+def test_orbit_of_255_steps_runs(tmp_path, capsys, strategy):
+    """The most steps a symbol byte holds: every symbol reaches ORB1 as it is."""
+    out = tmp_path / "o"
+    path = write_config(tmp_path, {**ORBIT_CONFIG, "steps": STEPS_256[:MAX_ELL], "n": 1000,
+                                   "strategy": strategy, "out_dir": str(out)})
+    assert main(["run", path]) == 0
+    orb = read_orb1(out / "orbit.orb1")
+    assert orb["ell"] == MAX_ELL and 1 <= orb["omega"].min() and orb["omega"].max() <= MAX_ELL
+
+
+ONE_MAP = [{"ratio": "1/3", "shift": "1/7"}]
+
+
+@pytest.mark.parametrize("route", ["boxdim", "ifs"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+def test_one_map_ifs_depth_guard(tmp_path, capsys, monkeypatch, route, depth):
+    """A one-map IFS has one point at every depth, so no ell**depth guard stops
+    it, while its grid's denominator grows as 3**depth: past depth 64 it exits 3
+    before any work, and at 64 it runs."""
+    config = {"ifs": ONE_MAP, "out_dir": str(tmp_path / "o")}
+    config.update({"boxdim": {"kind": "boxdim", "scales": [4, 12], "params": {"depth": depth}},
+                   "ifs": {"kind": "ifs", "params": {"sample_depth": depth}}}[route])
+    path = write_config(tmp_path, config)
+    if depth > MAX_DEPTH:
+        monkeypatch.setattr(runner.tempfile, "mkdtemp", _unreachable)
+    code = main(["run", path])
+    err = capsys.readouterr().err
+    if depth > MAX_DEPTH:
+        assert code == 3 and err.startswith("guard:") and f"depth {depth} of points" in err, err
+        assert os.listdir(tmp_path) == ["config.json"]
+    else:
+        assert code == 0, err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "o"]
 
 
 @pytest.mark.parametrize("config, message", [

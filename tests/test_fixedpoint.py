@@ -35,10 +35,10 @@ BITS = [64, 65, 72, 128, 256]
 CHUNK = 7
 
 
-def make_steps(ell: int, bits: int):
+def make_steps(ell: int):
     if ell == 2:
-        return steps_from_values(TABLE, ["sqrt2", "sqrt3"], bits)
-    return steps_with_negative_b(bits)
+        return steps_from_values(TABLE, ["sqrt2", "sqrt3"])
+    return steps_with_negative_b()
 
 
 def circle_distance(a: Fraction, b: Fraction) -> Fraction:
@@ -83,7 +83,7 @@ def test_accumulate_full_chunks_of_all_ones(bits):
 @given(bits=st.sampled_from(BITS), ell=st.sampled_from([2, 3]), n=st.integers(1, 4 * CHUNK),
        seed=st.integers(0, 2**32 - 1))
 def test_orbits_match_big_int_loop_and_exact_sums(bits, ell, n, seed):
-    steps = make_steps(ell, bits)
+    steps = make_steps(ell)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(table, "CHUNK_ROWS", CHUNK)
         orbit = generate_orbit(steps, RandomSymbols(), n, bits, seed=seed)
@@ -110,7 +110,7 @@ def test_orbits_match_big_int_loop_and_exact_sums(bits, ell, n, seed):
 @pytest.mark.parametrize("ell", [2, 3])
 def test_periodic_and_greedy_points_are_the_sums_of_their_words(monkeypatch, bits, ell):
     monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
-    steps = make_steps(ell, bits)
+    steps = make_steps(ell)
     fp_steps = steps.fixed_point_steps(bits)
     for strategy in (PeriodicWord((1, 2, 1) if ell == 2 else (1, 3, 2, 2)),
                      GreedyAvoid(F(2, 5), F(3, 5), 8)):
@@ -122,7 +122,7 @@ def test_periodic_and_greedy_points_are_the_sums_of_their_words(monkeypatch, bit
 
 @pytest.mark.parametrize("bits, nbytes", [(64, 8), (65, 16), (128, 16), (256, 32)])
 def test_points_are_limb_arrays_and_top64_is_a_view(bits, nbytes):
-    steps = make_steps(2, bits)
+    steps = make_steps(2)
     orbit = generate_orbit(steps, RandomSymbols(), 1000, bits, seed=4)
     assert orbit.points.dtype == np.uint64 and orbit.points.nbytes == nbytes * 1001
     red = reduced_orbit(orbit)

@@ -167,8 +167,13 @@ def test_sample_guard():
 
 
 def test_depth_guards_cap_the_exponent():
-    """A huge depth is refused without forming ell**depth (2**(10**9) would take 125 MB)."""
-    guard_power(1, 10**9, 1, "points")
+    """A huge depth is refused without forming ell**depth (2**(10**9) would take 125 MB),
+    and a one-map IFS, whose count stays 1, is refused past depth 64."""
+    guard_power(1, 64, 1, "points")
+    with pytest.raises(GuardError, match=r"^depth 65 of points exceeds the guard of 64$"):
+        guard_power(1, 65, 1, "points")
+    with pytest.raises(GuardError, match=r"^depth 1000000000 of points exceeds the guard of 64$"):
+        guard_power(1, 10**9, 1, "points")
     guard_power(2, 16, MAX_CYLINDERS, "cylinders")
     log2 = MAX_SAMPLE_POINTS.bit_length() - 1
     with pytest.raises(GuardError, match=rf"^2\*\*1000000000 points exceed 2\*\*{log2}$"):

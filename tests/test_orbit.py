@@ -42,7 +42,7 @@ from multirot.orbit import (
     write_orb1,
     write_orbit_csv,
 )
-from multirot.orbit.generate import MAX_B, MAX_ORBIT_BITS, MAX_ORBIT_N
+from multirot.orbit.generate import MAX_B, MAX_ELL, MAX_ORBIT_BITS, MAX_ORBIT_N
 from multirot.orbit.io import HEADER
 
 F = Fraction
@@ -50,8 +50,8 @@ TABLE = builtin_table()
 CHUNK = 7  # rows per chunk in the chunked-path tests, so that small orbits span several
 
 
-def steps_sqrt23(bits=128):
-    return steps_from_values(TABLE, ["sqrt2", "sqrt3"], bits)
+def steps_sqrt23():
+    return steps_from_values(TABLE, ["sqrt2", "sqrt3"])
 
 
 # -- step systems -------------------------------------------------------------
@@ -132,6 +132,15 @@ def test_bits_guard():
     steps = steps_sqrt23()
     with pytest.raises(UsageError):
         generate_orbit(steps, ExplicitWord((1,) * 4), 4, 32)
+
+
+@pytest.mark.parametrize("ell", [1, MAX_ELL + 1])
+def test_step_count_guard(ell):
+    """Symbols are bytes, so an orbit takes 2 to 255 steps."""
+    steps = steps_from_values(TABLE, [F(1, i + 2) for i in range(ell)])
+    for strategy in (RandomSymbols(), GreedyAvoid(F(1, 3), F(1, 2))):
+        with pytest.raises(UsageError, match=f"needs 2 to {MAX_ELL} steps, got {ell}"):
+            generate_orbit(steps, strategy, 10, 128, seed=1)
 
 
 def test_stepping_consistency_invariant():
@@ -288,7 +297,7 @@ def test_orbit_length_guard():
 def test_orbit_bits_and_limb_bytes_guard(n, bits):
     """The limb array may take no more than MAX_ORBIT_N points take at 128 bits."""
     with pytest.raises(GuardError):
-        generate_orbit(steps_sqrt23(bits), PeriodicWord((1, 2)), n, bits)
+        generate_orbit(steps_sqrt23(), PeriodicWord((1, 2)), n, bits)
 
 
 # -- reduced orbit ----------------------------------------------------------------
@@ -387,7 +396,7 @@ GREEDY_SYSTEMS = {
     "sqrt": steps_sqrt23,
     "ell3": steps_with_negative_b,
     # rational steps land on interval ends drawn with small denominators
-    "eighths": lambda bits: steps_from_values(TABLE, [F(1, 4), F(3, 8)], bits),
+    "eighths": lambda: steps_from_values(TABLE, [F(1, 4), F(3, 8)]),
 }
 
 
@@ -421,7 +430,7 @@ def test_greedy_matches_the_tuple_ranked_loop(data, bits, system, cell_bits, int
     else:
         lo, hi = cell_windows(data, bits, cell_bits)[interval]
     strategy = GreedyAvoid(lo, hi, cell_bits)
-    steps = GREEDY_SYSTEMS[system](bits)
+    steps = GREEDY_SYSTEMS[system]()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(table, "CHUNK_ROWS", CHUNK)
         orbit = generate_orbit(steps, strategy, n, bits)
@@ -530,7 +539,7 @@ def test_orbit_csv_columns(tmp_path):
 def test_orbit_csv_matches_row_writer(tmp_path, monkeypatch, bits, n):
     """The rows after row 0 end just before, at and just after chunk boundaries."""
     monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
-    orbit = generate_orbit(steps_sqrt23(bits), RandomSymbols(), n, bits, seed=n)
+    orbit = generate_orbit(steps_sqrt23(), RandomSymbols(), n, bits, seed=n)
     path = tmp_path / "orbit.csv"
     write_orbit_csv(orbit, path)
     assert path.read_bytes() == reference_orbit_csv(orbit)
@@ -618,7 +627,7 @@ def test_orbit_csv_refuses_b_columns_past_int64(tmp_path, coeff, n, refused):
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 2])
 def test_orb1_chunked_points_match_one_by_one(tmp_path, monkeypatch, n):
     monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
-    orbit = generate_orbit(steps_with_negative_b(72), RandomSymbols(), n, 72, seed=n)
+    orbit = generate_orbit(steps_with_negative_b(), RandomSymbols(), n, 72, seed=n)
     path = tmp_path / "orbit.orb1"
     write_orb1(orbit, path)
     raw = path.read_bytes()
@@ -727,7 +736,7 @@ def test_chunk_bounds_hold_chunks_to_chunk_bytes(row_bytes, rows):
 
 def test_wide_orbit_files_in_byte_bounded_chunks(tmp_path):
     """At 4096 bits a CSV chunk has 894 rows and an ORB1 chunk 2048: both files span chunks."""
-    orbit = generate_orbit(steps_with_negative_b(4096), RandomSymbols(), 2500, 4096, seed=9)
+    orbit = generate_orbit(steps_with_negative_b(), RandomSymbols(), 2500, 4096, seed=9)
     write_orbit_csv(orbit, tmp_path / "orbit.csv")
     assert (tmp_path / "orbit.csv").read_bytes() == reference_orbit_csv(orbit)
     write_orb1(orbit, tmp_path / "orbit.orb1")
