@@ -4,6 +4,10 @@ The schema is deliberately flat and stringly-typed at the leaves (exact
 rationals as "p/q" or decimal strings, steps as little expressions over
 basis labels), so a config round-trips parse -> serialize -> parse
 byte-identically and diffs cleanly.
+
+`ExperimentConfig.validate` is the one place a config is read: it parses
+each field the recipe reads once and returns the `RunInputs` its handler
+in `runner` runs on, so no handler parses a field again.
 """
 
 from __future__ import annotations
@@ -132,27 +136,15 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "out_dir": self.out_dir, "bits": self.bits}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.basis is not None:
-            out["basis"] = [dict(e) for e in self.basis]
-        if self.steps is not None:
-            out["steps"] = list(self.steps)
-        if self.strategy is not None:
-            out["strategy"] = dict(self.strategy)
-        if self.n is not None:
-            out["n"] = self.n
-        if self.scales is not None:
-            out["scales"] = list(self.scales)
-        if self.ifs is not None:
-            out["ifs"] = [dict(e) for e in self.ifs]
-        if self.ifs_f is not None:
-            out["ifs_f"] = [dict(e) for e in self.ifs_f]
-        if self.affine is not None:
-            out["affine"] = dict(self.affine)
-        if self.params:
-            out["params"] = dict(self.params)
+        """The JSON form from_dict reads: every key that is set, tuples as lists, and
+        params when not empty."""
+        out: dict = {}
+        for key in _KEY_TYPES:
+            value = getattr(self, key)
+            if isinstance(value, tuple):
+                value = [dict(e) if isinstance(e, dict) else e for e in value]
+            if value is not None and (value or key != "params"):
+                out[key] = dict(value) if isinstance(value, dict) else value
         return out
 
     @classmethod
@@ -204,14 +196,15 @@ class ExperimentConfig:
         fill = (self.record and self.record.fills) or {}
         return dataclasses.replace(self, **{k: v for k, v in fill.items() if getattr(self, k) is None})
 
-    def validate(self) -> None:
-        """Parse every field the recipe reads, through the readers its handler calls.
+    def validate(self) -> "RunInputs":
+        """Parse every field the recipe reads, once, into the RunInputs its handler runs on.
 
         run_config calls this once, before any output exists, on the config
-        its handler runs: overrides and with_defaults already applied.  A
-        field the handler needs that is missing, a value that does not
-        parse or one below its least value raises ConfigError; a size past
-        its guard raises GuardError.
+        its handler runs: overrides and with_defaults already applied.  The
+        handler reads what this returns and parses nothing again.  A field
+        the handler needs that is missing, a value that does not parse or
+        one below its least value raises ConfigError; a size past its guard
+        raises GuardError.
         """
         where = "config"
         try:
@@ -227,18 +220,17 @@ class ExperimentConfig:
             if self.seed is not None and self.seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {self.seed}")
             where = "basis"
-            self.basis_table()
-            if self.steps is not None:
-                where = "steps"
-                self.step_system()
-            if self.strategy is not None:
-                where = "strategy"
-                self.strategy_object()
+            table = self.basis_table()
+            where = "steps"
+            steps = None if self.steps is None else self.step_system(table)
+            where = "strategy"
+            strategy = None if self.strategy is None else parse_strategy(self.strategy)
+            ifs = {}
             for where in ("ifs", "ifs_f"):
-                if getattr(self, where) is not None:
-                    parse_ifs(getattr(self, where))
+                spec = getattr(self, where)
+                ifs[where] = None if spec is None else parse_ifs(spec)
             where = "affine"
-            self.affine_map()
+            affine = self.affine_map()
             where = "scales"
             if self.scales is not None and not (
                 len(self.scales) == 2 and all(type(k) is int for k in self.scales)
@@ -251,35 +243,67 @@ class ExperimentConfig:
             if self.kind == "orbit" and self.bits % 8:
                 raise ConfigError(f"orbit export needs bits to be a multiple of 8, got {self.bits}")
             where = "params"
-            for name in self.record.params:
-                self.param(name)
-            self._check_recipe()
+            rows, params = self.record.params, {}
+            for name, (default, least, largest) in rows.items():
+                raw = self.params.get(name, default)
+                if raw is None and default is None:  # the ifs recipe's sample_depth
+                    params[name] = min(params["depth"] + 4, 12)
+                    continue
+                floating = isinstance(default, float)
+                try:
+                    value = float(raw) if floating else int(raw)
+                except (TypeError, ValueError, OverflowError):
+                    value = None
+                # int() would read true as 1 and cut 2.9 to 2; float() would read "nan" and "inf"
+                if value is None or isinstance(raw, bool) or (isinstance(raw, float) and not floating) \
+                        or (floating and not math.isfinite(value)):
+                    want = "a finite number" if floating else "an integer"
+                    raise ConfigError(f"params.{name} = {raw!r} is not {want}")
+                if least is not None and value < least:
+                    floors = " and ".join(f"{n} >= {row[1]}" for n, row in rows.items()
+                                          if row[1] is not None)
+                    raise ConfigError(f"{self.recipe} needs {floors}, got {name}={value}")
+                if largest is not None and value > largest:
+                    raise GuardError(f"params.{name}={value} exceeds the guard of {largest}")
+                params[name] = value
+            inputs = RunInputs(self, steps, strategy, **ifs, affine=affine, params=params)
+            return self._check_recipe(inputs, table)
         except ConfigError:
             raise
         except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
             prefix = {KeyError: "missing key ", ZeroDivisionError: "zero denominator: "}
             raise ConfigError(f"bad {where}: {prefix.get(type(exc), '')}{exc}") from None
 
-    def _check_recipe(self) -> None:
+    def _check_recipe(self, inputs: "RunInputs", table: BasisTable) -> "RunInputs":
         """The recipe's own inputs, the guards that bound two values together, the
-        fields its handler needs, and last a random strategy's seed."""
-        recipe = self.recipe
+        fields its handler needs, and last a random strategy's seed.  Returns inputs
+        with the reals a recipe reads from params and a trace's default pair added."""
+        recipe, steps, params = self.recipe, inputs.steps, inputs.params
         needs = self.record.needs
+        if recipe in ("rank", "pigeonhole"):
+            name = "values" if recipe == "rank" else "betas"
+            exprs = self.params.get(name) or (recipe == "rank" and self.steps)
+            if not exprs:
+                raise ConfigError(f"{recipe} needs params.{name}")
+            if not isinstance(exprs, (list, tuple)):
+                raise ConfigError(f"params.{name} must be a list of expressions, got {exprs!r}")
+            reals = steps.alphas if exprs is self.steps else \
+                parse_expressions(f"params.{name}", exprs, table)
+            params[name] = list(exprs), list(reals)
         if recipe == "rank":
-            self.reals("values", self.steps)
-            include_one = self.params.get("include_one", False)
+            include_one = params["include_one"] = self.params.get("include_one", False)
             if not isinstance(include_one, bool):
                 raise ConfigError(f"params.include_one must be true or false, got {include_one!r}")
-        if recipe == "pigeonhole":
-            betas = self.reals("betas")[1]
-            if self.n is not None:
-                check_k_space(self.param("m"), self.n, len(betas), self.bits)
-        if recipe == "orbit-box-lower" and self.steps is not None:
-            tolerance, bound = self.param("tolerance"), box_lower_bound(self.step_system().r)
+        if recipe == "pigeonhole" and self.n is not None:
+            check_k_space(params["m"], self.n, len(params["betas"][1]), self.bits)
+        if recipe == "orbit-box-lower" and steps is not None:
+            tolerance, bound = params["tolerance"], box_lower_bound(steps.r)
             if tolerance >= bound:
                 raise ConfigError(f"params.tolerance = {tolerance} must be below the bound "
                                   f"{bound} it loosens")
-        if recipe == "scaled-covering" and (k_max := self.param("k_max")) > COVER_BITS:
+        if recipe == "separation" and steps is not None and steps.r == 0:
+            raise ConfigError("reduced orbit undefined: all steps rational (r = 0)")
+        if recipe == "scaled-covering" and (k_max := params["k_max"]) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")
         if self.record.fills is not None and not (recipe == "boxdim" and self.ifs is not None):
@@ -289,61 +313,28 @@ class ExperimentConfig:
                                   f"got {len(self.steps)}")
             if self.n is not None:
                 guard_orbit_size(self.n, self.bits)
-                if recipe == "orbit" and self.steps is not None:  # results.csv's b_j columns
-                    guard_b_columns(self.step_system(), self.n)
-        if recipe == "ifs" and self.ifs is not None:
-            depth, sample_depth = self.ifs_depths()
-            guard_power(len(self.ifs), depth, MAX_CYLINDERS, "cylinders")
-            guard_power(len(self.ifs), sample_depth, MAX_SAMPLE_POINTS, "points")
-        if recipe == "boxdim" and self.ifs is not None:
-            guard_power(len(self.ifs), self.param("depth"), MAX_SAMPLE_POINTS, "points")
+                if recipe == "orbit" and steps is not None:  # results.csv's b_j columns
+                    guard_b_columns(steps, self.n)
+        if recipe == "ifs" and inputs.ifs is not None:
+            guard_power(inputs.ifs.ell, params["depth"], MAX_CYLINDERS, "cylinders")
+            guard_power(inputs.ifs.ell, params["sample_depth"], MAX_SAMPLE_POINTS, "points")
+        if recipe == "boxdim" and inputs.ifs is not None:
+            guard_power(inputs.ifs.ell, params["depth"], MAX_SAMPLE_POINTS, "points")
         if recipe in ("embed", "trace-ratio-bounds"):
+            if (self.ifs is None) != (self.ifs_f is None):
+                raise ConfigError("the embedding trace needs both ifs and ifs_f, or neither")
+            if self.ifs is None:
+                inputs = dataclasses.replace(inputs, ifs=parse_ifs(_CANTOR_THIRDS),
+                                             ifs_f=parse_ifs(_CANTOR_NINTHS))
             # the trace samples F and covers E once at this depth
-            (e_ifs, f_ifs), depth = self.embed_pair(), self.param("depth")
-            guard_power(e_ifs.ell, depth, MAX_CYLINDERS, "cylinders of E")
-            guard_power(f_ifs.ell, depth, MAX_SAMPLE_POINTS, "points of F")
+            guard_power(inputs.ifs.ell, params["depth"], MAX_CYLINDERS, "cylinders of E")
+            guard_power(inputs.ifs_f.ell, params["depth"], MAX_SAMPLE_POINTS, "points of F")
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise ConfigError(f"{recipe} needs {', '.join(missing)}")
         if (self.strategy or {}).get("type") == "random" and self.seed is None:
             raise ConfigError("random strategy requires a seed")
-
-    def param(self, name: str):
-        """params[name], defaulted, parsed and bounded by its row in the recipe's record."""
-        rows = self.record.params
-        default, least, largest = rows[name]
-        raw = self.params.get(name, default)
-        if raw is None and default is None:
-            return None
-        floating = isinstance(default, float)
-        try:
-            value = float(raw) if floating else int(raw)
-        except (TypeError, ValueError, OverflowError):
-            value = None
-        # int() would read true as 1 and cut 2.9 to 2; float() would read "nan" and "inf"
-        if value is None or isinstance(raw, bool) or (isinstance(raw, float) and not floating) \
-                or (floating and not math.isfinite(value)):
-            want = "a finite number" if floating else "an integer"
-            raise ConfigError(f"params.{name} = {raw!r} is not {want}")
-        if least is not None and value < least:
-            floors = " and ".join(f"{n} >= {row[1]}" for n, row in rows.items() if row[1] is not None)
-            raise ConfigError(f"{self.recipe} needs {floors}, got {name}={value}")
-        if largest is not None and value > largest:
-            raise GuardError(f"params.{name}={value} exceeds the guard of {largest}")
-        return value
-
-    def ifs_depths(self) -> tuple[int, int]:
-        """(depth, sample_depth) of the ifs kind: the SSC certificate's and the sample's."""
-        depth, sample_depth = self.param("depth"), self.param("sample_depth")
-        return depth, min(depth + 4, 12) if sample_depth is None else sample_depth
-
-    def embed_pair(self) -> tuple[SimilarIFS, SimilarIFS]:
-        """(E, F) of the embedding trace; the middle-thirds pair when neither is given."""
-        if (self.ifs is None) != (self.ifs_f is None):
-            raise ConfigError("the embedding trace needs both ifs and ifs_f, or neither")
-        if self.ifs is None:
-            return parse_ifs(_CANTOR_THIRDS), parse_ifs(_CANTOR_NINTHS)
-        return parse_ifs(self.ifs), parse_ifs(self.ifs_f)
+        return inputs
 
     def affine_map(self) -> tuple[Fraction, Fraction]:
         """(m, b) of the embedding x -> m x + b, read as parse_ifs reads a ratio; 1 and 0
@@ -361,32 +352,36 @@ class ExperimentConfig:
             for e in self.basis
         )
 
-    def step_system(self) -> StepSystem:
-        if self.steps is None:
-            raise ConfigError("config has no steps")
-        table = self.basis_table()
-        alphas = [parse_step_expression(expr, table) for expr in self.steps]
-        return build_step_system(alphas)
+    def step_system(self, table: BasisTable) -> StepSystem:
+        """The config's steps, read over table, with their integer expansion."""
+        return build_step_system(parse_expressions("steps", self.steps, table))
 
-    def strategy_object(self) -> Strategy:
-        if self.strategy is None:
-            raise ConfigError("config has no strategy")
-        return parse_strategy(self.strategy)
 
-    def reals(self, name: str, fallback=None) -> tuple[list[str], list[SymbolicReal]]:
-        """params[name], else fallback: expressions and their reals over the basis."""
-        exprs = self.params.get(name) or fallback
-        if not exprs:
-            raise ConfigError(f"{self.recipe} needs params.{name}")
-        if not isinstance(exprs, (list, tuple)):
-            raise ConfigError(f"params.{name} must be a list of expressions, got {exprs!r}")
-        table = self.basis_table()
-        return list(exprs), [parse_step_expression(e, table) for e in exprs]
+@dataclass(frozen=True)
+class RunInputs:
+    """What a recipe's handler runs on, each value parsed once by validate.  params
+    are the record's, defaulted and bounded, with values or betas as (exprs, reals)
+    and include_one where the recipe reads them."""
+    cfg: ExperimentConfig              # for n, bits, seed and scales
+    steps: StepSystem | None
+    strategy: Strategy | None
+    ifs: SimilarIFS | None             # E, or the only IFS
+    ifs_f: SimilarIFS | None           # F; a trace given neither gets the default pair
+    affine: tuple[Fraction, Fraction]  # (m, b)
+    params: dict
 
 
 # -- step expressions ---------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<label>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*]))")
+
+
+def parse_expressions(name: str, exprs, table: BasisTable) -> list[SymbolicReal]:
+    """The expressions of the config list name, each read over table."""
+    for i, expr in enumerate(exprs):
+        if not isinstance(expr, str):
+            raise ConfigError(f"{name}[{i}] must be a string expression, got {expr!r}")
+    return [parse_step_expression(expr, table) for expr in exprs]
 
 
 def parse_step_expression(expr: str, table: BasisTable) -> SymbolicReal:

@@ -1,5 +1,9 @@
 """Experiment dispatch: run a validated config, emit CSV/JSON/SVG artifacts.
 
+Each handler runs on the `RunInputs` that `ExperimentConfig.validate`
+returned: its steps, strategy, IFSs, affine map and params are parsed
+there once, and no handler reads the config's fields again.
+
 Outputs are deterministic for a fixed config and seed: CSV files use LF
 line endings and fixed column orders, JSON summaries are key-sorted, and
 every file gets the mode the umask gives new files.  A run writes its
@@ -31,7 +35,7 @@ from ..ifs import attractor_sample, similarity_dimension, ssc_check
 from ..orbit.generate import generate_orbit, reduced_orbit, tau_discrepancy
 from ..orbit.io import write_orb1, write_orbit_csv
 from ..svgplot import loglog_svg
-from .config import ExperimentConfig, box_lower_bound, parse_ifs
+from .config import ExperimentConfig, box_lower_bound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -127,9 +131,10 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     """Fill in the recipe's defaults, validate once, run in a staging directory, then publish.
 
     validate checks the config the handler runs, so an input it refuses
-    ends the run before the stage exists.  The artifacts move into the
-    output directory, made if missing, only after the handler and the
-    summary have both succeeded.  A failed or interrupted run leaves no
+    ends the run before the stage exists, and the handler runs on the
+    RunInputs that validate returned, parsing nothing again.  The
+    artifacts move into the output directory, made if missing, only after
+    the handler and the summary have both succeeded.  A failed or interrupted run leaves no
     new directory and no artifact behind, and a directory that existed
     before the run keeps its contents.  A refused input is exit 2 and a
     guarded size exit 3, each with the reason as the summary's error.
@@ -138,9 +143,9 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
     stage = None
     try:
         cfg = cfg.with_defaults()
-        cfg.validate()
+        inputs = cfg.validate()
         stage = _make_stage(out)
-        summary, staged = globals()[cfg.record.handler](cfg, stage)
+        summary, staged = globals()[cfg.record.handler](inputs, stage)
         summary = _jsonable(summary)
         staged.append(write_summary(stage, summary))
         os.makedirs(out, exist_ok=True)
@@ -159,17 +164,16 @@ def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> RunResult:
 
 # -- kind handlers ---------------------------------------------------------------
 
-def _run_rank(cfg, out):
-    exprs, reals = cfg.reals("values", cfg.steps)
-    include_one = cfg.params.get("include_one", False)
+def _run_rank(inputs, out):
+    (exprs, reals), include_one = inputs.params["values"], inputs.params["include_one"]
     rank = rank_span(reals, include_one)
     rows = [[i, e] for i, e in enumerate(exprs)]
     csv = write_csv(out, "results.csv", ["index", "expression"], rows)
     return {"kind": "rank", "rank": rank, "include_one": include_one, "count": len(exprs)}, [csv]
 
 
-def _run_independence(cfg, out):
-    steps = cfg.step_system()
+def _run_independence(inputs, out):
+    steps = inputs.steps
     vplus = qplus_independent_mod1(steps)
     vq = q_independent_mod1(steps)
     rows = [
@@ -193,14 +197,14 @@ def _witness_str(w):
     return ";".join(map(_fraction_text, w or ()))
 
 
-def _orbit(cfg):
-    """(steps, orbit) of the config's orbit fields."""
-    steps = cfg.step_system()
-    return steps, generate_orbit(steps, cfg.strategy_object(), cfg.n, cfg.bits, cfg.seed)
+def _orbit(inputs):
+    """The orbit of the config's orbit fields."""
+    cfg = inputs.cfg
+    return generate_orbit(inputs.steps, inputs.strategy, cfg.n, cfg.bits, cfg.seed)
 
 
-def _run_orbit(cfg, out):
-    steps, orbit = _orbit(cfg)
+def _run_orbit(inputs, out):
+    steps, orbit = inputs.steps, _orbit(inputs)
     # tau before the CSV: the n-byte compares it frees raise glibc's dynamic
     # mmap threshold above results.csv's chunk buffers, which then come from
     # the heap.  At n = 10**6, tau after the CSV cost 53000 more page faults
@@ -224,22 +228,22 @@ def _run_orbit(cfg, out):
     return summary, [csv_path, orb_path]
 
 
-def _points_for_boxdim(cfg):
-    if cfg.ifs is not None:
-        depth = cfg.param("depth")
-        ifs = parse_ifs(cfg.ifs)
+def _points_for_boxdim(inputs):
+    ifs = inputs.ifs
+    if ifs is not None:
+        depth = inputs.params["depth"]
         return bx.CirclePoints.from_grid(*ifs.line_sample(depth)), {
             "source": "ifs", "depth": depth, "points": ifs.ell ** depth,
         }
-    orbit = _orbit(cfg)[1]
+    orbit = _orbit(inputs)
     return bx.CirclePoints.from_orbit(orbit), {
         "source": "orbit", "n": orbit.n, "strategy": orbit.strategy_descriptor,
     }
 
 
-def _run_boxdim(cfg, out):
-    points, meta = _points_for_boxdim(cfg)
-    k_min, k_max = cfg.scales
+def _run_boxdim(inputs, out):
+    points, meta = _points_for_boxdim(inputs)
+    k_min, k_max = inputs.cfg.scales
     profile = bx.covering_profile(points, k_min, k_max)
     est = bx.box_dim_estimate(profile)
     summary = {
@@ -266,9 +270,9 @@ def _write_profile(out, profile):
     return [csv, svg]
 
 
-def _run_pigeonhole(cfg, out):
-    betas = [x.value() for x in cfg.reals("betas")[1]]
-    m = cfg.param("m")
+def _run_pigeonhole(inputs, out):
+    betas = [x.value() for x in inputs.params["betas"][1]]
+    m, cfg = inputs.params["m"], inputs.cfg
     res = pigeonhole_approx(betas, m, cfg.n, cfg.bits)
     rows = [[j, res.achieved[j], res.bound()] for j in range(res.r)]
     csv = write_csv(out, "results.csv", ["j", "achieved", "bound"], rows)
@@ -280,22 +284,21 @@ def _run_pigeonhole(cfg, out):
     return summary, [csv]
 
 
-def _run_separation(cfg, out):
-    red = reduced_orbit(_orbit(cfg)[1])  # no reference keeps the orbit past this call
-    report = kxn_separation(red.top64(), cfg.param("k_min"), cfg.param("k_max"))
+def _run_separation(inputs, out):
+    red = reduced_orbit(_orbit(inputs))  # no reference keeps the orbit past this call
+    report = kxn_separation(red.top64(), inputs.params["k_min"], inputs.params["k_max"])
     rows = [[row.k, row.sup_norm, row.n_argmax] for row in report.rows]
     csv = write_csv(out, "results.csv", ["k", "sup_norm", "n_argmax"], rows)
     summary = {
-        "kind": "diophantine", "op": "separation", "n": cfg.n,
+        "kind": "diophantine", "op": "separation", "n": inputs.cfg.n,
         "flagged_below_one_fifth": report.flagged(),
         "shift_index": red.shift_index, "shift_amount": red.shift_amount,
     }
     return summary, [csv]
 
 
-def _run_ifs(cfg, out):
-    ifs = parse_ifs(cfg.ifs)
-    depth, sample_depth = cfg.ifs_depths()
+def _run_ifs(inputs, out):
+    ifs, depth, sample_depth = inputs.ifs, inputs.params["depth"], inputs.params["sample_depth"]
     cert = ssc_check(ifs, depth)
     dim = similarity_dimension(ifs.ratios())
     sample = attractor_sample(ifs, sample_depth)
@@ -315,10 +318,9 @@ def _run_ifs(cfg, out):
     return summary, [csv]
 
 
-def _run_embed(cfg, out):
-    e_ifs, f_ifs = cfg.embed_pair()
-    m, b = cfg.affine_map()
-    n_max, depth = cfg.param("n_max"), cfg.param("depth")
+def _run_embed(inputs, out):
+    e_ifs, f_ifs, (m, b) = inputs.ifs, inputs.ifs_f, inputs.affine
+    n_max, depth = inputs.params["n_max"], inputs.params["depth"]
     inst = build_instance(e_ifs, f_ifs, m, b, coding_len=max(n_max, 8))
     trace = sn_sequence(inst, n_max, depth)
     rows = [[e.n, e.i_n, e.s_n, e.ratio, e.lower_ok, e.upper_ok] for e in trace.entries]
@@ -346,10 +348,10 @@ def _run_embed(cfg, out):
 
 # -- verify recipes ----------------------------------------------------------------
 
-def _verify_scaled_covering(cfg, out):
-    trials, max_points = cfg.param("trials"), cfg.param("max_points")
-    p_max, k_max = cfg.param("p_max"), cfg.param("k_max")
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
+def _verify_scaled_covering(inputs, out):
+    trials, max_points = inputs.params["trials"], inputs.params["max_points"]
+    p_max, k_max = inputs.params["p_max"], inputs.params["k_max"]
+    rng = np.random.default_rng(inputs.cfg.seed or 0)
     violations = 0
     checked = 0
     rows = []
@@ -372,9 +374,9 @@ def _verify_scaled_covering(cfg, out):
     return summary, [csv]
 
 
-def _verify_difference_dense(cfg, out):
-    k = cfg.param("k")
-    orbit = _orbit(cfg)[1]
+def _verify_difference_dense(inputs, out):
+    k = inputs.params["k"]
+    orbit = _orbit(inputs)
     pts = bx.CirclePoints.from_orbit(orbit)
     diff = bx.difference_set(pts, cell_k=k)
     total = 1 << k
@@ -398,11 +400,10 @@ def _verify_difference_dense(cfg, out):
     return summary, [csv]
 
 
-def _verify_orbit_box_lower(cfg, out):
-    tolerance = cfg.param("tolerance")
-    steps, orbit = _orbit(cfg)
+def _verify_orbit_box_lower(inputs, out):
+    tolerance, steps, orbit = inputs.params["tolerance"], inputs.steps, _orbit(inputs)
     pts = bx.CirclePoints.from_orbit(orbit)
-    profile = bx.covering_profile(pts, *cfg.scales)
+    profile = bx.covering_profile(pts, *inputs.cfg.scales)
     est = bx.box_dim_estimate(profile)
     bound = box_lower_bound(steps.r)
     ok = est.lower_est >= float(bound) - tolerance
@@ -419,8 +420,8 @@ def _verify_orbit_box_lower(cfg, out):
     return summary, _write_profile(out, profile)
 
 
-def _verify_trace_ratio_bounds(cfg, out):
-    summary, artifacts = _run_embed(cfg, out)
+def _verify_trace_ratio_bounds(inputs, out):
+    summary, artifacts = _run_embed(inputs, out)
     summary = {
         "kind": "verify-theorem", "theorem": "trace-ratio-bounds",
         "s_values": summary["s_values"],
@@ -431,8 +432,8 @@ def _verify_trace_ratio_bounds(cfg, out):
     return summary, artifacts
 
 
-def _verify_dimension_threshold(cfg, out):
-    ell_max, lam_max = cfg.param("ell_max"), cfg.param("lam_max")
+def _verify_dimension_threshold(inputs, out):
+    ell_max, lam_max = inputs.params["ell_max"], inputs.params["lam_max"]
     rows = []
     ok = True
     for ell in range(2, ell_max + 1):

@@ -468,6 +468,25 @@ def test_scaled_covering_sides_match_brute_force():
                 assert res.holds == (res.lhs <= res.rhs)
 
 
+def test_scaled_covering_points_one_grid_step_from_an_interval_end():
+    """Points one 2**-60 step either side of the end of the interval [0, delta]:
+    both sides are the brute-force covers on the full 60-bit grid, so a check
+    that read the points on a coarser grid would merge the two."""
+    mod = 1 << bx.COVER_BITS
+    for k in (1, 4, 12, 30, 59):
+        delta = mod >> k
+        grid = [0, delta - 1, delta + 1]
+        shift = np.uint64(bx.BITS - bx.COVER_BITS)
+        points = bx.CirclePoints(np.array(grid, dtype=np.uint64) << shift)
+        for p in (1, 2, 3):
+            if p >= 1 << k:
+                continue
+            pa = sorted({p * a % mod for a in grid})
+            res = bx.scaled_covering_check(points, p, k)
+            assert (res.lhs, res.rhs) == (brute_force_cover(pa, p * delta, mod),
+                                          brute_force_cover(grid, delta, mod)), (k, p, res)
+
+
 def test_scaled_covering_examples():
     # A = {0, 1/2}, p = 2: pA = {0}, 1 <= 2
     res = bx.scaled_covering_check(pts_of(0, F(1, 2)), 2, 4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 import dataclasses
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multirot.cli import config as config_module
 from multirot.cli.config import RECIPES, ExperimentConfig, parse_ifs, parse_step_expression
 from multirot.cli.main import main
 from multirot.cli import runner
@@ -539,7 +541,7 @@ def test_one_run_validates_once(tmp_path, capsys, monkeypatch):
 
     def counted(cfg):
         calls.append(cfg)
-        validate(cfg)
+        return validate(cfg)
 
     monkeypatch.setattr(ExperimentConfig, "validate", counted)
     path = write_config(tmp_path, {**ORBIT_CONFIG, "out_dir": str(tmp_path / "o")})
@@ -563,6 +565,61 @@ def test_main_verify_bad_params_json(tmp_path, capsys):
 
 IFS_CANTOR = [{"ratio": "1/3", "shift": "0"}, {"ratio": "1/3", "shift": "2/3"}]
 ORBIT_PART = {"seed": 1, "steps": ["sqrt2", "sqrt3"], "strategy": {"type": "random"}, "n": 100}
+PAIR = {"n_max": 4, "depth": 3}
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "rank", "steps": ["sqrt2", "1/3"]},
+    {"kind": "independence", "steps": ["sqrt2", "sqrt3"]},
+    {"kind": "orbit", **ORBIT_PART},
+    {"kind": "boxdim", **ORBIT_PART, "scales": [2, 6]},
+    {"kind": "boxdim", "ifs": IFS_CANTOR, "scales": [2, 6], "params": {"depth": 6}},
+    {"kind": "diophantine", "n": 3, "params": {"betas": ["sqrt2"]}},
+    {"kind": "diophantine", **ORBIT_PART, "params": {"op": "separation", "k_max": 4}},
+    {"kind": "ifs", "ifs": IFS_CANTOR, "params": {"depth": 3}},
+    {"kind": "embed", "params": PAIR},
+    {"kind": "embed", "ifs": IFS_CANTOR, "params": PAIR,
+     "ifs_f": [{"ratio": "1/9", "shift": shift} for shift in ("0", "8/9")]},
+    {"kind": "verify-theorem", "params": {"theorem": "scaled-covering", "trials": 2, "k_max": 4}},
+    {"kind": "verify-theorem", **ORBIT_PART, "params": {"theorem": "difference-dense", "k": 6}},
+    {"kind": "verify-theorem", **ORBIT_PART, "scales": [2, 6],
+     "params": {"theorem": "orbit-box-lower"}},
+    {"kind": "verify-theorem", "params": {"theorem": "trace-ratio-bounds", **PAIR}},
+    {"kind": "verify-theorem", "params": {"theorem": "dimension-threshold", "ell_max": 3}},
+])
+def test_one_run_parses_each_field_once(tmp_path, monkeypatch, config):
+    """validate parses each field once, and the handler runs on what it returned:
+    no parser or config reader is called after validate."""
+    calls, validated = [], []
+
+    def watch(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            assert not validated, f"{name} called after validate"
+            calls.append((name, repr(args[0]) if name == "parse_ifs" else None))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("build_step_system", "parse_strategy", "parse_ifs", "parse_step_expression"):
+        watch(config_module, name)
+    for name in ("basis_table", "step_system", "affine_map"):
+        watch(ExperimentConfig, name)
+    validate = ExperimentConfig.validate
+
+    def validate_then_seal(cfg):
+        inputs = validate(cfg)
+        validated.append(cfg)
+        return inputs
+
+    monkeypatch.setattr(ExperimentConfig, "validate", validate_then_seal)
+    result = run_config(ExperimentConfig.from_dict({**config, "out_dir": str(tmp_path / "o")}))
+    assert result.exit_code == 0, result.summary
+    assert len(validated) == 1
+    once = ("build_step_system", "parse_strategy", "basis_table", "parse_ifs")
+    counts = Counter(call for call in calls if call[0] in once)
+    assert counts and max(counts.values()) == 1, counts
 
 
 @pytest.mark.parametrize("config", [
@@ -936,6 +993,18 @@ def _without(config, key):
     return {k: v for k, v in config.items() if k != key}
 
 
+def test_separation_of_rational_steps_refused_before_the_orbit(tmp_path, capsys, monkeypatch):
+    """All steps rational (r = 0) leave the reduced orbit undefined; at n = 10**7 the
+    orbit took 0.41 s and 198 MB before the handler refused it."""
+    monkeypatch.setattr(runner, "generate_orbit", _unreachable)
+    path = write_config(tmp_path, {**SEPARATION, "steps": ["1/2", "1/3"], "n": 10**7,
+                                   "out_dir": str(tmp_path / "o")})
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "reduced orbit undefined" in err, err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 # One step past what a symbol byte holds; a random word over them once ended
 # in a uint8 ValueError and a traceback.
 STEPS_256 = [f"sqrt2 + {i}/{1000 + i}" for i in range(MAX_ELL + 1)]
@@ -1071,6 +1140,12 @@ def test_one_map_ifs_depth_guard(tmp_path, capsys, monkeypatch, route, depth):
      "unknown rank params keys: ['betas']"),
     ({**SEPARATION, "params": {"op": "separation", "theorem": "x"}},
      "unknown separation params keys: ['theorem']"),
+    # an expression that is not a string, once a TypeError from the tokenizer
+    ({**ORBIT_CONFIG, "steps": [1, "sqrt3"]}, "steps[0] must be a string expression, got 1"),
+    ({"kind": "diophantine", "n": 10, "params": {"betas": [{"x": 1}]}},
+     "params.betas[0] must be a string expression, got {'x': 1}"),
+    ({"kind": "rank", "params": {"values": ["sqrt2", 2.5]}},
+     "params.values[1] must be a string expression, got 2.5"),
 ])
 def test_nested_config_keys_and_leaves_are_read_not_coerced(tmp_path, capsys, monkeypatch,
                                                              config, message):
