@@ -12,9 +12,13 @@ caller gives: they are read off the cyclic autocorrelation of the
 on every call.  Grid counts are the primary estimator (they differ from
 minimal interval covers by at most a factor of 2, which does not move
 dimension estimates); minimal covers are computed exactly, only where the
-scaled-covering inequality demands them, by an int64 numpy kernel: one
-greedy sweep, plus pointer doubling over every anchor when no gap longer
-than the interval fixes one.
+scaled-covering inequality demands them, by an int64 numpy kernel that
+takes one point set and many interval lengths: the set's doubled array and
+largest gap are built once, and each length costs one greedy sweep, plus
+pointer doubling over every anchor when no gap longer than the interval
+fixes one.  `scaled_covering_checks` makes every check of one set in one
+pass: one truncation to the cover grid, one kernel call for all right-hand
+sides, and per p one sort of pA and one kernel call for its left-hand sides.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -225,52 +229,60 @@ def difference_set(points: CirclePoints, cell_k: int) -> DifferenceSet:
 
 # -- exact minimal interval covers ---------------------------------------------
 
-def _minimal_cover(v: np.ndarray, delta: int, mod: int) -> int:
-    """Minimal number of closed length-delta intervals covering v on Z/mod.
+def _minimal_covers(v: np.ndarray, deltas: Iterable[int], mod: int) -> list[int]:
+    """Minimal numbers of closed length-delta intervals covering v on Z/mod, one per delta.
 
-    v: sorted distinct int64 in [0, mod), with 2*mod + delta <= 2**63 so
-    that every sum below is exact.  An optimal cover exists with every
-    interval anchored at a point, the greedy sweep from the right anchor is
-    optimal, and the sweep from any anchor needs at most one interval more.
-    On the doubled array w = v ++ (v + mod), the greedy jump nxt[i] is the
-    first index the interval at w[i] leaves uncovered.  One sweep along nxt
-    runs from the point after the largest circular gap; when that gap
-    exceeds delta the point must be an anchor and the sweep is optimal.
-    Otherwise the sweep's count c is the optimum or one more, and nxt is
-    lifted to its (c-1)-th power by pointer doubling to ask whether any
-    anchor s reaches s + n in c - 1 jumps.
+    v: sorted distinct int64 in [0, mod), with 2*mod + delta <= 2**63 for
+    every delta so that every sum below is exact.  An optimal cover exists
+    with every interval anchored at a point, the greedy sweep from the right
+    anchor is optimal, and the sweep from any anchor needs at most one
+    interval more.  The doubled array w = v ++ (v + mod), the circular gaps,
+    the largest gap and the circle cut open there are built once for all
+    deltas.  Per delta, on w, the greedy jump nxt[i] is the first index the
+    interval at w[i] leaves uncovered.  One sweep along nxt runs from the
+    point after the largest gap; when that gap exceeds delta the point must
+    be an anchor and the sweep is optimal.  Otherwise the sweep's count c is
+    the optimum or one more, and nxt is lifted to its (c-1)-th power by
+    pointer doubling to ask whether any anchor s reaches s + n in c - 1 jumps.
     """
     n = v.size
     if n == 1:
-        return 1
+        return [1 for _ in deltas]
     w = np.concatenate((v, v + mod))
     gaps = w[1:n + 1] - v
     g = int(gaps.argmax())
-    if gaps[g] > delta:
-        u = w[g + 1:g + 1 + n]  # the circle cut open at that gap
-        return _sweep(u.searchsorted(u + delta, side="right"), n)
-    nxt = w.searchsorted(w + delta, side="right")
-    count = _sweep(nxt, n)
-    if count == 1:
-        return 1
-    # count - 1 <= min(n, ceil(mod / delta)), so the doublings are at most
-    # that bound's bit length.
-    up = np.append(nxt, 2 * n)  # index 2n is absorbing
-    pos = np.arange(n)
-    e = count - 1
-    while True:
-        if e & 1:
-            pos = up[pos]
-        e >>= 1
-        if not e:
-            break
-        up = up[up]
-    return count - 1 if np.count_nonzero(pos >= np.arange(n, 2 * n)) else count
+    largest = int(gaps[g])
+    del gaps
+    u = w[g + 1:g + 1 + n]  # the circle cut open at that gap
+    counts = []
+    for delta in deltas:
+        if largest > delta:
+            counts.append(_sweep(u.searchsorted(u + delta, side="right"), n))
+            continue
+        nxt = w.searchsorted(w + delta, side="right")
+        count = _sweep(nxt, n)
+        if count > 1:
+            # count - 1 <= min(n, ceil(mod / delta)), so the doublings are
+            # at most that bound's bit length.
+            up = np.append(nxt, 2 * n)  # index 2n is absorbing
+            del nxt  # the doublings below peak with two copies of up alive
+            pos = np.arange(n)
+            e = count - 1
+            while True:
+                if e & 1:
+                    pos = up[pos]
+                e >>= 1
+                if not e:
+                    break
+                up = up[up]
+            count -= bool(np.count_nonzero(pos >= np.arange(n, 2 * n)))
+        counts.append(count)
+    return counts
 
 
 def _sweep(nxt: np.ndarray, n: int) -> int:
     """Jumps along nxt from index 0 until it reaches index n."""
-    jump = nxt.tolist()
+    jump = nxt[:n].tolist()  # the sweep reads no index past n - 1
     pos = count = 0
     while pos < n:
         pos = jump[pos]
@@ -313,7 +325,7 @@ def minimal_cover_count(vals: np.ndarray, delta: int, mod: int = 1 << COVER_BITS
         v = _distinct(np.sort(v))
     if v[0] < 0 or v[-1] >= mod:
         raise UsageError(f"cover values must lie in [0, {mod})")
-    return _minimal_cover(v, delta, mod)
+    return _minimal_covers(v, (delta,), mod)[0]
 
 
 @dataclass(frozen=True)
@@ -332,19 +344,61 @@ def scaled_covering_check(points: CirclePoints, p: int, k: int) -> ScaledCoverin
     grid the points are truncated to (all subsequent arithmetic is exact on
     that grid).
     """
-    if not 1 <= k <= COVER_BITS:
-        raise UsageError(f"k={k} is outside [1, {COVER_BITS}], the precision of exact covers")
+    _check_cover_scale(k)
     if p < 1:
         raise UsageError("p must be a positive integer")
     if p >= (1 << k):
         raise UsageError("need p * 2**-k < 1")
-    a = points.cells(COVER_BITS)  # sorted and distinct; pA needs its one sort
-    pa = (a.view(np.uint64) * np.uint64(p)) & np.uint64((1 << COVER_BITS) - 1)
-    pa.sort()
+    a = points.cells(COVER_BITS)
     delta = 1 << (COVER_BITS - k)
     rhs = minimal_cover_count(a, delta)
-    lhs = minimal_cover_count(_distinct(pa).view(np.int64), p * delta)
+    lhs = minimal_cover_count(_scaled(a, p), p * delta)
     return ScaledCoveringCheck(p, k, lhs, rhs, lhs <= rhs)
+
+
+def scaled_covering_checks(points: CirclePoints, p_max: int,
+                           k_max: int) -> Iterator[ScaledCoveringCheck]:
+    """scaled_covering_check(points, p, k) for 1 <= k <= k_max and 1 <= p <= p_max
+    with p < 2**k, in the order of k, then p.
+
+    The points are truncated to the 60-bit grid once, and the k_max right-hand
+    sides come from one kernel call.  Each p sorts pA once and takes its
+    left-hand sides at every k it is checked at from one kernel call, so one
+    pA array is alive at a time.  All covers are computed before this
+    returns; the checks are then made one at a time from the table of
+    left-hand sides, so a caller that keeps none of them holds
+    O(n + p_max * k_max) memory.
+    """
+    _check_cover_scale(k_max)
+    if p_max < 1:
+        raise UsageError("p_max must be a positive integer")
+    a = points.cells(COVER_BITS)
+    mod = 1 << COVER_BITS
+    rhs = [0, *_minimal_covers(a, [mod >> k for k in range(1, k_max + 1)], mod)]
+    p_top = min(p_max, (1 << k_max) - 1)
+    lhs = np.zeros((k_max + 1, p_top + 1), dtype=np.int64)  # lhs[k, p] = N_{p 2**-k}(pA)
+    for p in range(1, p_top + 1):
+        p_ks = range(p.bit_length(), k_max + 1)  # p < 2**k
+        lhs[p_ks.start:, p] = _minimal_covers(_scaled(a, p), [p * (mod >> k) for k in p_ks], mod)
+
+    def checks():
+        for k in range(1, k_max + 1):
+            row = lhs[k].tolist()
+            for p in range(1, min(p_top, (1 << k) - 1) + 1):
+                yield ScaledCoveringCheck(p, k, row[p], rhs[k], row[p] <= rhs[k])
+    return checks()
+
+
+def _check_cover_scale(k: int) -> None:
+    if not 1 <= k <= COVER_BITS:
+        raise UsageError(f"k={k} is outside [1, {COVER_BITS}], the precision of exact covers")
+
+
+def _scaled(a: np.ndarray, p: int) -> np.ndarray:
+    """pA mod 2**COVER_BITS, sorted and distinct, for a on that grid."""
+    pa = (a.view(np.uint64) * np.uint64(p)) & np.uint64((1 << COVER_BITS) - 1)
+    pa.sort()
+    return _distinct(pa).view(np.int64)
 
 
 # -- gaps and interval evidence -------------------------------------------------

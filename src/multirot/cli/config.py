@@ -75,7 +75,7 @@ RECIPES = {
     "embed": {"embed": Recipe("_run_embed", _TRACE)},
     "verify-theorem": {
         "scaled-covering": Recipe("_verify_scaled_covering", {
-            "trials": (1000, 1, 10**5),       # about 12 ms a trial at the default sizes
+            "trials": (1000, 1, 10**5),       # about 2 ms a trial at the default sizes
             "max_points": (256, 1, 1 << 16),  # a trial's set size is drawn from 1..max_points
             "p_max": (16, 1, 1024),           # a trial makes up to k_max * p_max checks
             "k_max": (12, 1, None),           # at most COVER_BITS, the covers' precision
@@ -196,6 +196,11 @@ class ExperimentConfig:
         fill = (self.record and self.record.fills) or {}
         return dataclasses.replace(self, **{k: v for k, v in fill.items() if getattr(self, k) is None})
 
+    @property
+    def builds_orbit(self) -> bool:
+        """Whether the handler generates an orbit from steps, strategy and n."""
+        return self.record.fills is not None and not (self.recipe == "boxdim" and self.ifs is not None)
+
     def validate(self) -> "RunInputs":
         """Parse every field the recipe reads, once, into the RunInputs its handler runs on.
 
@@ -222,7 +227,11 @@ class ExperimentConfig:
             where = "basis"
             table = self.basis_table()
             where = "steps"
-            steps = None if self.steps is None else self.step_system(table)
+            steps = step_reals = None
+            if self.steps is not None and (self.builds_orbit or "steps" in self.record.needs):
+                steps = self.step_system(table)
+            elif self.steps is not None:  # reals alone: rank reads them when values are absent
+                step_reals = parse_expressions("steps", self.steps, table)
             where = "strategy"
             strategy = None if self.strategy is None else parse_strategy(self.strategy)
             ifs = {}
@@ -267,16 +276,18 @@ class ExperimentConfig:
                     raise GuardError(f"params.{name}={value} exceeds the guard of {largest}")
                 params[name] = value
             inputs = RunInputs(self, steps, strategy, **ifs, affine=affine, params=params)
-            return self._check_recipe(inputs, table)
+            return self._check_recipe(inputs, table, step_reals)
         except ConfigError:
             raise
         except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
             prefix = {KeyError: "missing key ", ZeroDivisionError: "zero denominator: "}
             raise ConfigError(f"bad {where}: {prefix.get(type(exc), '')}{exc}") from None
 
-    def _check_recipe(self, inputs: "RunInputs", table: BasisTable) -> "RunInputs":
+    def _check_recipe(self, inputs: "RunInputs", table: BasisTable,
+                      step_reals: list[SymbolicReal] | None) -> "RunInputs":
         """The recipe's own inputs, the guards that bound two values together, the
-        fields its handler needs, and last a random strategy's seed.  Returns inputs
+        fields its handler needs, and last a random strategy's seed.  step_reals are
+        the reals of steps where the recipe builds no step system.  Returns inputs
         with the reals a recipe reads from params and a trace's default pair added."""
         recipe, steps, params = self.recipe, inputs.steps, inputs.params
         needs = self.record.needs
@@ -287,7 +298,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{recipe} needs params.{name}")
             if not isinstance(exprs, (list, tuple)):
                 raise ConfigError(f"params.{name} must be a list of expressions, got {exprs!r}")
-            reals = steps.alphas if exprs is self.steps else \
+            reals = step_reals if exprs is self.steps else \
                 parse_expressions(f"params.{name}", exprs, table)
             params[name] = list(exprs), list(reals)
         if recipe == "rank":
@@ -306,7 +317,7 @@ class ExperimentConfig:
         if recipe == "scaled-covering" and (k_max := params["k_max"]) > COVER_BITS:
             raise ConfigError(f"params.k_max = {k_max} exceeds the {COVER_BITS}-bit "
                               "precision of exact covers")
-        if self.record.fills is not None and not (recipe == "boxdim" and self.ifs is not None):
+        if self.builds_orbit:
             needs += ("steps", "strategy", "n")
             if self.steps is not None and len(self.steps) > MAX_ELL:
                 raise ConfigError(f"{recipe} takes at most {MAX_ELL} steps (one byte a symbol), "
@@ -363,7 +374,7 @@ class RunInputs:
     are the record's, defaulted and bounded, with values or betas as (exprs, reals)
     and include_one where the recipe reads them."""
     cfg: ExperimentConfig              # for n, bits, seed and scales
-    steps: StepSystem | None
+    steps: StepSystem | None           # for the orbit recipes and independence
     strategy: Strategy | None
     ifs: SimilarIFS | None             # E, or the only IFS
     ifs_f: SimilarIFS | None           # F; a trace given neither gets the default pair

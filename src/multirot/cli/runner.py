@@ -358,13 +358,11 @@ def _verify_scaled_covering(inputs, out):
     for t in range(trials):
         size = int(rng.integers(1, max_points + 1))
         pts = bx.CirclePoints(rng.integers(0, 1 << 63, size=size, dtype=np.int64).astype(np.uint64) << np.uint64(1))
-        for k in range(1, k_max + 1):
-            for p in range(1, min(p_max, (1 << k) - 1) + 1):
-                res = bx.scaled_covering_check(pts, p, k)
-                checked += 1
-                if not res.holds:
-                    violations += 1
-                    rows.append([t, p, k, res.lhs, res.rhs])
+        for res in bx.scaled_covering_checks(pts, p_max, k_max):
+            checked += 1
+            if not res.holds:
+                violations += 1
+                rows.append([t, res.p, res.k, res.lhs, res.rhs])
     csv = write_csv(out, "results.csv", ["trial", "p", "k", "lhs", "rhs"], rows)
     summary = {
         "kind": "verify-theorem", "theorem": "scaled-covering",

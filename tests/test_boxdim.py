@@ -299,16 +299,23 @@ def test_minimal_cover_matches_brute_force():
         assert got == want, (vals, delta, got, want)
 
 
-def test_minimal_cover_pure_python_fallback():
-    """The numpy kernel, called directly on sorted distinct int64 values, agrees too."""
+def test_minimal_covers_match_brute_force_at_every_delta():
+    """The numpy kernel, called directly on sorted distinct int64 values with many
+    deltas in shuffled order, gives each delta's own minimal_cover_count and
+    brute-force cover; the largest gap and its neighbours are among the deltas."""
     rng = random.Random(8)
     mod = 1 << 14
     for _ in range(60):
         n = rng.randint(1, 10)
         vals = sorted(set(rng.randrange(mod) for _ in range(n)))
-        delta = rng.randint(1, mod // 2)
-        got = bx._minimal_cover(np.array(vals, dtype=np.int64), delta, mod)
-        assert got == brute_force_cover(vals, delta, mod)
+        v = np.array(vals, dtype=np.int64)
+        gap = _max_gap(vals, mod)
+        deltas = [rng.randint(1, mod // 2) for _ in range(5)] + [gap - 1, gap, gap + 1]
+        deltas = [min(max(d, 1), mod) for d in deltas]
+        rng.shuffle(deltas)
+        got = bx._minimal_covers(v, deltas, mod)
+        assert got == [bx.minimal_cover_count(v, d, mod) for d in deltas], (vals, deltas)
+        assert got == [brute_force_cover(vals, d, mod) for d in deltas], (vals, deltas)
 
 
 def _max_gap(vals, mod):
@@ -487,6 +494,37 @@ def test_scaled_covering_points_one_grid_step_from_an_interval_end():
                                           brute_force_cover(grid, delta, mod)), (k, p, res)
 
 
+def _one_check_at_a_time(points, p_max, k_max):
+    return [bx.scaled_covering_check(points, p, k)
+            for k in range(1, k_max + 1) for p in range(1, min(p_max, (1 << k) - 1) + 1)]
+
+
+def test_scaled_covering_checks_match_the_single_checks():
+    """The batch gives scaled_covering_check's result for every (p, k) the recipe
+    checks, in the order of k, then p, skipping p >= 2**k."""
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        n = int(rng.integers(1, 257))
+        points = bx.CirclePoints(rng.integers(0, 1 << 63, n).astype(np.uint64) << np.uint64(1))
+        p_max, k_max = int(rng.integers(1, 21)), int(rng.integers(1, 13))
+        assert list(bx.scaled_covering_checks(points, p_max, k_max)) == \
+            _one_check_at_a_time(points, p_max, k_max), (n, p_max, k_max)
+
+
+@pytest.mark.parametrize("points, p_max, k_max", [
+    (pts_of(F(1, 3)), 16, 12),                              # a single point
+    (pts_of(*[F(i, 8) for i in range(8)]), 8, 6),           # every gap is 2**-3 = 2 * 2**-4
+    (pts_of(0, F(1, 8), F(1, 4), F(1, 2)), 4, 5),          # largest gap 1/2 = delta at k = 1
+    (pts_of(0, F(1, 2)), 3, 4),                             # p = 2 collapses pA to {0}
+    (pts_of(0, F(1, 2**60), F(3, 2**60), F(1, 3)), 1, 60),  # p = 1 up to k = 59 and 60
+    (pts_of(F(1, 5), F(2, 7), F(5, 9)), 1024, 3),           # p_max >= 2**k at every k
+])
+def test_scaled_covering_checks_special_sets(points, p_max, k_max):
+    checks = list(bx.scaled_covering_checks(points, p_max, k_max))
+    assert checks == _one_check_at_a_time(points, p_max, k_max)
+    assert all(res.holds for res in checks)
+
+
 def test_scaled_covering_examples():
     # A = {0, 1/2}, p = 2: pA = {0}, 1 <= 2
     res = bx.scaled_covering_check(pts_of(0, F(1, 2)), 2, 4)
@@ -499,6 +537,8 @@ def test_scaled_covering_examples():
 def test_scaled_covering_precondition():
     with pytest.raises(UsageError):
         bx.scaled_covering_check(pts_of(0), 16, 4)
+    with pytest.raises(UsageError, match="p_max"):
+        bx.scaled_covering_checks(pts_of(0), 0, 4)
 
 
 @pytest.mark.parametrize("k", [-1, 0, bx.COVER_BITS + 1])
@@ -506,6 +546,8 @@ def test_scaled_covering_scale_outside_the_cover_precision(k):
     """k = 61 used to end in a raw ValueError from a negative shift count."""
     with pytest.raises(UsageError, match=f"k={k} is outside"):
         bx.scaled_covering_check(pts_of(0), 1, k)
+    with pytest.raises(UsageError, match=f"k={k} is outside"):
+        bx.scaled_covering_checks(pts_of(0), 1, k)
 
 
 def test_scaled_covering_holds_on_random_sets():

@@ -265,6 +265,21 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
     assert "rank = 3" in out
 
 
+def test_rank_reads_steps_as_it_reads_values(tmp_path, capsys):
+    """rank reads only the reals, so steps over a basis entry declared rational
+    give the summary the same expressions give as params.values."""
+    basis = [{"label": "a", "value": "0." + "7" * 60, "irrational": False}]
+    summaries = []
+    for i, fields in enumerate(({"steps": ["a", "1/3"]}, {"params": {"values": ["a", "1/3"]}})):
+        out = tmp_path / f"o{i}"
+        path = write_config(tmp_path, {"kind": "rank", "basis": basis, "out_dir": str(out),
+                                       **fields}, name=f"c{i}.json")
+        assert main(["run", path]) == 0, capsys.readouterr().err
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["rank"] == 2
+
+
 def test_main_bad_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, {"kind": "nope"})
     assert main(["run", path]) == 2
@@ -620,6 +635,8 @@ def test_one_run_parses_each_field_once(tmp_path, monkeypatch, config):
     once = ("build_step_system", "parse_strategy", "basis_table", "parse_ifs")
     counts = Counter(call for call in calls if call[0] in once)
     assert counts and max(counts.values()) == 1, counts
+    if config["kind"] == "rank":  # rank reads the reals of its steps alone
+        assert counts["build_step_system", None] == 0, counts
 
 
 @pytest.mark.parametrize("config", [
