@@ -72,7 +72,13 @@ class CirclePoints:
 
     @classmethod
     def from_orbit(cls, orbit) -> "CirclePoints":
-        return cls(orbit.top64())
+        """The orbit's points at 64 bits.  `top64` is a fresh column, so it is
+        sorted in place and kept, with no sorted copy beside it."""
+        top = orbit.top64()
+        top.sort()
+        points = cls.__new__(cls)
+        points.values = _distinct(top)
+        return points
 
     @classmethod
     def from_unit_reals(cls, fracs: Iterable[Fraction], rescale: bool = False) -> "CirclePoints":

@@ -205,6 +205,7 @@ def _orbit(inputs):
 
 def _run_orbit(inputs, out):
     steps, orbit = inputs.steps, _orbit(inputs)
+    orbit.points  # the limb array, built once here: both writers and final_point_hex read it
     # tau before the CSV: the n-byte compares it frees raise glibc's dynamic
     # mmap threshold above results.csv's chunk buffers, which then come from
     # the heap.  At n = 10**6, tau after the CSV cost 53000 more page faults

@@ -9,6 +9,11 @@ limbs per point, most significant limb first.  Values are left-aligned:
 row k holds v_k << (64 L - bits).  So column 0 is the 64-bit truncation
 of every point whatever bits is, and a sum of left-aligned values mod
 2**(64 L) is the left-aligned sum mod 2**bits.
+
+A word's points come from one routine, `limb_chunks`, one chunk of rows
+at a time: `accumulate` gathers them into the (n+1, L) array, and `top64`
+keeps only column 0, so a reader of the 64-bit truncation never holds the
+other limbs.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ import numpy as np
 
 from . import table
 
-_LOW32 = np.uint64(0xFFFFFFFF)
-_THIRTY_TWO = np.uint64(32)
+_ONES = np.uint64(2**64 - 1)
 
 
 def fp_from_fraction(x: Fraction, bits: int) -> int:
@@ -34,34 +38,65 @@ def limbs(bits: int) -> int:
     return -(-bits // 64)
 
 
-def accumulate(omega: np.ndarray, step_values, bits: int) -> np.ndarray:
-    """x_0 = 0 and x_k = x_{k-1} + step_values[omega[k-1] - 1] mod 2**bits, k = 1..n.
+def limb_chunks(omega: np.ndarray, step_values, bits: int):
+    """x_0 = 0 and x_k = x_{k-1} + step_values[omega[k-1] - 1] mod 2**bits, chunk by chunk.
 
-    omega holds symbols 1..ell and step_values one B-bit integer per
-    symbol; the result is the (n+1, L) limb array.  Every step's `pack`
-    limbs are split into 32-bit sub-limbs, which np.cumsum adds up in place
-    one chunk of `table.CHUNK_ROWS` rows at a time, starting from the
-    previous chunk's last row.  A chunk's sub-limb sums stay below
-    (CHUNK_ROWS + 1) * 2**32, far from overflow; the carries then go up from
-    the least significant sub-limb, one contiguous row of a transposed copy
-    each, and the carry out of the top one is dropped (mod 2**bits).
+    Yields (s, e, rows) for each `table.chunk_bounds(len(omega))` chunk, rows
+    being the (L, e - s) limb-major array of x_{s+1}..x_e.  Each chunk
+    starts from the previous chunk's last row, so only one chunk of limbs
+    exists at a time.  Whole 64-bit limbs are summed by np.cumsum, least
+    significant first, which wraps mod 2**64.  The carry into a limb at row
+    k is 0 or 1, so the limb's addend at row k is its step limb plus that
+    carry, at most 2**64; the limb carries out at row k when its running
+    value falls below row k-1's, or when the addend is 2**64 (an all-ones
+    step limb plus a carry in), which wraps to 0 and leaves the running
+    value where it was.  The carry out of the top limb is dropped (mod
+    2**bits).
     """
-    n, L = len(omega), limbs(bits)
-    subs = 2 * L
-    sub_limbs = pack(step_values, bits).astype(">u8").view(">u4").astype(np.uint64)
-    out = np.zeros((n + 1, L), dtype=np.uint64)
-    last = np.zeros((subs, 1), dtype=np.uint64)
-    for s, e in table.chunk_bounds(n):
-        acc = sub_limbs[omega[s:e] - 1]
-        np.cumsum(acc, axis=0, out=acc)
-        acc = acc.T.copy()  # (subs, rows): each carry step reads and writes contiguous rows
-        acc += last
-        for j in range(subs - 1, 0, -1):
-            acc[j - 1] += acc[j] >> _THIRTY_TWO
-            acc[j] &= _LOW32
-        acc[0] &= _LOW32
-        last = acc[:, -1:]
-        out[s + 1:e + 1] = ((acc[0::2] << _THIRTY_TWO) | acc[1::2]).T
+    L = limbs(bits)
+    # column 0 is a zero step, so the symbols 1..ell index the table as they are
+    steps = np.zeros((L, len(step_values) + 1), dtype=np.uint64)
+    steps[:, 1:] = pack(step_values, bits).T
+    # only a limb with an all-ones step limb can take an addend of 2**64
+    full = (steps == _ONES).any(axis=1).tolist()
+    last = np.zeros(L, dtype=np.uint64)
+    for s, e in table.chunk_bounds(len(omega)):
+        acc = np.empty((L, e - s + 1), dtype=np.uint64)  # column 0: the previous chunk's last row
+        acc[:, 0] = last
+        # mode="clip" lets take write into the strided out unbuffered; no symbol is out of range
+        np.take(steps, omega[s:e], axis=1, out=acc[:, 1:], mode="clip")
+        wrapped = None
+        for j in range(L - 1, -1, -1):
+            limb = acc[j]
+            if j < L - 1:
+                limb[1:] += carry
+                wrapped = carry & (limb[1:] == 0) if full[j] else None
+            np.cumsum(limb, out=limb)
+            if j:
+                carry = limb[1:] < limb[:-1]
+                if wrapped is not None:
+                    carry |= wrapped
+        last = acc[:, -1].copy()
+        yield s, e, acc[:, 1:]
+
+
+def accumulate(omega: np.ndarray, step_values, bits: int) -> np.ndarray:
+    """The (n+1, L) limb array of the points `limb_chunks` yields, x_0 = 0 first.
+
+    omega holds symbols 1..ell and step_values one B-bit integer per symbol.
+    """
+    out = np.zeros((len(omega) + 1, limbs(bits)), dtype=np.uint64)
+    for s, e, rows in limb_chunks(omega, step_values, bits):
+        out[s + 1:e + 1] = rows.T
+    return out
+
+
+def top64(omega: np.ndarray, step_values, bits: int) -> np.ndarray:
+    """accumulate(omega, step_values, bits)[:, 0], the points' 64-bit truncations,
+    without the (n+1, L) array: an (n+1,) uint64 column filled chunk by chunk."""
+    out = np.zeros(len(omega) + 1, dtype=np.uint64)
+    for s, e, rows in limb_chunks(omega, step_values, bits):
+        out[s + 1:e + 1] = rows[0]
     return out
 
 

@@ -2,22 +2,27 @@
 
 Points are B-bit fixed-point fractions: each step adds a pre-rounded step
 image exactly mod 2**B, so the accumulated error after n steps is at most
-n * 2**(-B+2) (stored on the orbit).  Orbits and reduced orbits store their
-points as (n+1, ceil(B/64)) uint64 limb arrays (`multirot.fixedpoint`).
-Every strategy yields a word, which `fixedpoint.accumulate` sums into the
-points in numpy, as it sums the reduced orbit.  The greedy strategy picks
-each symbol from the last point in a Python loop over ints: one byte per
-dyadic cell scores each candidate, and only in a cell that an end of the
-forbidden interval cuts does a masked compare test the candidate itself.
-The counting sequences N_i(k) and b_j(k) = sum_i p_ij N_i(k) are never
-held per point: `count_chunks` computes them one chunk of rows at a time
-from the previous chunk's last row, as `fixedpoint.accumulate` carries
-points.  Completed orbits are immutable and safe to share.
+n * 2**(-B+2) (stored on the orbit).  An orbit is its word: it stores the
+symbols and the B-bit value each symbol adds, and no points, and so does
+a reduced orbit.  `fixedpoint.limb_chunks` sums a word into points one
+chunk at a time.  `top64()` keeps only each chunk's top limb, a fresh
+(n+1,) uint64 column, which is all that box counting, difference sets and
+the separation diagnostic read; the (n+1, ceil(B/64)) uint64 limb array
+(`Orbit.points`, `ReducedOrbit.xtilde`) is built on first use, which only
+the orbit export makes.  The greedy strategy picks each symbol from the
+last point in a Python loop over ints: one byte per dyadic cell scores
+each candidate, and only in a cell that an end of the forbidden interval
+cuts does a masked compare test the candidate itself.  The counting
+sequences N_i(k) and b_j(k) = sum_i p_ij N_i(k) are never held per point:
+`count_chunks` computes them one chunk of rows at a time from the previous
+chunk's last row, as `fixedpoint.limb_chunks` carries points.  Completed
+orbits are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import floor
 
@@ -30,13 +35,16 @@ from ..table import chunk_bounds
 from .steps import StepSystem
 from .strategies import GreedyAvoid, Strategy
 
-# Points take 8 * ceil(B/64) bytes each: 160 MB at the guard for 128 bits,
-# and no more at any B.  accumulate carries 2 * ceil(B/64) sub-limb columns
-# one by one, a cost bytes do not show: n = 10 at B = 2**22 ran past 100 s.
-# At n = 10**7 and 128 bits, a random word, each recipe in a process of its
-# own (2-core x86_64, Python 3.11, numpy 2.4): the orbit recipe peaked at
-# 209 MB in 4.5-4.7 s, the separation recipe (k_max = 100) at 361 MB in
-# 1.2-1.5 s.
+# The orbit recipe's limb array takes 8 * ceil(B/64) bytes a point: 160 MB
+# at the guard for 128 bits, and no more at any B.  The analysis recipes
+# hold a 64-bit column and at most one sorted copy, 16 bytes a point.
+# limb_chunks carries ceil(B/64) limb columns one at a time, a cost bytes do
+# not show: accumulate took 0.25 s for n = 10 at B = 2**22.  At n = 10**7
+# and 128 bits, seed 1, each recipe in a process of its own (2-core x86_64,
+# Python 3.11, numpy 2.4, ru_maxrss): the orbit recipe (a random word)
+# peaked at 210 MB in 3.9-4.2 s, the separation recipe (k_max = 100) at
+# 211 MB in 0.6 s, difference-dense (k = 12) and greedy orbit-box-lower at
+# 220 MB.
 MAX_ORBIT_N = 10**7
 MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
 MAX_ORBIT_BITS = 1 << 16
@@ -98,7 +106,7 @@ class Orbit:
     steps: StepSystem
     bits: int
     omega: np.ndarray            # shape (n,), uint8 symbols 1..ell
-    points: np.ndarray           # (n+1, ceil(bits/64)) uint64 limbs, x_0 = 0
+    fp_steps: tuple[int, ...]    # the B-bit step values, one per symbol
     strategy_descriptor: str
     seed: int | None
     error_bound: Fraction        # n * 2**(-bits+2)
@@ -111,9 +119,15 @@ class Orbit:
     def ell(self) -> int:
         return self.steps.ell
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The (n+1, ceil(bits/64)) uint64 limb array, x_0 = 0, built on first use."""
+        return fixedpoint.accumulate(self.omega, self.fp_steps, self.bits)
+
     def top64(self) -> np.ndarray:
-        """Points truncated to 64-bit fixed point (uint64): a view of the first limb."""
-        return self.points[:, 0]
+        """Points truncated to 64-bit fixed point: a fresh (n+1,) uint64 column
+        streamed from the word, equal to points[:, 0]."""
+        return fixedpoint.top64(self.omega, self.fp_steps, self.bits)
 
     def point(self, k: int) -> int:
         """x_k as a B-bit integer."""
@@ -220,13 +234,12 @@ def generate_orbit(
         omega = _greedy_symbols(strategy, fp_steps, n, bits)
     else:
         omega = strategy.materialize(n, steps.ell, rng)
-    points = fixedpoint.accumulate(omega, fp_steps, bits)
 
     return Orbit(
         steps=steps,
         bits=bits,
         omega=omega,
-        points=points,
+        fp_steps=fp_steps,
         strategy_descriptor=strategy.descriptor(),
         seed=seed,
         error_bound=Fraction(n, 1 << (bits - 2)),
@@ -320,16 +333,23 @@ def tau_discrepancy(
 
 @dataclass(frozen=True, eq=False)
 class ReducedOrbit:
-    xtilde: np.ndarray                   # limb array, same bits and shape as the source orbit
+    omega: np.ndarray                    # the source orbit's word
+    deltas: tuple[int, ...]              # the B-bit increment of each symbol
     bits: int
     shift_index: int                     # r0 (0-based)
     shift_amount: int                    # M
     betas_star: tuple[Fraction, ...]
     qstar: tuple[Fraction, ...]
 
+    @cached_property
+    def xtilde(self) -> np.ndarray:
+        """The limb array of x~, same bits and shape as the source orbit's points."""
+        return fixedpoint.accumulate(self.omega, self.deltas, self.bits)
+
     def top64(self) -> np.ndarray:
-        """x~ truncated to 64-bit fixed point (uint64): a view of the first limb."""
-        return self.xtilde[:, 0]
+        """x~ truncated to 64-bit fixed point: a fresh (n+1,) uint64 column
+        streamed from the word, equal to xtilde[:, 0]."""
+        return fixedpoint.top64(self.omega, self.deltas, self.bits)
 
 
 def reduced_orbit(orbit: Orbit, shift_index: int | None = None) -> ReducedOrbit:
@@ -366,10 +386,10 @@ def reduced_orbit(orbit: Orbit, shift_index: int | None = None) -> ReducedOrbit:
     for i in range(steps.ell):
         d = sum((Fraction(steps.p[i][j]) * betas_star[j] for j in range(steps.r)), Fraction(0))
         deltas.append(fp_from_fraction(d, bits))
-    xtilde = fixedpoint.accumulate(orbit.omega, deltas, bits)
 
     return ReducedOrbit(
-        xtilde=xtilde,
+        omega=orbit.omega,
+        deltas=tuple(deltas),
         bits=bits,
         shift_index=shift_index,
         shift_amount=shift_amount,

@@ -11,7 +11,7 @@ import random
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, isqrt, log
+from math import ceil, isqrt, lcm, log
 from operator import itemgetter
 
 import numpy as np
@@ -54,40 +54,47 @@ def brute_force_qplus_witness(
 ) -> tuple[Fraction, ...] | None:
     """Search t in Q_+^ell (numerators, denominators <= bounds) with
     sum t_i alpha_i an exact integer; meet-in-the-middle on the raw
-    coefficient vectors, independent of the expansion machinery."""
+    coefficient vectors, independent of the expansion machinery.
+
+    Every grid value is an integer over the grid's common denominator
+    `den`, and every alpha's coefficients and rational part are integers
+    over `scale`, so each partial sum is one integer vector: its
+    coefficients, then its rational part mod den * scale (the part mod 1).
+    """
     table = alphas[0].table
     labels = sorted({l for a in alphas for l in a.coeffs}, key=table.order)
-    vecs = [tuple(a.coeffs.get(l, Fraction(0)) for l in labels) for a in alphas]
-    q0s = [a.q0 for a in alphas]
-    ell = len(alphas)
     grid = _fraction_grid(max_num, max_den)
+    den = lcm(*(t.denominator for t in grid))
+    scale = lcm(*(c.denominator for a in alphas for c in (a.q0, *a.coeffs.values())))
+    mod = den * scale
+    nums = [t.numerator * (den // t.denominator) for t in grid]
+    # terms[i][g]: grid[g] * alpha_i, times den * scale
+    terms = [
+        [tuple(num * int(c * scale) for c in (*(a.coeffs.get(l, 0) for l in labels), a.q0))
+         for num in nums]
+        for a in alphas
+    ]
+    ell = len(alphas)
     half = ell // 2
 
-    def accumulate(ts, idx0):
-        vec = tuple(
-            sum((t * vecs[idx0 + i][j] for i, t in enumerate(ts)), Fraction(0))
-            for j in range(len(labels))
-        )
-        q = sum((t * q0s[idx0 + i] for i, t in enumerate(ts)), Fraction(0))
-        return vec, q
+    def accumulate(idx, idx0):
+        *vec, q = (sum(col) for col in zip(*(terms[idx0 + i][g] for i, g in enumerate(idx))))
+        return tuple(vec), q % mod
 
     left_nonzero: dict = {}
-    for ts in product(grid, repeat=half):
-        if not any(ts):
+    for idx in product(range(len(grid)), repeat=half):
+        if not any(idx):  # grid[0] is 0
             continue
-        vec, q = accumulate(ts, 0)
-        key = (vec, q % 1)
-        left_nonzero.setdefault(key, ts)
+        left_nonzero.setdefault(accumulate(idx, 0), idx)
 
-    zero_vec = tuple(Fraction(0) for _ in labels)
-    for ts in product(grid, repeat=ell - half):
-        vec, q = accumulate(ts, half)
-        if any(ts) and vec == zero_vec and q % 1 == 0:
-            return tuple([Fraction(0)] * half) + ts
-        need = (tuple(-v for v in vec), (-q) % 1)
-        match = left_nonzero.get(need)
+    zero_vec = (0,) * len(labels)
+    for idx in product(range(len(grid)), repeat=ell - half):
+        vec, q = accumulate(idx, half)
+        if any(idx) and vec == zero_vec and q == 0:
+            return tuple([Fraction(0)] * half) + tuple(grid[g] for g in idx)
+        match = left_nonzero.get((tuple(-v for v in vec), -q % mod))
         if match is not None:
-            return match + ts
+            return tuple(grid[g] for g in match + idx)
     return None
 
 

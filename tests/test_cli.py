@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -250,6 +251,41 @@ def test_verify_difference_dense_small(tmp_path):
     result = run_config(cfg)
     assert result.exit_code == 0
     assert result.summary["pass"] is True
+
+
+# The orbit-analysis recipes of the benchmark, at 128 bits.  Each reads only
+# the word or the 64-bit column, so none may hold the (n+1, 2) limb array,
+# 16 bytes a point, beside the column and its sorted copy.
+ANALYSIS_RECIPES = {
+    "orbit-box-lower": dict(kind="verify-theorem", scales=(6, 14),
+                            strategy={"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"},
+                            params={"theorem": "orbit-box-lower"}),
+    "difference-dense": dict(kind="verify-theorem", strategy={"type": "random"},
+                             params={"theorem": "difference-dense", "k": 12}),
+    "separation": dict(kind="diophantine", strategy={"type": "random"},
+                       params={"op": "separation", "k_min": 1, "k_max": 100}),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(ANALYSIS_RECIPES))
+def test_orbit_analysis_peaks_below_24_bytes_a_point(tmp_path, recipe):
+    """tracemalloc's peak over one run at n = 2**17: about 18-20 bytes a point, and
+    36 when the limb array was built.  A run at n = 1000 first loads what the
+    recipe imports on first use, which would count as a fixed cost."""
+    def config(n, out):
+        return ExperimentConfig(out_dir=str(tmp_path / out), seed=1, steps=("sqrt2", "sqrt3"),
+                                n=n, bits=128, **ANALYSIS_RECIPES[recipe])
+
+    assert run_config(config(1000, "warm")).exit_code == 0
+    n = 1 << 17
+    tracemalloc.start()
+    try:
+        code = run_config(config(n, "o")).exit_code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 24 * n, f"{recipe}: {peak / n:.1f} bytes a point"
 
 
 # -- command line ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The limb-array point layout and the one accumulation routine.
 
-`fixedpoint.accumulate` builds word orbits and reduced orbits; these tests
-hold it to the big-int loop it replaced (`helpers.reference_word_orbit`),
-exactly, and to an exact `Fraction` recomputation of sum_i N_i(k) alpha_i,
-within the orbit's error bound.  Chunks of 7 rows make small orbits cross
+`fixedpoint.limb_chunks` sums the points of word orbits and reduced orbits,
+as the limb array `accumulate` and as the top-limb column `top64`; these
+tests hold both to the big-int loop they replaced
+(`helpers.reference_word_orbit`), exactly, and to an exact `Fraction`
+recomputation of sum_i N_i(k) alpha_i, within the orbit's error bound.  Chunks of 7 rows make small orbits cross
 several chunk edges.
 """
 
@@ -66,17 +67,51 @@ def test_accumulate_matches_big_int_loop(data, bits, ell, n):
     assert [to_int(row, bits) for row in got] == want
     assert np.array_equal(got, pack(want, bits))
     assert np.array_equal(got[:, 0], np.array([v >> (bits - 64) for v in want], dtype=np.uint64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "CHUNK_ROWS", CHUNK)
+        assert np.array_equal(fixedpoint.top64(omega, values, bits), got[:, 0])
 
 
 @pytest.mark.parametrize("bits", BITS)
 def test_accumulate_full_chunks_of_all_ones(bits):
-    """The largest sub-limb sums a default-size chunk can reach, across three chunk edges."""
+    """All-ones steps carry out of every limb, over full default-size chunks and three edges."""
     n = 3 * table.CHUNK_ROWS + 5
     omega = np.ones(n, dtype=np.uint8)
     omega[::3] = 2
     values = [(1 << bits) - 1, (1 << bits) - (1 << 31)]
     got = fixedpoint.accumulate(omega, values, bits)
     assert [to_int(row, bits) for row in got] == reference_word_orbit(omega, values, bits)
+
+
+ONES = (1 << 64) - 1
+
+
+def from_limbs(limb_values, bits: int) -> int:
+    """The B-bit integer whose left-aligned limbs are limb_values, its pad bits dropped."""
+    v = 0
+    for limb in limb_values:
+        v = (v << 64) | limb
+    return v >> (64 * len(limb_values) - bits)
+
+
+@pytest.mark.parametrize("bits", [192, 200, 256, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_accumulate_carries_through_all_ones_limbs(monkeypatch, bits, seed):
+    """An all-ones step limb that takes a carry in adds 2**64: the limb's running
+    value wraps back to itself, and it must still carry out."""
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    L = limbs(bits)
+    rng = np.random.default_rng(seed)
+    values = [
+        from_limbs([int(rng.integers(0, 1 << 62))] + [ONES] * (L - 1), bits),  # all-ones limbs below a random top
+        from_limbs([ONES] * L, bits),                                            # 2**bits - 1
+        from_limbs([0] * (L - 1) + [ONES], bits),                                # carries out of the lowest limb
+        from_limbs([int(x) for x in rng.integers(0, 1 << 63, size=L, dtype=np.int64)], bits),
+    ]
+    omega = rng.integers(1, 5, size=6 * CHUNK + 3, dtype=np.uint8)
+    got = fixedpoint.accumulate(omega, values, bits)
+    assert [to_int(row, bits) for row in got] == reference_word_orbit(omega, values, bits)
+    assert np.array_equal(fixedpoint.top64(omega, values, bits), got[:, 0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,14 +156,14 @@ def test_periodic_and_greedy_points_are_the_sums_of_their_words(monkeypatch, bit
 
 
 @pytest.mark.parametrize("bits, nbytes", [(64, 8), (65, 16), (128, 16), (256, 32)])
-def test_points_are_limb_arrays_and_top64_is_a_view(bits, nbytes):
+def test_points_are_limb_arrays_and_top64_is_a_fresh_column(bits, nbytes):
     steps = make_steps(2)
     orbit = generate_orbit(steps, RandomSymbols(), 1000, bits, seed=4)
     assert orbit.points.dtype == np.uint64 and orbit.points.nbytes == nbytes * 1001
     red = reduced_orbit(orbit)
     for seq, top in ((orbit.points, orbit.top64()), (red.xtilde, red.top64())):
         assert top.dtype == np.uint64 and top.shape == (1001,)
-        assert np.shares_memory(top, seq)
+        assert not np.shares_memory(top, seq)
         assert np.array_equal(top, seq[:, 0])
     assert all(int(orbit.top64()[k]) == orbit.point(k) >> (bits - 64) for k in range(0, 1001, 97))
 

@@ -421,7 +421,7 @@ def cell_windows(data, bits, cell_bits):
        n=st.integers(1, 6 * CHUNK))
 def test_greedy_matches_the_tuple_ranked_loop(data, bits, system, cell_bits, interval, n):
     """Every symbol and every limb of the greedy orbit, across chunk edges of 7 rows;
-    1000 bits sums 32 sub-limb columns, so the carries cross many limbs."""
+    1000 bits sums 16 limb columns, so the carries cross many limbs."""
     ends = st.fractions(0, 1, max_denominator=16).filter(lambda f: f < 1)
     if interval in ("empty", "plain", "wrapped", "degenerate"):
         a, b = sorted([data.draw(ends), data.draw(ends)])
