@@ -63,8 +63,9 @@ class CirclePoints:
         """
         top = (1 << BITS) - 1
         if rescale:
-            lo = min(xs)
-            span = max(max(xs) - lo, 1)  # a zero span leaves every x - lo at 0
+            # an empty xs reaches the constructor, which refuses it
+            lo = min(xs, default=0)
+            span = max(max(xs, default=0) - lo, 1)  # a zero span leaves every x - lo at 0
             vals = ((x - lo) * top // span for x in xs)
         else:
             vals = (((x << BITS) // q) & top for x in xs)

@@ -5,24 +5,24 @@ image exactly mod 2**B, so the accumulated error after n steps is at most
 n * 2**(-B+2) (stored on the orbit).  An orbit is its word: it stores the
 symbols and the B-bit value each symbol adds, and no points, and so does
 a reduced orbit.  `fixedpoint.limb_chunks` sums a word into points one
-chunk at a time.  `top64()` keeps only each chunk's top limb, a fresh
-(n+1,) uint64 column, which is all that box counting, difference sets and
-the separation diagnostic read; the (n+1, ceil(B/64)) uint64 limb array
-(`Orbit.points`, `ReducedOrbit.xtilde`) is built on first use, which only
-the orbit export makes.  The greedy strategy picks each symbol from the
-last point in a Python loop over ints: one byte per dyadic cell scores
-each candidate, and only in a cell that an end of the forbidden interval
-cuts does a masked compare test the candidate itself.  The counting
-sequences N_i(k) and b_j(k) = sum_i p_ij N_i(k) are never held per point:
-`count_chunks` computes them one chunk of rows at a time from the previous
-chunk's last row, as `fixedpoint.limb_chunks` carries points.  Completed
-orbits are immutable and safe to share.
+chunk at a time, and no recipe holds an (n+1, ceil(B/64)) limb array.
+`top64()` keeps only each chunk's top limb, a fresh (n+1,) uint64 column,
+which is all that box counting, difference sets and the separation
+diagnostic read; the orbit export writes each chunk as it is summed
+(`orbit.io`), and `Orbit.point(k)` is the exact sum of x_k's steps.
+The greedy strategy picks each symbol from the last point in a Python
+loop over ints: one byte per dyadic cell scores each candidate, and
+only in a cell that an end of the forbidden interval cuts does a masked
+compare test the candidate itself.  The counting sequences N_i(k) and
+b_j(k) = sum_i p_ij N_i(k) are never held per point: `count_chunks`
+computes them one chunk of rows at a time from the previous chunk's last
+row, as `fixedpoint.limb_chunks` carries points.  Completed orbits are
+immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import floor
 
@@ -35,16 +35,18 @@ from ..table import chunk_bounds
 from .steps import StepSystem
 from .strategies import GreedyAvoid, Strategy
 
-# The orbit recipe's limb array takes 8 * ceil(B/64) bytes a point: 160 MB
-# at the guard for 128 bits, and no more at any B.  The analysis recipes
-# hold a 64-bit column and at most one sorted copy, 16 bytes a point.
-# limb_chunks carries ceil(B/64) limb columns one at a time, a cost bytes do
-# not show: accumulate took 0.25 s for n = 10 at B = 2**22.  At n = 10**7
-# and 128 bits, seed 1, each recipe in a process of its own (2-core x86_64,
-# Python 3.11, numpy 2.4, ru_maxrss): the orbit recipe (a random word)
-# peaked at 210 MB in 3.9-4.2 s, the separation recipe (k_max = 100) at
-# 211 MB in 0.6 s, difference-dense (k = 12) and greedy orbit-box-lower at
-# 220 MB.
+# The guard bounds the orbit export's work and output, not a held array:
+# each writer sums ceil(B/64) limbs a point, one chunk at a time, and
+# results.csv takes (B + 3) // 4 hex digits a point and orbit.orb1 B / 8
+# bytes.  Every orbit recipe holds the word, one byte a point; the
+# analysis recipes also hold a 64-bit column and at most one sorted copy
+# of it, 16 bytes a point.  limb_chunks carries ceil(B/64) limb columns
+# one at a time, a cost bytes do not show: summing n = 10 at B = 2**22
+# took 0.25 s.  At n = 10**7 and 128 bits, seed 1, each recipe in a
+# process of its own (2-core x86_64, Python 3.11, numpy 2.4, VmHWM): the
+# orbit recipe (a random word) peaked at 56 MB in 2.9-3.4 s, the
+# separation recipe (k_max = 100) at 209 MB in 0.5 s, difference-dense
+# (k = 12) and greedy orbit-box-lower at 218 MB.
 MAX_ORBIT_N = 10**7
 MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
 MAX_ORBIT_BITS = 1 << 16
@@ -54,7 +56,8 @@ MAX_ELL = 255
 
 
 def guard_orbit_size(n: int, bits: int) -> None:
-    """GuardError past MAX_ORBIT_N points, MAX_ORBIT_BITS bits or MAX_ORBIT_BYTES of limbs."""
+    """GuardError past MAX_ORBIT_N points, MAX_ORBIT_BITS bits or MAX_ORBIT_BYTES of
+    limbs to sum."""
     size = (n + 1) * fixedpoint.limbs(bits) * 8
     for name, value, limit in (("orbit length n", n, MAX_ORBIT_N), ("orbit bits", bits, MAX_ORBIT_BITS),
                                (f"n={n}, bits={bits}: orbit limb bytes", size, MAX_ORBIT_BYTES)):
@@ -79,7 +82,7 @@ def _symbol_totals(omega: np.ndarray, ell: int) -> list[int]:
 
     One byte-wide compare per symbol: np.bincount would first copy the word
     to intp, 8n bytes, and took the orbit recipe's peak at n = 10**7 from
-    209 to 276 MB.
+    56 to 124 MB.
     """
     return [int(np.count_nonzero(omega == i)) for i in range(1, ell + 1)]
 
@@ -119,19 +122,17 @@ class Orbit:
     def ell(self) -> int:
         return self.steps.ell
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The (n+1, ceil(bits/64)) uint64 limb array, x_0 = 0, built on first use."""
-        return fixedpoint.accumulate(self.omega, self.fp_steps, self.bits)
-
     def top64(self) -> np.ndarray:
         """Points truncated to 64-bit fixed point: a fresh (n+1,) uint64 column
-        streamed from the word, equal to points[:, 0]."""
+        streamed from the word."""
         return fixedpoint.top64(self.omega, self.fp_steps, self.bits)
 
     def point(self, k: int) -> int:
-        """x_k as a B-bit integer."""
-        return fixedpoint.to_int(self.points[k], self.bits)
+        """x_k as a B-bit integer: (sum_i N_i(k) fp_steps[i]) mod 2**bits, exactly."""
+        if not 0 <= k <= self.n:
+            raise UsageError(f"point index {k} outside 0..{self.n}")
+        totals = _symbol_totals(self.omega[:k], self.ell)
+        return sum(c * v for c, v in zip(totals, self.fp_steps)) % (1 << self.bits)
 
     def point_fraction(self, k: int) -> Fraction:
         return Fraction(self.point(k), 1 << self.bits)
@@ -184,7 +185,7 @@ def _greedy_symbols(strategy: GreedyAvoid, fp_steps, n: int, bits: int) -> np.nd
     candidate's score is its cell's byte in `_score_table`, unless a window
     end cuts the cell (bit 2): then one masked compare tests the candidate
     itself.  The running best starts at 4, above every score, so some symbol
-    is always taken.  Only the symbols are kept: `fixedpoint.accumulate`
+    is always taken.  Only the symbols are kept: `fixedpoint.limb_chunks`
     sums them into the points, which are the x this loop stepped through.
     """
     mask = (1 << bits) - 1
@@ -341,14 +342,9 @@ class ReducedOrbit:
     betas_star: tuple[Fraction, ...]
     qstar: tuple[Fraction, ...]
 
-    @cached_property
-    def xtilde(self) -> np.ndarray:
-        """The limb array of x~, same bits and shape as the source orbit's points."""
-        return fixedpoint.accumulate(self.omega, self.deltas, self.bits)
-
     def top64(self) -> np.ndarray:
         """x~ truncated to 64-bit fixed point: a fresh (n+1,) uint64 column
-        streamed from the word, equal to xtilde[:, 0]."""
+        streamed from the word."""
         return fixedpoint.top64(self.omega, self.deltas, self.bits)
 
 

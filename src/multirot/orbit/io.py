@@ -5,15 +5,18 @@ u64 n, then n symbol bytes (1..ell), then n+1 points of bits/8 bytes each
 as unsigned fixed-point fractions.  bits must be a multiple of 8 and at
 least 64; `read_orb1` rejects a file whose body is not exactly that long.
 
-Both writers work in chunks of at most `table.CHUNK_BYTES` of output
-rows and `table.CHUNK_ROWS` rows (`table.chunk_bounds`), and both take
-the points' bytes from the limb array (`fixedpoint.point_bytes`).  A CSV
-chunk is one call of `table.encode_rows`, the single row encoder, and one
-write; row 0, whose omega cell is blank, is formatted on its own.  The
-chunk's count columns are computed with it (`generate.count_chunks`), so
-no per-point count array exists.  So the writers' temporaries stay near
-a megabyte per chunk at any bits
-(the `table.CHUNK_BYTES` comment has the measured peak).  The bytes of
+Neither writer holds the orbit's points.  Each sums them from the word
+with `fixedpoint.limb_chunks`, one chunk at a time, in chunks of at most
+`table.CHUNK_BYTES` of output rows and `table.CHUNK_ROWS` rows
+(`table.chunk_bounds`), and writes each chunk's bytes
+(`fixedpoint.point_bytes`) before the next is summed; row 0 is the zero
+point x_0.  A CSV chunk is one call of `table.encode_rows`, the single
+row encoder, and one write; row 0, whose omega cell is blank, is
+formatted on its own.  The chunk's count columns come from
+`generate.count_chunks` over the same chunks, so no per-point count
+array exists either.  So the writers' temporaries stay within a few
+megabytes per chunk at any bits, and the word is summed once per file
+(the `table.CHUNK_BYTES` comment has the measured cost).  The bytes of
 both files are the same as those of the row-by-row formatting they
 replace (`str(int(v))` per integer cell, `format(x, "0{(bits+3)//4}x")`
 per point); the tests compare against it.
@@ -39,8 +42,10 @@ def write_orb1(orbit: Orbit, path) -> None:
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, orbit.ell, orbit.steps.r, orbit.bits, orbit.n))
         fh.write(orbit.omega.tobytes())
-        for s, e in table.chunk_bounds(orbit.n + 1, orbit.bits // 8):
-            fh.write(fixedpoint.point_bytes(orbit.points[s:e], orbit.bits)[:, ::-1].tobytes())
+        fh.write(bytes(orbit.bits // 8))  # x_0 = 0
+        chunks = fixedpoint.limb_chunks(orbit.omega, orbit.fp_steps, orbit.bits, orbit.bits // 8)
+        for _, _, rows in chunks:
+            fh.write(fixedpoint.point_bytes(rows, orbit.bits)[:, ::-1].tobytes())
 
 
 def read_orb1(path) -> dict:
@@ -78,16 +83,18 @@ def write_orbit_csv(orbit: Orbit, path) -> None:
         + [f"N_{i+1}" for i in range(orbit.ell)]
         + [f"b_{j+1}" for j in range(steps.r)]
     )
-    # row 0 has no omega and every count 0; row k >= 1 carries omega_k = orbit.omega[k - 1]
-    first = ["0", "", format(orbit.point(0), f"0{(orbit.bits + 3) // 4}x")]
-    first += ["0"] * (orbit.ell + steps.r)
+    # row 0 has no omega, the zero point and every count 0; row k >= 1 carries
+    # omega_k = orbit.omega[k - 1]
+    first = ["0", "", "0" * ((orbit.bits + 3) // 4)] + ["0"] * (orbit.ell + steps.r)
     # at most 20 characters and a comma per integer cell
     row_bytes = (orbit.bits + 3) // 4 + 1 + 21 * (2 + orbit.ell + steps.r)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n" + ",".join(first) + "\n").encode("ascii"))
-        for s, e, counts in count_chunks(orbit.omega, range(1, orbit.ell + 1), row_bytes):
+        chunks = zip(count_chunks(orbit.omega, range(1, orbit.ell + 1), row_bytes),
+                     fixedpoint.limb_chunks(orbit.omega, orbit.fp_steps, orbit.bits, row_bytes))
+        for (s, e, counts), (_, _, rows) in chunks:
             b = [sum(col * row[j] for col, row in zip(counts, steps.p)) for j in range(steps.r)]
-            points = fixedpoint.point_bytes(orbit.points[s + 1:e + 1], orbit.bits)
+            points = fixedpoint.point_bytes(rows, orbit.bits)
             fh.write(table.encode_rows(
                 [np.arange(s + 1, e + 1), orbit.omega[s:e], (points, orbit.bits), *counts, *b]
             ))

@@ -42,11 +42,14 @@ from .errors import UsageError
 CHUNK_ROWS = 1 << 12
 # Row bytes per chunk for writers that give `chunk_bounds` a row width.
 # The CSV writer budgets a two-step 128-bit orbit row at 159 bytes, so it
-# keeps CHUNK_ROWS rows; at 65536 bits a chunk has 63 rows.  `multirot
-# run` of a random orbit at n = 19000 and 65536 bits then peaks at 329 MB,
-# the peak of generating the orbit, where 4096-row chunks took it to
-# 606 MB (same machine, a process of its own).
-CHUNK_BYTES = 1 << 20
+# keeps CHUNK_ROWS rows; at 65536 bits a chunk has 254 rows.  Each orbit
+# writer sums its chunk's ceil(B/64) limbs one at a time, so a wide
+# orbit's run time falls as its chunks grow and its peak rises.  For
+# `multirot run` of a random orbit at n = 19000 and 65536 bits (2-core
+# x86_64, Python 3.11, numpy 2.4, a process of its own, VmHWM), 1, 4 and
+# 16 MB chunks peaked at 46, 70-73 and 178 MB in 2.9-3.5, 1.7-2.0 and
+# 1.9-2.0 s: 4 MB runs as fast as 16 MB at well under half the peak.
+CHUNK_BYTES = 1 << 22
 
 # LUT4[v] is the ASCII of f"{v:04d}", HEX2[b] that of f"{b:02x}".  They are
 # built from small pieces: int64 temporaries of LUT4's size cost 1 MB of RSS.

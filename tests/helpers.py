@@ -18,7 +18,7 @@ import numpy as np
 
 from multirot.embedtrace import SnEntry, SnTrace
 from multirot.exact.symbolic import BasisEntry, BasisTable, SymbolicReal, builtin_table
-from multirot.fixedpoint import fp_from_fraction
+from multirot.fixedpoint import fp_from_fraction, limb_chunks, limbs
 from multirot.ifs import Ball, EmbeddingCheck
 from multirot.orbit import steps_from_values
 
@@ -312,8 +312,8 @@ def steps_with_negative_b():
 def reference_word_orbit(omega, step_values, bits: int) -> list[int]:
     """x_0 = 0, x_{k+1} = x_k + step_values[omega[k] - 1] mod 2**bits, one Python int a step.
 
-    This is the loop `fixedpoint.accumulate` replaced in `generate_orbit`
-    and `reduced_orbit`; the limb arrays must hold exactly these integers.
+    This is the loop `fixedpoint.limb_chunks` replaced in `generate_orbit`
+    and `reduced_orbit`; its limbs must hold exactly these integers.
     """
     mask = (1 << bits) - 1
     points = [0] * (len(omega) + 1)
@@ -329,7 +329,7 @@ def reference_greedy_orbit(strategy, step_values, n: int, bits: int) -> tuple[li
 
     This is the loop the integer-scored greedy loop of `generate_orbit`
     replaced, and it steps each point itself rather than summing the word
-    with `fixedpoint.accumulate`: the key (in_forb, new_cell, i) is
+    with `fixedpoint.limb_chunks`: the key (in_forb, new_cell, i) is
     minimized, with the forbidden test written out for plain (lo <= hi,
     empty when lo == hi) and wrapped (lo > hi) open intervals.
     """
@@ -417,15 +417,40 @@ def reference_reduced_differences(orbit, red) -> set[Fraction]:
     return {sum((int(c) * d for c, d in zip(row, shares)), Fraction(0)) % 1 for row in counts}
 
 
+# -- the library's points, gathered ---------------------------------------------------
+
+def gathered_points(omega, step_values, bits: int, row_bytes: int = 0) -> np.ndarray:
+    """The (n+1, L) point-major limb array of x_0 = 0 and of every chunk that
+    `fixedpoint.limb_chunks` yields.
+
+    Not an oracle: the library never holds this array, and the tests read
+    every point of an orbit through this one gather, which is cheaper than
+    `Orbit.point(k)` for each k.
+    """
+    chunks = [np.zeros((limbs(bits), 1), dtype=np.uint64)]
+    chunks += [rows for _, _, rows in limb_chunks(omega, step_values, bits, row_bytes)]
+    return np.concatenate(chunks, axis=1).T
+
+
+def limb_ints(points: np.ndarray, bits: int) -> list[int]:
+    """The B-bit integer of each row of an (m, L) point-major limb array."""
+    width = 8 * points.shape[1]
+    pad = width * 8 - bits
+    raw = np.ascontiguousarray(points, dtype=">u8").tobytes()
+    return [int.from_bytes(raw[i:i + width], "big") >> pad for i in range(0, len(raw), width)]
+
+
 # -- row-by-row orbit CSV ------------------------------------------------------------
 
 def reference_orbit_csv(orbit) -> bytes:
     """results.csv of an orbit formatted one row at a time with str() and format().
 
-    This is the writer the chunked column encoder replaced; the encoder
-    must reproduce its bytes exactly.
+    This is the writer the chunked column encoder replaced, its points
+    stepped by `reference_word_orbit`; the encoder must reproduce its
+    bytes exactly.
     """
     counts, bvec = reference_counts(orbit)
+    points = reference_word_orbit(orbit.omega, orbit.fp_steps, orbit.bits)
     width = (orbit.bits + 3) // 4
     header = (
         ["n", "omega", "x_hex"]
@@ -437,7 +462,7 @@ def reference_orbit_csv(orbit) -> bytes:
         row = [
             str(k),
             str(int(orbit.omega[k - 1])) if k else "",
-            format(orbit.point(k), f"0{width}x"),
+            format(points[k], f"0{width}x"),
         ]
         row += [str(int(v)) for v in counts[k]]
         row += [str(int(v)) for v in bvec[k]]

@@ -100,8 +100,13 @@ def test_cells_match_np_unique_at_every_scale():
 
 
 def test_covering_count_empty_set_errors():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="empty point set"):
         bx.CirclePoints(np.array([], dtype=np.uint64))
+    for rescale in (False, True):
+        with pytest.raises(UsageError, match="empty point set"):
+            bx.CirclePoints.from_grid([], 7, rescale)
+        with pytest.raises(UsageError, match="empty point set"):
+            bx.CirclePoints.from_unit_reals([], rescale)
 
 
 def test_scale_guard():

@@ -288,6 +288,29 @@ def test_orbit_analysis_peaks_below_24_bytes_a_point(tmp_path, recipe):
     assert peak < 24 * n, f"{recipe}: {peak / n:.1f} bytes a point"
 
 
+@pytest.mark.parametrize("bits", [128, 1000])
+def test_orbit_export_adds_below_4_bytes_a_point(tmp_path, bits):
+    """tracemalloc's peak over an `orbit` run grows by about 1 byte a point, the
+    word: each writer sums one chunk of points at a time.  The cached limb array
+    made it 17 bytes a point at 128 bits and 129 at 1000 bits.  The chunks'
+    temporaries are a fixed cost, so the slope is taken between n = 2**16 and
+    2**18, after a run at n = 1000 that loads what the recipe imports."""
+    def peak(n):
+        cfg = ExperimentConfig(kind="orbit", out_dir=str(tmp_path / str(n)), seed=1, n=n, bits=bits,
+                               steps=("sqrt2", "sqrt3"), strategy={"type": "random"})
+        tracemalloc.start()
+        try:
+            assert run_config(cfg).exit_code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)
+    small, large = 1 << 16, 1 << 18
+    slope = (peak(large) - peak(small)) / (large - small)
+    assert slope < 4, f"{slope:.1f} bytes a point"
+
+
 # -- command line ---------------------------------------------------------------------
 
 

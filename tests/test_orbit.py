@@ -14,19 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    gathered_points,
+    limb_ints,
     random_basis,
     reference_counts,
     reference_greedy_orbit,
     reference_orbit_csv,
     reference_reduced_differences,
     reference_tau_statistics,
+    reference_word_orbit,
     steps_with_negative_b,
 )
 from multirot import table
 from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
 from multirot.errors import GuardError, UsageError
-from multirot.fixedpoint import pack, to_int
+from multirot.fixedpoint import pack
 from multirot.exact.symbolic import SymbolicReal, builtin_table
 from multirot.orbit import (
     ExplicitWord,
@@ -111,7 +114,7 @@ def test_random_orbit_deterministic_given_seed():
     a = generate_orbit(steps, RandomSymbols(), 500, 128, seed=99)
     b = generate_orbit(steps, RandomSymbols(), 500, 128, seed=99)
     assert np.array_equal(a.omega, b.omega)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(gathered_points(a.omega, a.fp_steps, 128), gathered_points(b.omega, b.fp_steps, 128))
     c = generate_orbit(steps, RandomSymbols(), 500, 128, seed=100)
     assert not np.array_equal(a.omega, c.omega)
 
@@ -149,10 +152,11 @@ def test_stepping_consistency_invariant():
     orbit = generate_orbit(steps, RandomSymbols(), 300, 128, seed=3)
     tol = F(1, 1 << 126)
     alpha_fracs = [a.value() for a in steps.alphas]
+    x = [F(v, 1 << 128) for v in limb_ints(gathered_points(orbit.omega, orbit.fp_steps, 128), 128)]
     for k in range(orbit.n):
         sym = int(orbit.omega[k]) - 1
-        exact_next = (orbit.point_fraction(k) + alpha_fracs[sym]) % 1
-        diff = abs(exact_next - orbit.point_fraction(k + 1))
+        exact_next = (x[k] + alpha_fracs[sym]) % 1
+        diff = abs(exact_next - x[k + 1])
         assert min(diff, 1 - diff) <= tol
 
 
@@ -307,7 +311,8 @@ def test_reduced_orbit_identity_when_q_zero():
     steps = steps_sqrt23()
     orbit = generate_orbit(steps, RandomSymbols(), 300, 128, seed=2)
     red = reduced_orbit(orbit)
-    assert np.array_equal(red.xtilde, orbit.points)
+    assert np.array_equal(gathered_points(red.omega, red.deltas, 128),
+                          gathered_points(orbit.omega, orbit.fp_steps, 128))
     assert reference_reduced_differences(orbit, red) == {F(0)}
 
 
@@ -318,8 +323,9 @@ def test_reduced_orbit_half_shift_case():
     orbit = generate_orbit(steps, ExplicitWord((2, 1)), 2, 128)
     red = reduced_orbit(orbit, shift_index=0)
     sqrt2_frac = TABLE.symbol("sqrt2").frac()
-    assert abs(F(to_int(red.xtilde[2], 128), 1 << 128) - sqrt2_frac) < F(1, 1 << 120)
-    diff = (orbit.point_fraction(2) - F(to_int(red.xtilde[2], 128), 1 << 128)) % 1
+    xtilde2 = F(limb_ints(gathered_points(red.omega, red.deltas, 128), 128)[2], 1 << 128)
+    assert abs(xtilde2 - sqrt2_frac) < F(1, 1 << 120)
+    diff = (orbit.point_fraction(2) - xtilde2) % 1
     assert min(abs(diff - F(1, 2)), abs(1 - diff - F(1, 2))) < F(1, 1 << 120)
     assert reference_reduced_differences(orbit, red) == {F(0), F(1, 2)}
 
@@ -343,8 +349,9 @@ def test_reduced_orbit_difference_set_size_bound():
         assert len(diffs) <= lcm(*(q.denominator for q in red.qstar))
         # the exact set matches the fixed-point differences within tolerance
         tol = F(orbit.n + 4, 1 << 120)
+        xtilde = limb_ints(gathered_points(red.omega, red.deltas, 128), 128)
         for k in range(0, orbit.n + 1, 37):
-            diff = (orbit.point_fraction(k) - F(to_int(red.xtilde[k], 128), 1 << 128)) % 1
+            diff = (orbit.point_fraction(k) - F(xtilde[k], 1 << 128)) % 1
             best = min(min(abs(diff - d), abs(1 - abs(diff - d))) for d in diffs)
             assert best <= tol
 
@@ -379,8 +386,9 @@ def test_greedy_avoids_interval_for_sqrt_pair():
     steps = steps_sqrt23()
     lo, hi = F(4, 10), F(6, 10)
     orbit = generate_orbit(steps, GreedyAvoid(lo, hi), 20_000, 128)
+    points = limb_ints(gathered_points(orbit.omega, orbit.fp_steps, 128), 128)
     violations = [
-        k for k in range(1, orbit.n + 1) if lo < orbit.point_fraction(k) < hi
+        k for k in range(1, orbit.n + 1) if lo < F(points[k], 1 << 128) < hi
     ]
     assert violations == []
 
@@ -389,7 +397,7 @@ def test_greedy_deterministic():
     steps = steps_sqrt23()
     a = generate_orbit(steps, GreedyAvoid(F(1, 3), F(1, 2)), 500, 128)
     b = generate_orbit(steps, GreedyAvoid(F(1, 3), F(1, 2)), 500, 128)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.omega, b.omega)
 
 
 GREEDY_SYSTEMS = {
@@ -436,7 +444,7 @@ def test_greedy_matches_the_tuple_ranked_loop(data, bits, system, cell_bits, int
         orbit = generate_orbit(steps, strategy, n, bits)
     omega, points = reference_greedy_orbit(strategy, steps.fixed_point_steps(bits), n, bits)
     assert orbit.omega.dtype == np.uint8 and orbit.omega.tolist() == omega
-    assert np.array_equal(orbit.points, pack(points, bits))
+    assert np.array_equal(gathered_points(orbit.omega, orbit.fp_steps, bits), pack(points, bits))
 
 
 @pytest.mark.parametrize("ell", [2, 3])
@@ -450,7 +458,7 @@ def test_greedy_takes_symbol_one_when_every_candidate_is_forbidden_and_new(monke
     assert int(orbit.omega[0]) == 1
     omega, points = reference_greedy_orbit(strategy, steps.fixed_point_steps(128), 3 * CHUNK, 128)
     assert orbit.omega.tolist() == omega
-    assert np.array_equal(orbit.points, pack(points, 128))
+    assert np.array_equal(gathered_points(orbit.omega, orbit.fp_steps, 128), pack(points, 128))
 
 
 # -- serialization -----------------------------------------------------------------
@@ -464,7 +472,7 @@ def test_orb1_roundtrip(tmp_path):
     raw = read_orb1(path)
     assert raw["ell"] == 2 and raw["r"] == 2 and raw["bits"] == 128 and raw["n"] == 64
     assert np.array_equal(raw["omega"], orbit.omega)
-    assert np.array_equal(raw["points"], orbit.points)
+    assert np.array_equal(raw["points"], gathered_points(orbit.omega, orbit.fp_steps, 128))
     with open(path, "rb") as fh:
         assert fh.read(4) == b"ORB1"
 
@@ -631,7 +639,7 @@ def test_orb1_chunked_points_match_one_by_one(tmp_path, monkeypatch, n):
     path = tmp_path / "orbit.orb1"
     write_orb1(orbit, path)
     raw = path.read_bytes()
-    points = b"".join(orbit.point(k).to_bytes(9, "little") for k in range(n + 1))
+    points = b"".join(x.to_bytes(9, "little") for x in reference_word_orbit(orbit.omega, orbit.fp_steps, 72))
     assert raw.endswith(orbit.omega.tobytes() + points)
     assert len(raw) == 24 + n + len(points)
 
@@ -726,22 +734,23 @@ def test_orbit_csv_at_full_chunks_crosses_five_digit_row_numbers(tmp_path):
     assert path.read_bytes() == reference_orbit_csv(orbit)
 
 
-@pytest.mark.parametrize("row_bytes, rows", [(0, 4096), (159, 4096), (1153, 909), (2**21, 1)])
+@pytest.mark.parametrize("row_bytes, rows", [(0, 4096), (159, 4096), (1153, 3637), (2**23, 1)])
 def test_chunk_bounds_hold_chunks_to_chunk_bytes(row_bytes, rows):
-    assert (table.CHUNK_ROWS, table.CHUNK_BYTES) == (4096, 2**20)
+    assert (table.CHUNK_ROWS, table.CHUNK_BYTES) == (4096, 2**22)
     bounds = list(table.chunk_bounds(5000, row_bytes))
     assert bounds[0] == (0, rows) and bounds[-1][1] == 5000
     assert all(e - s == rows for s, e in bounds[:-1])
 
 
 def test_wide_orbit_files_in_byte_bounded_chunks(tmp_path):
-    """At 4096 bits a CSV chunk has 894 rows and an ORB1 chunk 2048: both files span chunks."""
-    orbit = generate_orbit(steps_with_negative_b(), RandomSymbols(), 2500, 4096, seed=9)
+    """At 16384 bits a CSV chunk has 988 rows and an ORB1 chunk 2048: both files span chunks."""
+    orbit = generate_orbit(steps_with_negative_b(), RandomSymbols(), 2500, 16384, seed=9)
     write_orbit_csv(orbit, tmp_path / "orbit.csv")
     assert (tmp_path / "orbit.csv").read_bytes() == reference_orbit_csv(orbit)
     write_orb1(orbit, tmp_path / "orbit.orb1")
     back = read_orb1(tmp_path / "orbit.orb1")
-    assert np.array_equal(back["points"], orbit.points) and np.array_equal(back["omega"], orbit.omega)
+    assert np.array_equal(back["points"], gathered_points(orbit.omega, orbit.fp_steps, 16384))
+    assert np.array_equal(back["omega"], orbit.omega)
 
 
 def test_minimum_bits_orbit_and_roundtrip(tmp_path):
@@ -751,7 +760,7 @@ def test_minimum_bits_orbit_and_roundtrip(tmp_path):
     assert np.array_equal(orbit.top64(), np.array([orbit.point(k) for k in range(5)], dtype=np.uint64))
     path = tmp_path / "o64.orb1"
     write_orb1(orbit, path)
-    assert np.array_equal(read_orb1(path)["points"], orbit.points)
+    assert np.array_equal(read_orb1(path)["points"], gathered_points(orbit.omega, orbit.fp_steps, 64))
 
 
 def test_greedy_wraparound_forbidden_interval():
@@ -759,13 +768,14 @@ def test_greedy_wraparound_forbidden_interval():
     steps = steps_sqrt23()
     lo, hi = F(9, 10), F(1, 10)
     orbit = generate_orbit(steps, GreedyAvoid(lo, hi), 5000, 128)
+    points = limb_ints(gathered_points(orbit.omega, orbit.fp_steps, 128), 128)
     for k in range(1, orbit.n + 1):
-        x = orbit.point_fraction(k)
+        x = F(points[k], 1 << 128)
         assert not (x > lo or x < hi), (k, x)
 
 
 # sha256 of the artifacts of small orbit runs, recorded with the big-int orbit
-# loops that `fixedpoint.accumulate` replaced; they must not change.
+# loops that `fixedpoint.limb_chunks` replaced; they must not change.
 PINNED_RUNS = {
     "random128": (
         dict(kind="orbit", seed=7, bits=128, steps=("sqrt2", "sqrt3"),
