@@ -4,9 +4,11 @@ Point sets on the circle are held as 64-bit fixed-point values, sorted once
 and deduplicated by neighbour comparison.  A rational sample, such as a d = 1
 attractor sample on its grid (1/q) Z, becomes points by one integer floor per
 point (`CirclePoints.from_grid`).  The dyadic cells at scale 2**-k are a shift
-of the sorted values, and grid counts are exact integer statistics; a
-covering profile takes the cells of its finest scale and halves them for
-each coarser one.  Difference sets are cell-level only, at a scale the
+of the sorted values, taken a chunk at a time into an array of exactly the
+distinct cells, so a set of n points holds its values and no second
+n-sized array; grid counts are exact integer statistics, and a covering
+profile takes the cells of its finest scale and halves them for each
+coarser one.  Difference sets are cell-level only, at a scale the
 caller gives: they are read off the cyclic autocorrelation of the
 2**k-cell occupancy bitmap, computed by FFT with its rounding error checked
 on every call.  Grid counts are the primary estimator (they differ from
@@ -30,6 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import table
 from .errors import GuardError, UsageError
 
 BITS = 64
@@ -89,11 +92,36 @@ class CirclePoints:
         return cls.from_grid([x.numerator * (q // x.denominator) for x in xs], q, rescale)
 
     def cells(self, k: int) -> np.ndarray:
-        """Sorted distinct dyadic cell indices floor(x * 2**k)."""
+        """Sorted distinct dyadic cell indices floor(x * 2**k).
+
+        The values are sorted, so their shifts are too.  A set of one
+        chunk is shifted at once; a longer one in two passes over
+        `table.chunk_bounds`, each chunk compared with the last value
+        before it: the first counts the distinct cells, the second fills
+        an array of exactly that many, so no shifted copy of every value
+        is made.
+        """
         if not (0 <= k <= BITS - 2):
             raise UsageError(f"scale exponent k={k} outside [0, {BITS - 2}]")
-        # values are sorted, so their shifts are too
-        return _distinct(self.values >> np.uint64(BITS - k)).view(np.int64)
+        v, shift = self.values, np.uint64(BITS - k)
+        if v.size <= table.CHUNK_ROWS:
+            return _distinct(v >> shift).view(np.int64)
+
+        def rises(start, stop):
+            """The cells of v[start:stop] past v[0], and where each differs from the one before."""
+            c = v[max(start - 1, 0):stop] >> shift
+            return c[1:], c[1:] != c[:-1]
+
+        bounds = list(table.chunk_bounds(v.size))
+        out = np.empty(1 + sum(np.count_nonzero(rises(*b)[1]) for b in bounds), dtype=np.uint64)
+        out[0] = v[0] >> shift
+        at = 1
+        for b in bounds:
+            c, new = rises(*b)
+            m = np.count_nonzero(new)
+            out[at:at + m] = c[new]
+            at += m
+        return out.view(np.int64)
 
 
 def covering_count(points: CirclePoints, k: int) -> int:
@@ -424,8 +452,9 @@ def gap_profile(points: CirclePoints, k: int = 12) -> GapProfile:
         max_gap = Fraction(1)
     else:
         wrap = (int(vals[0]) - int(vals[-1])) % (1 << BITS)
-        # the n gaps are reduced at once, and freed before cells(k) allocates
-        max_gap = Fraction(max(int(np.diff(vals).max()), wrap), 1 << BITS)
+        # the n - 1 inner gaps a chunk at a time, each chunk from the value before it
+        inner = max(int(np.diff(vals[s:e + 1]).max()) for s, e in table.chunk_bounds(vals.size - 1))
+        max_gap = Fraction(max(inner, wrap), 1 << BITS)
     cells = points.cells(k)
     mod = 1 << k
     occupied = int(cells.size)

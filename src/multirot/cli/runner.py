@@ -286,7 +286,7 @@ def _run_pigeonhole(inputs, out):
 
 def _run_separation(inputs, out):
     red = reduced_orbit(_orbit(inputs))  # no reference keeps the orbit past this call
-    report = kxn_separation(red.top64(), inputs.params["k_min"], inputs.params["k_max"])
+    report = kxn_separation(red.top64, inputs.params["k_min"], inputs.params["k_max"])
     rows = [[row.k, row.sup_norm, row.n_argmax] for row in report.rows]
     csv = write_csv(out, "results.csv", ["k", "sup_norm", "n_argmax"], rows)
     summary = {

@@ -202,31 +202,37 @@ class SeparationReport:
         return [row.k for row in self.rows if row.below_one_fifth]
 
 
-# At the k_max guard, 4096, on 10**7 random uint64 points, kxn_separation took 3.7 s
-# and raised peak RSS from 112 to 192 MB, its sorted copy (own process, 2-core x86_64,
-# Python 3.11, numpy 2.4); the whole separation recipe at n = 10**7 took 7.3 s at
-# 667 MB, most of it the orbit and the reduced orbit.
-def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
-    """For each k, max_n ||k x~_n|| over top, the sequence as 64-bit points (uint64).
+# At the k_max guard, 4096, on 10**7 random uint64 points drawn afresh by each call
+# of column, kxn_separation took 5.9-6.4 s and raised peak RSS from 31 to 116 MB,
+# one column and the k loop's temporaries; a sorted copy beside a held column took
+# as long and peaked at 192 MB (own process, 2-core x86_64, Python 3.11, numpy 2.4).
+# The separation recipe at n = 10**7 (k_max = 100) peaked at 133 MB in 0.7-0.8 s.
+def kxn_separation(column, k_min: int, k_max: int) -> SeparationReport:
+    """For each k, max_n ||k x~_n|| over the sequence as 64-bit points.
 
-    A finite-n maximum only understates the supremum, so entries below 1/5 are
-    diagnostics, never refutations.  For integer x, min(v, 2**64 - v) with
-    v = k x mod 2**64 peaks at the targets t_j = (2**63 + j 2**64) / k and falls
-    at slope k on either side, so its maximum over the points is taken at a
-    nearest point below or above some target.  One sorted copy of top yields
-    those neighbours by binary search on the exact floors of the targets; each
-    k's n_argmax is the first index of top holding one of its winning values,
-    and one pass over top finds the first index of every winning value.
+    column() returns a fresh 1-d uint64 array of the points in sequence
+    order, such as `ReducedOrbit.top64`; it is called twice, so that no
+    more than one such array is alive at a time.  A finite-n maximum only
+    understates the supremum, so entries below 1/5 are diagnostics, never
+    refutations.  For integer x, min(v, 2**64 - v) with v = k x mod 2**64
+    peaks at the targets t_j = (2**63 + j 2**64) / k and falls at slope k
+    on either side, so its maximum over the points is taken at a nearest
+    point below or above some target.  The first array, sorted in place,
+    yields those neighbours by binary search on the exact floors of the
+    targets, and is dropped once every k's winning values are known.  Each
+    k's n_argmax is the first index holding one of its winning values: one
+    pass over the second array, a chunk at a time, finds the first index
+    of every winning value.
     """
-    top = np.asarray(top)
-    if top.dtype != np.uint64 or top.ndim != 1:
-        raise UsageError("separation needs a 1-d uint64 array of 64-bit points")
-    if top.size == 0:
-        raise UsageError("empty sequence")
     if k_min < 1 or k_min > k_max:
         raise UsageError("bad k range")
-    ordered = np.sort(top)
-    last = ordered.size - 1
+    ordered = np.asarray(column())
+    if ordered.dtype != np.uint64 or ordered.ndim != 1:
+        raise UsageError("separation needs a 1-d uint64 array of 64-bit points")
+    if ordered.size == 0:
+        raise UsageError("empty sequence")
+    ordered.sort()
+    size, last = ordered.size, ordered.size - 1
     maxima = []
     for k in range(k_min, k_max + 1):
         # floor(2**63 m / k) for odd m < 2k is q m + (r m) // k: no product passes 2**64
@@ -239,16 +245,20 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
         norms = np.minimum(v, 0 - v)
         best = norms.max()
         maxima.append((k, best, np.unique(near[norms == best])))
+    del ordered
     winners = np.unique(np.concatenate([values for _, _, values in maxima]))
-    first = np.full(winners.size, top.size, dtype=np.int64)
+    first = np.full(winners.size, size, dtype=np.int64)
     # only a point whose top 16 bits are some winner's is looked up among them
     prefixes = np.zeros(1 << 16, dtype=bool)
     prefixes[winners >> np.uint64(48)] = True
-    for start, stop in chunk_bounds(top.size):
+    top = column()
+    for start, stop in chunk_bounds(size):
         block = top[start:stop]
         maybe = np.flatnonzero(prefixes[block >> np.uint64(48)])
         at = np.minimum(np.searchsorted(winners, block[maybe]), winners.size - 1)
         hit = winners[at] == block[maybe]
+        if not hit.any():
+            continue
         which, once = np.unique(at[hit], return_index=True)
         first[which] = np.minimum(first[which], maybe[hit][once] + start)
     rows = []
@@ -256,4 +266,4 @@ def kxn_separation(top: np.ndarray, k_min: int, k_max: int) -> SeparationReport:
         sup = float(best) / 2**64
         arg = first[np.searchsorted(winners, values)].min()
         rows.append(SeparationRow(k, sup, int(arg), sup < 0.2))
-    return SeparationReport(tuple(rows), int(top.size))
+    return SeparationReport(tuple(rows), size)

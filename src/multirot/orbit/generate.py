@@ -39,14 +39,14 @@ from .strategies import GreedyAvoid, Strategy
 # each writer sums ceil(B/64) limbs a point, one chunk at a time, and
 # results.csv takes (B + 3) // 4 hex digits a point and orbit.orb1 B / 8
 # bytes.  Every orbit recipe holds the word, one byte a point; the
-# analysis recipes also hold a 64-bit column and at most one sorted copy
-# of it, 16 bytes a point.  limb_chunks carries ceil(B/64) limb columns
+# analysis recipes also hold one 64-bit column, 8 bytes a point, and no
+# second n-sized array.  limb_chunks carries ceil(B/64) limb columns
 # one at a time, a cost bytes do not show: summing n = 10 at B = 2**22
 # took 0.25 s.  At n = 10**7 and 128 bits, seed 1, each recipe in a
 # process of its own (2-core x86_64, Python 3.11, numpy 2.4, VmHWM): the
-# orbit recipe (a random word) peaked at 56 MB in 2.9-3.4 s, the
-# separation recipe (k_max = 100) at 209 MB in 0.5 s, difference-dense
-# (k = 12) and greedy orbit-box-lower at 218 MB.
+# orbit recipe (a random word) peaked at 56 MB in 2.9-3.4 s, greedy
+# orbit-box-lower at 127 MB, difference-dense (k = 12) at 132 MB and the
+# separation recipe (k_max = 100) at 133 MB in 0.7-0.8 s.
 MAX_ORBIT_N = 10**7
 MAX_ORBIT_BYTES = (MAX_ORBIT_N + 1) * 16
 MAX_ORBIT_BITS = 1 << 16
@@ -229,11 +229,12 @@ def generate_orbit(
     if not 2 <= steps.ell <= MAX_ELL:
         raise UsageError(f"orbit generation needs 2 to {MAX_ELL} steps, got {steps.ell}")
     fp_steps = steps.fixed_point_steps(bits)
-    rng = np.random.default_rng(seed) if seed is not None else None
 
     if strategy.adaptive:
         omega = _greedy_symbols(strategy, fp_steps, n, bits)
     else:
+        # only a word strategy draws: the greedy one never imports numpy.random
+        rng = np.random.default_rng(seed) if seed is not None else None
         omega = strategy.materialize(n, steps.ell, rng)
 
     return Orbit(

@@ -114,40 +114,34 @@ def brute_force_commensurable(
     """Witness t with common denominator <= bound, or None.
 
     Enumerates the common denominator D and the scaled integer exponents
-    directly against the prime-exponent equation; ell <= 2 only.
+    directly against the prime-exponent equation, with every exponent an
+    integer over one common denominator; ell <= 2 only.
     """
     keys = sorted({k for v in rho_vecs + [gamma_vec] for k in v})
-    rows = [np.array([float(v.get(k, 0)) for k in keys]) for v in rho_vecs]
-    g = np.array([float(gamma_vec.get(k, 0)) for k in keys])
-
-    def cap(i):
-        # t_i * (-log rho_i) <= -log gamma, in prime-log space
-        num = -sum(float(gamma_vec.get(k, 0)) * log(k[1]) for k in keys if k[0] == "p")
-        den = -sum(float(rho_vecs[i].get(k, 0)) * log(k[1]) for k in keys if k[0] == "p")
-        return ceil(num / den) + 1
-
-    exact_rows = [[v.get(k, Fraction(0)) for k in keys] for v in rho_vecs]
-    exact_g = [gamma_vec.get(k, Fraction(0)) for k in keys]
+    # t_0 * (-log rho_0) <= -log gamma, in prime-log space
+    num = -sum(float(gamma_vec.get(k, 0)) * log(k[1]) for k in keys if k[0] == "p")
+    den = -sum(float(rho_vecs[0].get(k, 0)) * log(k[1]) for k in keys if k[0] == "p")
+    cap0 = ceil(num / den) + 1
+    # every exponent as an integer over one common denominator
+    scale = lcm(*(e.denominator for v in rho_vecs + [gamma_vec] for e in v.values()))
+    rows = np.array([[int(v.get(k, 0) * scale) for k in keys] for v in rho_vecs], dtype=np.int64)
+    g = np.array([int(gamma_vec.get(k, 0) * scale) for k in keys], dtype=np.int64)
     ell = len(rho_vecs)
     assert ell <= 2, "brute force supports ell <= 2"
     for d in range(1, bound + 1):
-        cap0 = cap(0) * d
-        for a0 in range(cap0 + 1):
-            if ell == 1:
-                if all(a0 * e == d * ge for e, ge in zip(exact_rows[0], exact_g)):
-                    return (Fraction(a0, d),)
-                continue
-            pivot = next(j for j, e in enumerate(exact_rows[1]) if e != 0)
-            num = d * exact_g[pivot] - a0 * exact_rows[0][pivot]
-            a1 = num / exact_rows[1][pivot]
-            if a1.denominator != 1 or a1 < 0:
-                continue
-            a1 = int(a1)
-            if all(
-                a0 * e0 + a1 * e1 == d * ge
-                for e0, e1, ge in zip(exact_rows[0], exact_rows[1], exact_g)
-            ):
-                return (Fraction(a0, d), Fraction(a1, d))
+        # every a0 of this d at once, in increasing order
+        a0 = np.arange(cap0 * d + 1, dtype=np.int64)
+        if ell == 1:
+            ok = np.flatnonzero((a0[:, None] * rows[0] == d * g).all(axis=1))
+            if ok.size:
+                return (Fraction(int(a0[ok[0]]), d),)
+            continue
+        pivot = int(np.flatnonzero(rows[1])[0])
+        a1, rem = np.divmod(d * g[pivot] - a0 * rows[0][pivot], rows[1][pivot])
+        ok = (rem == 0) & (a1 >= 0)
+        ok &= (a0[:, None] * rows[0] + a1[:, None] * rows[1] == d * g).all(axis=1)
+        if (hit := np.flatnonzero(ok)).size:
+            return (Fraction(int(a0[hit[0]]), d), Fraction(int(a1[hit[0]]), d))
     return None
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_cover, pairwise_cell_differences, reference_unit_reals
 from multirot import boxdim as bx
+from multirot import table
 from multirot.cli.config import ExperimentConfig
 from multirot.cli.runner import run_config
 from multirot.errors import GuardError, UsageError
@@ -97,6 +98,52 @@ def test_cells_match_np_unique_at_every_scale():
         assert got.dtype == np.int64
         assert np.array_equal(got, want), k
         assert bx.covering_count(points, k) == want.size
+
+
+CHUNK = 7  # rows per chunk in the chunked-path tests, so that small sets span several
+
+# values in runs that share a cell down to a fine scale: a base and offsets below 2**spread
+CLUSTERS = st.lists(st.tuples(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(U64_EDGES)),
+                              st.integers(1, 12), st.integers(0, 40)), min_size=1, max_size=12)
+
+
+def clustered_values(clusters, rng):
+    out = []
+    for base, run, spread in clusters:
+        offsets = rng.integers(0, 1 << spread, size=run, dtype=np.uint64, endpoint=True)
+        out.extend(((base + int(o)) % 2**64 for o in offsets))
+    return np.array(out, dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clusters=CLUSTERS, seed=st.integers(0, 2**32 - 1))
+def test_chunked_cells_match_the_one_shot_shift(clusters, seed):
+    """At 7 rows a chunk, runs of one cell straddle the chunk boundaries at every scale
+    from 0 to 62, and sets of one chunk or less take the one-shot path."""
+    points = bx.CirclePoints(clustered_values(clusters, np.random.default_rng(seed)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "CHUNK_ROWS", CHUNK)
+        for k in range(0, bx.BITS - 1):
+            want = bx._distinct(points.values >> np.uint64(bx.BITS - k)).view(np.int64)
+            got = points.cells(k)
+            assert got.dtype == np.int64 and np.array_equal(got, want), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(clusters=CLUSTERS, seed=st.integers(0, 2**32 - 1), k=st.integers(0, 12))
+def test_chunked_gap_profile_matches_the_one_shot_diff(clusters, seed, k):
+    """The largest gap, taken a chunk of 7 at a time, against np.diff over every point."""
+    points = bx.CirclePoints(clustered_values(clusters, np.random.default_rng(seed)))
+    vals = points.values
+    wrap = (int(vals[0]) - int(vals[-1])) % 2**64
+    inner = int(np.diff(vals).max()) if vals.size > 1 else 0
+    max_gap = F(max(inner, wrap), 2**64) if vals.size > 1 else F(1)
+    one_shot = bx.gap_profile(points, k)  # at most 144 points: one chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "CHUNK_ROWS", CHUNK)
+        chunked = bx.gap_profile(points, k)
+    assert chunked == one_shot
+    assert chunked.max_gap == max_gap
 
 
 def test_covering_count_empty_set_errors():

@@ -40,6 +40,17 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def run_fresh(code: str, *argv: str) -> str:
+    """Run code in a fresh interpreter with this checkout's src first on its path;
+    return its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, *(p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 # -- config ------------------------------------------------------------------
 
 
@@ -255,7 +266,7 @@ def test_verify_difference_dense_small(tmp_path):
 
 # The orbit-analysis recipes of the benchmark, at 128 bits.  Each reads only
 # the word or the 64-bit column, so none may hold the (n+1, 2) limb array,
-# 16 bytes a point, beside the column and its sorted copy.
+# 16 bytes a point, or a second n-sized array beside the column.
 ANALYSIS_RECIPES = {
     "orbit-box-lower": dict(kind="verify-theorem", scales=(6, 14),
                             strategy={"type": "greedy_avoid", "lo": "0.4", "hi": "0.6"},
@@ -268,10 +279,12 @@ ANALYSIS_RECIPES = {
 
 
 @pytest.mark.parametrize("recipe", sorted(ANALYSIS_RECIPES))
-def test_orbit_analysis_peaks_below_24_bytes_a_point(tmp_path, recipe):
-    """tracemalloc's peak over one run at n = 2**17: about 18-20 bytes a point, and
-    36 when the limb array was built.  A run at n = 1000 first loads what the
-    recipe imports on first use, which would count as a fixed cost."""
+def test_orbit_analysis_peaks_below_13_bytes_a_point(tmp_path, recipe):
+    """tracemalloc's peak over one run at n = 2**17: about 11-12 bytes a point, the
+    64-bit column and the word; 18-20 when the cells, the gaps or the separation's
+    sorted copy took a second n-sized array, and 36 when the limb array was built.
+    A run at n = 1000 first loads what the recipe imports on first use, which would
+    count as a fixed cost."""
     def config(n, out):
         return ExperimentConfig(out_dir=str(tmp_path / out), seed=1, steps=("sqrt2", "sqrt3"),
                                 n=n, bits=128, **ANALYSIS_RECIPES[recipe])
@@ -285,7 +298,20 @@ def test_orbit_analysis_peaks_below_24_bytes_a_point(tmp_path, recipe):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 24 * n, f"{recipe}: {peak / n:.1f} bytes a point"
+    assert peak < 13 * n, f"{recipe}: {peak / n:.1f} bytes a point"
+
+
+def test_greedy_orbit_leaves_numpy_random_unloaded(tmp_path):
+    """A greedy orbit draws nothing, so a greedy run in a fresh interpreter never
+    imports numpy.random (5 MB of RSS)."""
+    recipe = ANALYSIS_RECIPES["orbit-box-lower"]
+    run_fresh("import sys\n"
+              "from multirot.cli.config import ExperimentConfig\n"
+              "from multirot.cli.runner import run_config\n"
+              f"cfg = ExperimentConfig(out_dir={str(tmp_path / 'o')!r}, seed=1, steps=('sqrt2', 'sqrt3'),\n"
+              f"                       n=1000, bits=128, **{recipe!r})\n"
+              "assert run_config(cfg).exit_code == 0\n"
+              "assert 'numpy.random' not in sys.modules\n")
 
 
 @pytest.mark.parametrize("bits", [128, 1000])
@@ -482,15 +508,10 @@ def test_main_embed_subcommand(tmp_path, capsys):
 
 def test_embed_run_loads_numpy_only(tmp_path):
     """An embed run, induced betas included, in a fresh interpreter: mpmath stays unloaded."""
-    code = ("import sys\n"
-            "from multirot.cli.main import main\n"
-            f"assert main(['embed', '--n-max', '10', '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-            "assert 'mpmath' not in sys.modules\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, *(p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh("import sys\n"
+              "from multirot.cli.main import main\n"
+              f"assert main(['embed', '--n-max', '10', '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+              "assert 'mpmath' not in sys.modules\n")
     assert "induced_r" in json.loads((tmp_path / "o" / "summary.json").read_text())
 
 
@@ -989,15 +1010,7 @@ def _peak_rise_over_import(tmp_path, config) -> float:
     """MB by which a run of config peaks above an import of the CLI, each in a process
     of its own."""
     path = write_config(tmp_path, {**config, "out_dir": str(tmp_path / "o")})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, *(p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    peaks = []
-    for argv in ([], [path]):
-        proc = subprocess.run([sys.executable, "-c", _OWN_PEAK, *argv], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        peaks.append(int(proc.stdout.split()[-1]) / 1024)
+    peaks = [int(run_fresh(_OWN_PEAK, *argv).split()[-1]) / 1024 for argv in ([], [path])]
     return peaks[1] - peaks[0]
 
 

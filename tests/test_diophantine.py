@@ -17,7 +17,7 @@ from helpers import (
     reference_scan_minimal,
     reference_separation,
 )
-from multirot import diophantine
+from multirot import diophantine, table
 from multirot.diophantine import check_k_space, kxn_separation, norm_dist, pigeonhole_approx
 from multirot.errors import GuardError, UsageError
 from multirot.exact.symbolic import builtin_table
@@ -207,7 +207,7 @@ def test_the_walk_skips_a_short_period(monkeypatch, first, other):
 
 
 def test_separation_zero_sequence():
-    report = kxn_separation(pack([0] * 50, 128)[:, 0], 1, 10)
+    report = kxn_separation(pack([0] * 50, 128)[:, 0].copy, 1, 10)
     assert all(row.sup_norm == 0 for row in report.rows)
     assert report.flagged() == list(range(1, 11))
 
@@ -216,7 +216,7 @@ def test_separation_rational_orbit():
     """x~_n = n/7: k = 7 kills it, k = 1 reaches 3/7."""
     bits = 128
     seq = pack([fp_from_fraction(F(n, 7), bits) for n in range(70)], bits)
-    report = kxn_separation(seq[:, 0], 1, 7)
+    report = kxn_separation(seq[:, 0].copy, 1, 7)
     by_k = {row.k: row for row in report.rows}
     assert by_k[7].sup_norm < 1e-12
     assert abs(by_k[1].sup_norm - 3 / 7) < 1e-9
@@ -226,25 +226,27 @@ def test_separation_on_reduced_orbit():
     steps = steps_from_values(TABLE, ["sqrt2", "sqrt3"])
     orbit = generate_orbit(steps, RandomSymbols(), 20_000, 128, seed=9)
     red = reduced_orbit(orbit)
-    report = kxn_separation(red.top64(), 1, 100)
+    report = kxn_separation(red.top64, 1, 100)
     assert report.flagged() == []  # all maxima clear 1/5 comfortably
 
 
 def test_separation_empty_errors():
     with pytest.raises(UsageError):
-        kxn_separation(np.zeros(0, dtype=np.uint64), 1, 5)
+        kxn_separation(np.zeros(0, dtype=np.uint64).copy, 1, 5)
 
 
 @pytest.mark.parametrize("seq", [[0] * 5, np.zeros(5, dtype=np.int64), np.zeros((5, 2), dtype=np.uint64)])
 def test_separation_rejects_anything_but_64_bit_points(seq):
     """Big-int lists, signed arrays and whole limb arrays are not 64-bit points."""
     with pytest.raises(UsageError):
-        kxn_separation(seq, 1, 5)
+        kxn_separation(seq.copy, 1, 5)
 
 
 def separation_rows(report):
     return [(row.k, row.sup_norm, row.n_argmax) for row in report.rows]
 
+
+CHUNK = 7  # rows per chunk of the first-index pass, so that short sequences span several
 
 # 2**63 is the largest norm, 1/2; 0 and its neighbours give the smallest
 UINT64_EDGES = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**62, 3 * 2**62, 2**32]
@@ -268,12 +270,16 @@ TARGET_NEIGHBOURS = st.integers(1, 16).flatmap(lambda k: st.builds(
 def test_separation_matches_full_length_scan(values, copies, k_min, k_span):
     """Ties, edge values and the neighbours of the targets; a copied value ties with
     itself and a mirrored one, 2**64 - v, with v for every k, so the first index must
-    break ties on both sides of one target and across targets."""
+    break ties on both sides of one target and across targets.  At CHUNK rows a chunk
+    of the first-index pass, tied winners repeat across chunks, and most chunks hold
+    no winner."""
     for src, dst, mirror in copies:
         v = values[src % len(values)]
         values[dst % len(values)] = (2**64 - v) % 2**64 if mirror else v
     top = np.array(values, dtype=np.uint64)
-    report = kxn_separation(top, k_min, k_min + k_span)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "CHUNK_ROWS", CHUNK)
+        report = kxn_separation(top.copy, k_min, k_min + k_span)
     assert separation_rows(report) == reference_separation(top, k_min, k_min + k_span)
     assert report.n_points == top.size
 
@@ -286,14 +292,17 @@ def test_separation_matches_full_length_scan_up_to_k_300():
     for i in range(300):
         k = int(rng.integers(150, 301))
         top[3 * i] = (target_floor(k, int(rng.integers(0, k))) + int(rng.integers(-1, 2))) % 2**64
-    report = kxn_separation(top, 1, 300)
+    report = kxn_separation(top.copy, 1, 300)
     assert separation_rows(report) == reference_separation(top, 1, 300)
 
 
 def check_half_at(top, at, k_min):
-    """Against the full-length scan, and 1/2 at index `at` for every odd k."""
+    """Against the full-length scan, and 1/2 at index `at` for every odd k; column
+    is called twice, once per pass."""
     k_max = k_min + 34
-    report = kxn_separation(top, k_min, k_max)
+    calls = []
+    report = kxn_separation(lambda: calls.append(1) or top.copy(), k_min, k_max)
+    assert len(calls) == 2
     assert separation_rows(report) == reference_separation(top, k_min, k_max)
     odd = [row for row in report.rows if row.k % 2]
     assert odd and all(row.sup_norm == 0.5 and row.n_argmax == at for row in odd)
@@ -321,6 +330,15 @@ def test_separation_tie_goes_to_the_first_index(k_min):
 
 def test_separation_of_one_point():
     top = np.array([2**63], dtype=np.uint64)
-    rows = separation_rows(kxn_separation(top, 1, 4))
+    rows = separation_rows(kxn_separation(top.copy, 1, 4))
     assert rows == [(1, 0.5, 0), (2, 0.0, 0), (3, 0.5, 0), (4, 0.0, 0)]
     assert rows == reference_separation(top, 1, 4)
+
+
+@pytest.mark.parametrize("at", [[0], [0, 6, 7, 13, 14, 40], [6, 7, 49]])
+def test_separation_winner_at_index_0_and_across_chunks(monkeypatch, at):
+    """2**63 at index 0, and on both sides of the boundaries of chunks of CHUNK rows."""
+    monkeypatch.setattr(table, "CHUNK_ROWS", CHUNK)
+    top = np.random.default_rng(len(at)).integers(0, 2**64, size=50, dtype=np.uint64)
+    top[at] = 2**63
+    check_half_at(top, at[0], 1)
